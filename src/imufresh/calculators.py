@@ -425,10 +425,6 @@ def compute_feature(
     return float(calc.func(arr, **validated))
 
 
-def compute_named_feature(x: Sequence[float] | np.ndarray, feature: FeatureName) -> float:
-    return compute_feature(x, feature.calculator, feature.param_dict())
-
-
 # ---------------------------------------------------------------------------
 # Feature-name decoding
 # ---------------------------------------------------------------------------
@@ -483,12 +479,6 @@ class ExtractionSettings:
     @property
     def kinds(self) -> tuple[str, ...]:
         return tuple(sorted({f.kind for f in self.features}))
-
-    def by_kind(self) -> dict[str, tuple[FeatureName, ...]]:
-        grouped: dict[str, list[FeatureName]] = {}
-        for feature in self.features:
-            grouped.setdefault(feature.kind, []).append(feature)
-        return {k: tuple(v) for k, v in grouped.items()}
 
     def feature_names(self) -> tuple[FeatureName, ...]:
         return self.features

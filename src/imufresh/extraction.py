@@ -7,7 +7,6 @@ identical no matter how many workers compute it.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -20,6 +19,7 @@ from .calculators import (
 )
 from .errors import DataError, UnknownKind
 from .names import FeatureName
+from .parallel import map_ranges
 from .timeseries import Recording, Window, WindowSet, render_float, slice_window
 
 
@@ -27,7 +27,7 @@ from .timeseries import Recording, Window, WindowSet, render_float, slice_window
 class FeatureMatrix:
     """Windows x named features, column-associated to FeatureName.
 
-    Columns are sorted by canonical feature name and rows by window id.
+    Columns are sorted by unique canonical feature name and rows by window id.
     Cells may be NaN only where a calculator is documented undefined.
     """
 
@@ -54,6 +54,9 @@ class FeatureMatrix:
         canon = [f.canonical() for f in self.feature_names]
         if canon != sorted(canon):
             raise DataError("feature columns must be sorted by canonical name")
+        self._columns = {c: i for i, c in enumerate(canon)}
+        if len(self._columns) != n_cols:
+            raise DataError("feature column names must be unique")
         if self.labels is not None:
             self.labels = tuple(self.labels)
             if len(self.labels) != n_rows:
@@ -70,14 +73,10 @@ class FeatureMatrix:
         return self.values.shape[1]
 
     def canonical_names(self) -> tuple[str, ...]:
-        return tuple(f.canonical() for f in self.feature_names)
+        return tuple(self._columns)
 
     def column_index(self, name: FeatureName | str) -> int:
-        canonical = name if isinstance(name, str) else name.canonical()
-        for i, f in enumerate(self.feature_names):
-            if f.canonical() == canonical:
-                return i
-        raise KeyError(canonical)
+        return self._columns[name if isinstance(name, str) else name.canonical()]
 
     def column(self, name: FeatureName | str) -> np.ndarray:
         return self.values[:, self.column_index(name)]
@@ -103,29 +102,18 @@ def _compute_rows(
     windows: Sequence[Window],
     plan: Sequence[tuple[str, tuple]],
     n_cols: int,
+    rows: range,
 ) -> np.ndarray:
-    """Rows for *windows*; plan maps each kind to its (calculator, params,
-    column) entries so every channel is sliced once per window."""
-    out = np.empty((len(windows), n_cols), dtype=np.float64)
-    for r, window in enumerate(windows):
+    """Feature rows for ``windows[rows]``; plan maps each kind to its
+    (calculator, params, column) entries so every channel is sliced once
+    per window."""
+    out = np.empty((len(rows), n_cols), dtype=np.float64)
+    for r, i in enumerate(rows):
         for kind, entries in plan:
-            x = slice_window(recording, window, kind)
+            x = slice_window(recording, windows[i], kind)
             for calc_name, params, col in entries:
                 out[r, col] = CALCULATORS[calc_name].func(x, **params)
     return out
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(recording: Recording, windows: tuple[Window, ...], plan, n_cols: int) -> None:
-    _POOL_STATE["args"] = (recording, windows, plan, n_cols)
-
-
-def _pool_task(chunk: tuple[int, int]) -> tuple[int, np.ndarray]:
-    recording, windows, plan, n_cols = _POOL_STATE["args"]
-    lo, hi = chunk
-    return lo, _compute_rows(recording, windows[lo:hi], plan, n_cols)
 
 
 def extract(
@@ -155,30 +143,14 @@ def extract(
     plan = tuple((kind, tuple(entries)) for kind, entries in plan_map.items())
 
     window_list = windows.windows
-    n_rows = len(window_list)
-    n_cols = len(features)
-    if n_rows == 0 or n_cols == 0:
-        values = np.empty((n_rows, n_cols), dtype=np.float64)
-    elif workers <= 1:
-        values = _compute_rows(recording, window_list, plan, n_cols)
-    else:
-        chunk_size = max(1, -(-n_rows // (workers * 4)))
-        chunks = [(lo, min(lo + chunk_size, n_rows)) for lo in range(0, n_rows, chunk_size)]
-        values = np.empty((n_rows, n_cols), dtype=np.float64)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_init,
-            initargs=(recording, window_list, plan, n_cols),
-        ) as pool:
-            for lo, block in pool.map(_pool_task, chunks):
-                values[lo : lo + block.shape[0]] = block
-
-    labels = windows.labels
+    blocks = map_ranges(
+        _compute_rows, (recording, window_list, plan, len(features)), len(window_list), workers
+    )
     return FeatureMatrix(
         feature_names=features,
-        values=values,
+        values=np.concatenate(blocks),
         window_ids=np.asarray([w.window_id for w in window_list], dtype=np.int64),
-        labels=labels,
+        labels=windows.labels,
     )
 
 

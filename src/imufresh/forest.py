@@ -402,10 +402,8 @@ def aggregate_importances(
         )
         acc += train_forest(matrix, labels, rep_params).importances
     mean = acc / repeats
-    order = sorted(
-        range(matrix.n_cols),
-        key=lambda i: (-mean[i], matrix.feature_names[i].canonical()),
-    )
+    # Columns are in canonical-name order, so a stable sort breaks ties by name.
+    order = np.argsort(-mean, kind="stable")
     return [(matrix.feature_names[i], float(mean[i])) for i in order]
 
 
@@ -496,6 +494,8 @@ def load_model(stream: TextIO) -> ForestModel:
         if header[:1] != ["tree"]:
             raise DataError("model file: expected tree header")
         n_nodes = int(header[1])
+        if n_nodes < 1:
+            raise DataError("model file: a tree needs at least one node")
         feature = np.full(n_nodes, -1, dtype=np.int32)
         threshold = np.zeros(n_nodes, dtype=np.float64)
         left = np.full(n_nodes, -1, dtype=np.int32)
@@ -503,19 +503,30 @@ def load_model(stream: TextIO) -> ForestModel:
         counts = np.zeros((n_nodes, n_classes), dtype=np.float64)
         for i in range(n_nodes):
             parts = next_line().split()
-            if parts[0] == "split":
-                feature[i] = int(parts[1])
-                threshold[i] = float(parts[2])
-                left[i] = int(parts[3])
-                right[i] = int(parts[4])
-                if feature[i] >= n_features:
+            record = parts[0] if parts else ""
+            if record == "split":
+                if len(parts) != 5:
+                    raise DataError("model file: split record has wrong arity")
+                f, lo, hi = int(parts[1]), int(parts[3]), int(parts[4])
+                thr = float(parts[2])
+                if not 0 <= f < n_features:
                     raise DataError("model file: split feature index out of range")
-            elif parts[0] == "leaf":
+                if not math.isfinite(thr):
+                    raise DataError("model file: split threshold is not finite")
+                # Children are appended after their parent, so a child index
+                # at or before its node would make Tree.apply loop forever.
+                if not (i < lo < n_nodes and i < hi < n_nodes):
+                    raise DataError("model file: split child index out of range")
+                feature[i], threshold[i], left[i], right[i] = f, thr, lo, hi
+            elif record == "leaf":
                 if len(parts) != 1 + n_classes:
                     raise DataError("model file: leaf record has wrong arity")
-                counts[i] = [float(v) for v in parts[1:]]
+                leaf = [float(v) for v in parts[1:]]
+                if not all(math.isfinite(c) and c >= 0 for c in leaf):
+                    raise DataError("model file: leaf counts must be finite and non-negative")
+                counts[i] = leaf
             else:
-                raise DataError(f"model file: unknown node record {parts[0]!r}")
+                raise DataError(f"model file: unknown node record {record!r}")
         trees.append(Tree(feature, threshold, left, right, counts))
     if next_line() != "end":
         raise DataError("model file: missing end marker")

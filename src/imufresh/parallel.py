@@ -1,0 +1,50 @@
+"""The one process-pool fan-out shared by extraction and selection.
+
+Both steps split their work into independent index ranges (windows for
+extraction, feature columns for selection) and stitch the blocks back in
+range order, so results never depend on the worker count.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Sequence, TypeVar
+
+T = TypeVar("T")
+
+# (fn, shared) of the pool this worker process belongs to.  Only the pool
+# initializer sets it, so the shared data reaches each worker once instead
+# of being pickled again with every range.
+_WORK: tuple = ()
+
+
+def _init_worker(fn: Callable, shared: tuple) -> None:
+    global _WORK
+    _WORK = (fn, shared)
+
+
+def _run_range(r: range):
+    fn, shared = _WORK
+    return fn(*shared, r)
+
+
+def map_ranges(
+    fn: Callable[..., T], shared: Sequence, n: int, workers: int
+) -> list[T]:
+    """``[fn(*shared, r) for r in ranges]`` over consecutive ranges covering
+    ``range(n)``, in range order.
+
+    With ``workers <= 1`` (or ``n == 0``) this is one in-process call on
+    ``range(n)``.  Otherwise ``range(n)`` is cut into about ``4 * workers``
+    ranges run on one process pool; *fn* and *shared* must pickle.
+    """
+    if workers <= 1 or n == 0:
+        return [fn(*shared, range(n))]
+    size = -(-n // (workers * 4))
+    ranges = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(ranges)),
+        initializer=_init_worker,
+        initargs=(fn, tuple(shared)),
+    ) as pool:
+        return list(pool.map(_run_range, ranges))

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .calculators import (
+    ExtractionSettings,
     default_settings,
     read_settings_file,
     settings_from_feature_names,
@@ -99,8 +100,8 @@ class PipelineConfig:
             raise ConfigError(f"q must be in (0, 1), got {self.q}")
         if self.window_seconds <= 0:
             raise ConfigError(f"window_seconds must be positive, got {self.window_seconds}")
-        if self.top_k < 0:
-            raise ConfigError(f"top_k must be >= 0, got {self.top_k}")
+        if self.top_k < 1:
+            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if self.workers < 1:
@@ -250,6 +251,14 @@ def _resolve_specs(config: PipelineConfig, recording: Recording) -> list[Virtual
     return specs
 
 
+def _load_settings(settings_file: str | None, engineered: Recording) -> ExtractionSettings:
+    """The settings file's features, or the full default grid without one."""
+    if settings_file is None:
+        return default_settings(engineered.channels)
+    with open(settings_file, "r", encoding="utf-8") as fh:
+        return read_settings_file(fh, set(engineered.channels))
+
+
 def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute all five steps, persisting after each; see the module docs.
 
@@ -280,11 +289,7 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
     windows = segment_fixed(engineered, config.window_seconds, intervals)
     if not windows.windows:
         raise DataError("no labeled windows; check the label intervals")
-    if config.settings_file is not None:
-        with open(config.settings_file, "r", encoding="utf-8") as fh:
-            settings = read_settings_file(fh, set(engineered.channels))
-    else:
-        settings = default_settings(engineered.channels)
+    settings = _load_settings(config.settings_file, engineered)
     matrix = extract(windows, engineered, settings, workers=config.workers)
     matrix_path = str(out / "features_full.csv")
     save_matrix(matrix, matrix_path)
@@ -312,11 +317,9 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
     # Step 4: importance ranking over the selected columns only.
     t3 = time.perf_counter()
     selected_matrix = matrix.subset(report.selected)
-    nan_free = [
-        f for f in selected_matrix.feature_names
-        if not np.any(np.isnan(selected_matrix.column(f)))
-    ]
-    dropped = selected_matrix.n_cols - len(nan_free)
+    has_nan = np.isnan(selected_matrix.values).any(axis=0)
+    nan_free = [f for f, bad in zip(selected_matrix.feature_names, has_nan) if not bad]
+    dropped = int(has_nan.sum())
     if dropped:
         logger.info("step 4: dropping %d selected columns containing NaN", dropped)
     if not nan_free:
@@ -423,13 +426,6 @@ class PredictionTimeline:
             return None
         return float(np.mean(scored))
 
-    def misclassified_ids(self) -> list[int]:
-        return [
-            r.window_id
-            for r in self.rows
-            if r.true_label is not None and r.predicted != r.true_label
-        ]
-
 
 def save_timeline(timeline: PredictionTimeline, stream: TextIO) -> None:
     header = ["window_id", "start_s", "end_s"]
@@ -473,8 +469,7 @@ def predict(
     model = load_model_file(model_path)
     recording = load_recording(recording_path)
     engineered = apply_virtual_sensors(recording, specs)
-    with open(settings_path, "r", encoding="utf-8") as fh:
-        settings = read_settings_file(fh, set(engineered.channels))
+    settings = _load_settings(settings_path, engineered)
     if settings.canonical_names() != tuple(f.canonical() for f in model.feature_names):
         raise FeatureSetMismatch(
             "restricted settings do not match the model's feature list"
@@ -556,11 +551,7 @@ def benchmark(
     windows = segment_fixed(engineered, config.window_seconds, intervals)
     stages.append(("segment", time.perf_counter() - t))
 
-    if config.settings_file is not None:
-        with open(config.settings_file, "r", encoding="utf-8") as fh:
-            settings = read_settings_file(fh, set(engineered.channels))
-    else:
-        settings = default_settings(engineered.channels)
+    settings = _load_settings(config.settings_file, engineered)
 
     extraction: list[tuple[int, float, float]] = []
     for workers in worker_counts:

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .extraction import FeatureMatrix
 from .names import FeatureName
+from .parallel import map_ranges
 from .timeseries import render_float
 
 TEST_FISHER = "fisher_exact"
@@ -359,18 +360,6 @@ def _test_columns(
     return p_block, kinds, n_eff
 
 
-_SEL_STATE: dict = {}
-
-
-def _sel_init(values, target_rows, mode, class_values) -> None:
-    _SEL_STATE["args"] = (values, target_rows, mode, class_values)
-
-
-def _sel_task(cols: range):
-    values, target_rows, mode, class_values = _SEL_STATE["args"]
-    return cols.start, _test_columns(values, target_rows, mode, class_values, cols)
-
-
 def select_features(
     matrix: FeatureMatrix,
     target: Sequence,
@@ -421,30 +410,12 @@ def select_features(
 
     n_cols = matrix.n_cols
     n_classes = len(class_values) if mode == "multiclass" else 1
-    p_matrix = np.ones((n_cols, n_classes), dtype=np.float64)
-    kinds: list[str] = [TEST_CONSTANT] * n_cols
-    n_eff: list[int] = [0] * n_cols
-
-    if workers <= 1 or n_cols == 0:
-        p_matrix, kind_list, eff_list = _test_columns(
-            values, target_rows, mode, class_values, range(n_cols)
-        )
-        kinds = kind_list if n_cols else kinds
-        n_eff = eff_list if n_cols else n_eff
-    else:
-        chunk = max(1, -(-n_cols // (workers * 4)))
-        ranges = [range(lo, min(lo + chunk, n_cols)) for lo in range(0, n_cols, chunk)]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_sel_init,
-            initargs=(values, target_rows, mode, class_values),
-        ) as pool:
-            for start, (p_block, kind_block, eff_block) in pool.map(_sel_task, ranges):
-                p_matrix[start : start + p_block.shape[0]] = p_block
-                kinds[start : start + len(kind_block)] = kind_block
-                n_eff[start : start + len(eff_block)] = eff_block
+    p_blocks, kind_blocks, eff_blocks = zip(*map_ranges(
+        _test_columns, (values, target_rows, mode, class_values), n_cols, workers
+    ))
+    p_matrix = np.concatenate(p_blocks)
+    kinds = [kind for block in kind_blocks for kind in block]
+    n_eff = [eff for block in eff_blocks for eff in block]
 
     selected_mask = np.zeros(n_cols, dtype=bool)
     threshold_rank = 0
@@ -454,9 +425,8 @@ def select_features(
         threshold_rank = max(threshold_rank, k_star)
 
     best_p = p_matrix.min(axis=1)
-    order = sorted(
-        range(n_cols), key=lambda i: (best_p[i], matrix.feature_names[i].canonical())
-    )
+    # Columns are in canonical-name order, so a stable sort breaks p ties by name.
+    order = np.argsort(best_p, kind="stable")
     tests = tuple(
         FeatureTargetTest(
             feature_name=matrix.feature_names[i],

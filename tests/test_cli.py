@@ -72,6 +72,32 @@ def test_data_error_exit_code(workspace, tmp_path):
     assert main(["run", "--config", str(cfg)]) == 3
 
 
+def test_top_k_zero_is_a_config_error(workspace):
+    out = workspace / "topk0"
+    rc = main(["run", "--config", str(workspace / "pipe.cfg"), "--top-k", "0",
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_corrupt_model_exit_code(workspace, tmp_path):
+    artifacts = workspace / "artifacts"
+    lines = (artifacts / "model.txt").read_text().splitlines()
+    split = next(i for i, line in enumerate(lines) if line.startswith("split "))
+    parts = lines[split].split()
+    lines[split] = " ".join(parts[:3] + ["999", parts[4]])
+    (tmp_path / "model.txt").write_text("\n".join(lines) + "\n")
+    rc = main([
+        "predict",
+        "--model", str(tmp_path / "model.txt"),
+        "--settings", str(artifacts / "settings_topk.txt"),
+        "--manifest", str(artifacts / "manifest.txt"),
+        "--recording", str(workspace / "rec.csv"),
+        "--out", str(tmp_path / "timeline.csv"),
+    ])
+    assert rc == 3
+
+
 def test_benchmark_command(workspace, capsys):
     rc = main(["benchmark", "--config", str(workspace / "pipe.cfg"), "--workers", "2"])
     assert rc == 0

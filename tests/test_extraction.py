@@ -93,6 +93,24 @@ class TestExtract:
         assert one.values.tobytes() == many.values.tobytes()
         assert one.canonical_names() == many.canonical_names()
 
+    @pytest.mark.parametrize(
+        "intervals, names",
+        [
+            ([(0.0, 20.0, "walk")], []),
+            ([(0.3, 1.5, "walk")], ["accel_x_l__minimum"]),
+            ([(0.0, 2.0, "walk")], ["accel_x_l__minimum", "gyro_y_l__variance"]),
+        ],
+        ids=["zero-columns", "zero-rows", "one-row"],
+    )
+    def test_small_inputs_match_across_workers(self, recording, intervals, names):
+        ws = segment_fixed(recording, 2.0, intervals)
+        settings = settings_from_feature_names(names)
+        one = extract(ws, recording, settings, workers=1)
+        two = extract(ws, recording, settings, workers=2)
+        assert two.values.shape == one.values.shape == (len(ws.windows), len(names))
+        assert one.values.tobytes() == two.values.tobytes()
+        assert list(one.window_ids) == list(two.window_ids)
+
     def test_row_ids_follow_window_ids(self, recording):
         ws = segment_fixed(recording, 2.0, [(4.0, 12.0, "a")])
         matrix = extract(ws, recording, settings_from_feature_names(["accel_x_l__mean"]))
@@ -119,6 +137,18 @@ class TestFeatureMatrix:
             FeatureMatrix(
                 (FeatureName("a", "minimum"),), np.zeros((2, 2)), np.asarray([0, 1]), None
             )
+
+    def test_rejects_duplicate_columns(self):
+        names = (FeatureName("a", "minimum"), FeatureName("a", "minimum"))
+        with pytest.raises(DataError):
+            FeatureMatrix(names, np.zeros((1, 2)), np.asarray([0]), None)
+
+    def test_column_index(self):
+        m = self._tiny()
+        assert m.column_index("b__minimum") == 1
+        assert m.column_index(FeatureName("a", "minimum")) == 0
+        with pytest.raises(KeyError):
+            m.column_index("c__minimum")
 
     def test_subset_is_bitwise(self):
         m = self._tiny()

@@ -5,6 +5,7 @@ import pytest
 
 from imufresh.errors import (
     BadParameters,
+    DataError,
     DegenerateTarget,
     NaNInFeatures,
     ShapeMismatch,
@@ -278,3 +279,46 @@ def test_model_file_version_checked():
 
     with pytest.raises(DataError):
         load_model(io.StringIO("some-other-format v9\n"))
+
+
+# One tree: a root split on feature 0 with two leaf children.
+_MODEL_LINES = [
+    "imufresh-forest v1", "classes 2", "a", "b", "features 1", "k__minimum 1.0",
+    "trees 1", "tree 3", "split 0 0.5 1 2", "leaf 1.0 0.0", "leaf 0.0 1.0", "end",
+]
+
+
+def test_hand_written_model_loads():
+    model = load_model(io.StringIO("\n".join(_MODEL_LINES) + "\n"))
+    assert predict_labels(model, np.asarray([[0.0], [1.0]])) == ["a", "b"]
+
+
+@pytest.mark.parametrize(
+    "line, record",
+    [
+        (8, "split 0 0.5 0 2"),  # left child is the node itself
+        (8, "split 0 0.5 1 0"),
+        (8, "split 0 0.5 1 999"),
+        (8, "split 0 0.5 -1 2"),
+        (8, "split 1 0.5 1 2"),
+        (8, "split -1 0.5 1 2"),
+        (8, "split 0 nan 1 2"),
+        (8, "split 0 inf 1 2"),
+        (8, "split 0 0.5 1"),
+        (9, "leaf -1.0 0.0"),
+        (9, "leaf nan 0.0"),
+        (10, "leaf 0.0 inf"),
+        (9, ""),
+    ],
+)
+def test_corrupt_node_records_rejected(line, record):
+    lines = list(_MODEL_LINES)
+    lines[line] = record
+    with pytest.raises(DataError):
+        load_model(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_tree_without_nodes_rejected():
+    lines = _MODEL_LINES[:7] + ["tree 0", "end"]
+    with pytest.raises(DataError):
+        load_model(io.StringIO("\n".join(lines) + "\n"))

@@ -134,12 +134,6 @@ class TestSettings:
         assert len(settings) == 0
         assert settings.kinds == ()
 
-    def test_grouping_by_kind(self):
-        settings = settings_from_feature_names(["b__minimum", "a__maximum", "a__minimum"])
-        grouped = settings.by_kind()
-        assert sorted(grouped) == ["a", "b"]
-        assert len(grouped["a"]) == 2
-
     def test_names_sorted_canonically(self):
         settings = settings_from_feature_names(["b__minimum", "a__minimum"])
         assert settings.canonical_names() == ("a__minimum", "b__minimum")

@@ -138,6 +138,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(recording="r", output_dir="o", q=1.5)
 
+    def test_top_k_zero_rejected(self, tmp_path):
+        cfg_path = tmp_path / "pipe.cfg"
+        cfg_path.write_text("recording = r.csv\noutput_dir = out\ntop_k = 0\n")
+        with pytest.raises(ConfigError, match="top_k"):
+            load_config(str(cfg_path))
+
 
 class TestFullRun:
     def test_artifacts_exist(self, run_result):
@@ -296,6 +302,19 @@ class TestDeterminism:
             ]
 
         assert stable_manifest(ra.manifest_path) == stable_manifest(rb.manifest_path)
+
+    def test_worker_count_does_not_change_artifacts(self, train_data, tmp_path):
+        runs = [
+            run_full_pipeline(
+                _config(train_data, tmp_path / f"w{workers}", repeats=2, n_trees=40,
+                        workers=workers)
+            )
+            for workers in (1, 2)
+        ]
+        for name in ("features_full.csv", "selection.csv", "importance.csv",
+                     "settings_topk.txt", "model.txt"):
+            one, two = (Path(r.config.output_dir, name).read_bytes() for r in runs)
+            assert one == two, name
 
 
 class TestBenchmark:

@@ -325,6 +325,27 @@ class TestSelectFeatures:
         assert [t.p_value for t in seq.tests] == [t.p_value for t in par.tests]
         assert seq.selected_canonical() == par.selected_canonical()
 
+    @pytest.mark.parametrize(
+        "n_rows, n_cols", [(40, 0), (40, 1), (1, 3), (0, 3)],
+        ids=["zero-columns", "one-column", "one-row", "zero-rows"],
+    )
+    def test_small_inputs_match_across_workers(self, n_rows, n_cols):
+        rng = np.random.default_rng(13)
+        target = ["a", "b"] * (n_rows // 2) + ["a"] * (n_rows % 2)
+        names = tuple(FeatureName(f"f{i}", "minimum") for i in range(n_cols))
+        matrix = FeatureMatrix(
+            names, rng.standard_normal((n_rows, n_cols)), np.arange(n_rows), None
+        )
+        if n_rows < 2:
+            for workers in (1, 2):
+                with pytest.raises(BadParameters):
+                    select_features(matrix, target, workers=workers)
+            return
+        seq = select_features(matrix, target, workers=1)
+        par = select_features(matrix, target, workers=2)
+        assert par == seq
+        assert len(par.tests) == n_cols
+
     def test_report_csv_format(self):
         rng = np.random.default_rng(12)
         target = ["a", "b"] * 10
