@@ -69,7 +69,6 @@ from .timeseries import (
     load_recording_csv,
     save_recording,
     segment_fixed,
-    slice_window,
 )
 from .virtual import VirtualSensorSpec, apply_virtual_sensors, default_pairing
 
@@ -129,7 +128,6 @@ __all__ = [
     "load_recording_csv",
     "save_recording",
     "segment_fixed",
-    "slice_window",
     "VirtualSensorSpec",
     "apply_virtual_sensors",
     "default_pairing",

@@ -1,8 +1,10 @@
 """Curated library of parameterized time-series feature calculators.
 
-Each calculator maps a value sequence (length >= 2) to one real number and
-declares an ordered parameter signature; the signature order is what the
-canonical feature-name codec uses.  Population statistics are used
+Each calculator is a batch kernel mapping an ``(n_windows, w)`` array
+(``w >= 2``) to one real number per row.  Kernels reduce only within rows
+(never ``@`` on a 2-D array), so a row's bits do not depend on its batch.
+Each declares an ordered parameter signature; the signature order is what
+the canonical feature-name codec uses.  Population statistics are used
 throughout.  A calculator may return NaN only in its documented undefined
 cases:
 
@@ -36,190 +38,184 @@ from .names import (
 from .timeseries import validate_kind
 
 # ---------------------------------------------------------------------------
-# Calculator implementations
+# Calculator kernels: (n_windows, w) -> (n_windows,)
 # ---------------------------------------------------------------------------
 
-def _minimum(x: np.ndarray) -> float:
-    return float(np.min(x))
+def _nan_rows(X: np.ndarray) -> np.ndarray:
+    return np.full(X.shape[0], math.nan)
 
 
-def _maximum(x: np.ndarray) -> float:
-    return float(np.max(x))
+def _minimum(X: np.ndarray) -> np.ndarray:
+    return X.min(axis=1)
 
 
-def _mean(x: np.ndarray) -> float:
-    return float(np.mean(x))
+def _maximum(X: np.ndarray) -> np.ndarray:
+    return X.max(axis=1)
 
 
-def _median(x: np.ndarray) -> float:
-    return float(np.median(x))
+def _mean(X: np.ndarray) -> np.ndarray:
+    return X.mean(axis=1)
 
 
-def _variance(x: np.ndarray) -> float:
-    return float(np.var(x))
+def _median(X: np.ndarray) -> np.ndarray:
+    return np.median(X, axis=1)
 
 
-def _standard_deviation(x: np.ndarray) -> float:
-    return float(np.std(x))
+def _variance(X: np.ndarray) -> np.ndarray:
+    return X.var(axis=1)
 
 
-def _skewness(x: np.ndarray) -> float:
+def _standard_deviation(X: np.ndarray) -> np.ndarray:
+    return X.std(axis=1)
+
+
+def _skewness(X: np.ndarray) -> np.ndarray:
     # Bias-corrected (adjusted Fisher-Pearson) G1.
-    n = x.size
+    n = X.shape[1]
     if n < 3:
-        return math.nan
-    d = x - np.mean(x)
-    m2 = float(np.mean(d * d))
-    if m2 == 0.0:
-        return math.nan
-    m3 = float(np.mean(d * d * d))
-    g1 = m3 / m2**1.5
+        return _nan_rows(X)
+    d = X - X.mean(axis=1, keepdims=True)
+    m2 = (d * d).mean(axis=1)
+    m3 = (d * d * d).mean(axis=1)
+    g1 = np.divide(m3, m2**1.5, out=_nan_rows(X), where=m2 != 0.0)
     return g1 * math.sqrt(n * (n - 1)) / (n - 2)
 
 
-def _kurtosis(x: np.ndarray) -> float:
+def _kurtosis(X: np.ndarray) -> np.ndarray:
     # Bias-adjusted excess kurtosis G2.
-    n = x.size
+    n = X.shape[1]
     if n < 4:
-        return math.nan
-    d = x - np.mean(x)
-    m2 = float(np.mean(d * d))
-    if m2 == 0.0:
-        return math.nan
-    m4 = float(np.mean(d * d * d * d))
-    g2 = m4 / (m2 * m2) - 3.0
+        return _nan_rows(X)
+    d = X - X.mean(axis=1, keepdims=True)
+    m2 = (d * d).mean(axis=1)
+    m4 = (d * d * d * d).mean(axis=1)
+    g2 = np.divide(m4, m2 * m2, out=_nan_rows(X), where=m2 != 0.0) - 3.0
     return (n - 1) / ((n - 2) * (n - 3)) * ((n + 1) * g2 + 6.0)
 
 
-def _quantile(x: np.ndarray, q: float) -> float:
+def _quantile(X: np.ndarray, q: float) -> np.ndarray:
     # Linear interpolation between order statistics at position (n-1)*q.
-    return float(np.quantile(x, q))
+    return np.quantile(X, q, axis=1)
 
 
-def _abs_energy(x: np.ndarray) -> float:
-    return float(np.dot(x, x))
+def _abs_energy(X: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", X, X)
 
 
-def _root_mean_square(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(x * x)))
+def _root_mean_square(X: np.ndarray) -> np.ndarray:
+    return np.sqrt((X * X).mean(axis=1))
 
 
-def _mean_abs_change(x: np.ndarray) -> float:
-    return float(np.mean(np.abs(np.diff(x))))
+def _mean_abs_change(X: np.ndarray) -> np.ndarray:
+    return np.abs(np.diff(X, axis=1)).mean(axis=1)
 
 
-def _mean_change(x: np.ndarray) -> float:
-    return float((x[-1] - x[0]) / (x.size - 1))
+def _mean_change(X: np.ndarray) -> np.ndarray:
+    return (X[:, -1] - X[:, 0]) / (X.shape[1] - 1)
 
 
-def _change_quantiles(x: np.ndarray, f_agg: str, isabs: bool, qh: float, ql: float) -> float:
-    lo = np.quantile(x, ql)
-    hi = np.quantile(x, qh)
-    inside = (x >= lo) & (x <= hi)
-    keep = inside[:-1] & inside[1:]
-    d = np.diff(x)[keep]
-    if d.size == 0:
-        return 0.0
-    if isabs:
-        d = np.abs(d)
-    return float(np.mean(d)) if f_agg == "mean" else float(np.var(d))
+def _change_quantiles(X: np.ndarray, f_agg: str, isabs: bool, qh: float, ql: float) -> np.ndarray:
+    # Mean or variance of the steps with both ends inside the row's corridor
+    # [quantile ql, quantile qh]; 0.0 where no step is.
+    lo = np.quantile(X, ql, axis=1, keepdims=True)
+    hi = np.quantile(X, qh, axis=1, keepdims=True)
+    inside = (X >= lo) & (X <= hi)
+    keep = inside[:, :-1] & inside[:, 1:]
+    d = np.abs(np.diff(X, axis=1)) if isabs else np.diff(X, axis=1)
+    count = np.maximum(keep.sum(axis=1), 1)
+    mean = np.where(keep, d, 0.0).sum(axis=1) / count
+    if f_agg == "mean":
+        return mean
+    return np.where(keep, (d - mean[:, None]) ** 2, 0.0).sum(axis=1) / count
 
 
-def _linear_fit(x: np.ndarray) -> tuple[float, float, float, float]:
-    """Least-squares fit of x against t = 0..n-1.
+def _linear_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares fit of each row against t = 0..n-1.
 
-    Returns (slope, intercept, stderr, rvalue).  stderr is the slope
-    standard error, defined as 0.0 for n == 2 or an exact fit; rvalue is
-    Pearson r, 0.0 for constant x.
+    Returns (slope, intercept, stderr, rvalue), one value per row.  stderr
+    is the slope standard error, defined as 0.0 for n == 2 or an exact fit;
+    rvalue is Pearson r, 0.0 for a constant row.
     """
-    n = x.size
+    n = X.shape[1]
     t = np.arange(n, dtype=np.float64)
     t_mean = (n - 1) / 2.0
-    x_mean = float(np.mean(x))
+    x_mean = X.mean(axis=1)
     dt = t - t_mean
-    dx = x - x_mean
+    dx = X - x_mean[:, None]
     stt = float(np.dot(dt, dt))
-    sxt = float(np.dot(dt, dx))
+    sxt = np.einsum("ij,j->i", dx, dt)
     slope = sxt / stt
     intercept = x_mean - slope * t_mean
-    resid = x - (slope * t + intercept)
-    rss = float(np.dot(resid, resid))
-    if n == 2 or rss == 0.0:
-        stderr = 0.0
+    resid = X - (slope[:, None] * t + intercept[:, None])
+    rss = np.einsum("ij,ij->i", resid, resid)
+    if n == 2:
+        stderr = np.zeros_like(rss)
     else:
-        stderr = math.sqrt(rss / (n - 2) / stt)
-    sxx = float(np.dot(dx, dx))
-    rvalue = 0.0 if sxx == 0.0 else sxt / math.sqrt(stt * sxx)
+        stderr = np.where(rss == 0.0, 0.0, np.sqrt(rss / (n - 2) / stt))
+    sxx = np.einsum("ij,ij->i", dx, dx)
+    rvalue = np.divide(sxt, np.sqrt(stt * sxx), out=np.zeros_like(sxx), where=sxx != 0.0)
     return slope, intercept, stderr, rvalue
 
 
 _TREND_ATTRS = ("slope", "intercept", "stderr", "rvalue")
 
 
-def _linear_trend(x: np.ndarray, attr: str) -> float:
-    fit = _linear_fit(x)
-    return fit[_TREND_ATTRS.index(attr)]
+def _linear_trend(X: np.ndarray, attr: str) -> np.ndarray:
+    return _linear_fit(X)[_TREND_ATTRS.index(attr)]
 
 
-_CHUNK_AGGS: dict[str, Callable[..., np.ndarray]] = {
-    "max": np.max,
-    "min": np.min,
-    "mean": np.mean,
-}
-
-
-def _agg_linear_trend(x: np.ndarray, f_agg: str, chunk_len: int, attr: str) -> float:
-    n_chunks = x.size // chunk_len
+def _agg_linear_trend(X: np.ndarray, f_agg: str, chunk_len: int, attr: str) -> np.ndarray:
+    n_chunks = X.shape[1] // chunk_len
     if n_chunks < 2:
-        return math.nan
-    chunks = x[: n_chunks * chunk_len].reshape(n_chunks, chunk_len)
-    agg = np.asarray(_CHUNK_AGGS[f_agg](chunks, axis=1), dtype=np.float64)
-    return _linear_trend(agg, attr)
+        return _nan_rows(X)
+    chunks = X[:, : n_chunks * chunk_len].reshape(X.shape[0], n_chunks, chunk_len)
+    return _linear_trend(getattr(chunks, f_agg)(axis=2), attr)  # max, min or mean
 
 
-def _autocorrelation(x: np.ndarray, lag: int) -> float:
-    n = x.size
+def _autocorrelation(X: np.ndarray, lag: int) -> np.ndarray:
+    n = X.shape[1]
     if lag >= n:
-        return math.nan
-    v = float(np.var(x))
-    if v == 0.0:
-        return math.nan
-    m = float(np.mean(x))
-    num = float(np.dot(x[: n - lag] - m, x[lag:] - m))
-    return num / ((n - lag) * v)
+        return _nan_rows(X)
+    v = X.var(axis=1)
+    d = X - X.mean(axis=1, keepdims=True)
+    num = np.einsum("ij,ij->i", d[:, : n - lag], d[:, lag:])
+    return np.divide(num, (n - lag) * v, out=_nan_rows(X), where=v != 0.0)
 
 
-def _partial_stationarity_gap(x: np.ndarray) -> float:
-    half = x.size // 2
-    gap = abs(float(np.mean(x[:half])) - float(np.mean(x[half:])))
-    return gap / (float(np.std(x)) + 1e-12)
+def _partial_stationarity_gap(X: np.ndarray) -> np.ndarray:
+    half = X.shape[1] // 2
+    gap = np.abs(X[:, :half].mean(axis=1) - X[:, half:].mean(axis=1))
+    return gap / (X.std(axis=1) + 1e-12)
 
 
-def _binned_entropy(x: np.ndarray, bins: int) -> float:
-    lo = float(np.min(x))
-    hi = float(np.max(x))
-    if lo == hi:
-        return 0.0
-    hist, _ = np.histogram(x, bins=bins, range=(lo, hi))
-    p = hist[hist > 0] / x.size
-    return float(-np.sum(p * np.log(p)))
+def _binned_entropy(X: np.ndarray, bins: int) -> np.ndarray:
+    # One np.histogram per row: its bin-edge rule is costly to match in bulk.
+    out = np.zeros(X.shape[0])
+    for i, x in enumerate(X):
+        lo, hi = float(x.min()), float(x.max())  # np.histogram is slower on numpy scalars
+        if lo == hi:
+            continue
+        hist, _ = np.histogram(x, bins=bins, range=(lo, hi))
+        p = hist[hist > 0] / x.size
+        out[i] = -np.sum(p * np.log(p))
+    return out
 
 
-def _c3(x: np.ndarray, lag: int) -> float:
-    n = x.size
+def _c3(X: np.ndarray, lag: int) -> np.ndarray:
+    n = X.shape[1]
     if n <= 2 * lag:
-        return math.nan
-    return float(np.mean(x[: n - 2 * lag] * x[lag : n - lag] * x[2 * lag :]))
+        return _nan_rows(X)
+    return (X[:, : n - 2 * lag] * X[:, lag : n - lag] * X[:, 2 * lag :]).mean(axis=1)
 
 
-def _time_reversal_asymmetry_statistic(x: np.ndarray, lag: int) -> float:
-    n = x.size
+def _time_reversal_asymmetry_statistic(X: np.ndarray, lag: int) -> np.ndarray:
+    n = X.shape[1]
     if n <= 2 * lag:
-        return math.nan
-    a = x[2 * lag :]
-    b = x[lag : n - lag]
-    c = x[: n - 2 * lag]
-    return float(np.mean(a * a * b - b * c * c))
+        return _nan_rows(X)
+    a = X[:, 2 * lag :]
+    b = X[:, lag : n - lag]
+    c = X[:, : n - 2 * lag]
+    return (a * a * b - b * c * c).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +234,10 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class Calculator:
-    """Registered calculator: compute function plus ordered signature."""
+    """Registered calculator: batch kernel plus ordered signature."""
 
     name: str
-    func: Callable[..., float]
+    func: Callable[..., np.ndarray]
     params: tuple[ParamSpec, ...] = ()
     cross_check: Callable[[dict[str, ParamValue]], str | None] | None = None
 
@@ -414,7 +410,11 @@ def compute_feature(
     calculator: str,
     params: Mapping[str, ParamValue] | None = None,
 ) -> float:
-    """Apply one calculator to a value sequence (length >= 2)."""
+    """Apply one calculator to a value sequence (length >= 2).
+
+    This is the calculator's batch kernel run on a batch of one row, the
+    same code path :func:`~imufresh.extraction.extract` takes.
+    """
     calc = CALCULATORS.get(calculator)
     if calc is None:
         raise UnknownCalculator(f"unknown calculator {calculator!r}")
@@ -422,7 +422,7 @@ def compute_feature(
     if arr.ndim != 1 or arr.size < 2:
         raise BadParameters(f"{calculator}: input must be a 1-D sequence of length >= 2")
     validated = _validate_params(calc, params or {})
-    return float(calc.func(arr, **validated))
+    return float(calc.func(arr[None, :], **validated)[0])
 
 
 # ---------------------------------------------------------------------------

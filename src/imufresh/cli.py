@@ -74,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--manifest", default=None)
     p_pred.add_argument("--recording", required=True)
     p_pred.add_argument("--labels", default=None, help="optional truth for flags")
-    p_pred.add_argument("--window-seconds", type=float, default=None)
     p_pred.add_argument("--workers", type=int, default=1)
     p_pred.add_argument("--out", required=True, help="timeline CSV path")
 
@@ -153,7 +152,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         settings_path=settings,
         recording_path=args.recording,
         manifest_path=manifest,
-        window_seconds=args.window_seconds,
         labels_path=args.labels,
         out_path=args.out,
         workers=args.workers,

@@ -1,8 +1,8 @@
 """Batch feature extraction into a windows-by-features matrix.
 
-The work grid (window x settings entry) is embarrassingly parallel: every
-cell has a pre-assigned (row, column) slot, so the result is bitwise
-identical no matter how many workers compute it.
+Each channel is cut once per row range into an ``(n_windows, w)`` batch and
+each configured calculator runs once on it.  Calculators never mix rows, so
+the result is bitwise identical no matter how many workers compute it.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from .calculators import (
     ExtractionSettings,
     decode_feature_name,
 )
-from .errors import DataError, UnknownKind
+from .errors import DataError, UnknownKind, WindowOutOfRange
 from .names import FeatureName
 from .parallel import map_ranges
-from .timeseries import Recording, Window, WindowSet, render_float, slice_window
+from .timeseries import Recording, WindowSet, render_float
 
 
 @dataclass(eq=False)
@@ -98,21 +98,16 @@ class FeatureMatrix:
 # ---------------------------------------------------------------------------
 
 def _compute_rows(
-    recording: Recording,
-    windows: Sequence[Window],
-    plan: Sequence[tuple[str, tuple]],
-    n_cols: int,
-    rows: range,
+    recording: Recording, index: np.ndarray, plan: dict, n_cols: int, rows: range
 ) -> np.ndarray:
-    """Feature rows for ``windows[rows]``; plan maps each kind to its
-    (calculator, params, column) entries so every channel is sliced once
-    per window."""
+    """Feature rows for the windows whose sample indices are ``index[rows]``;
+    plan maps each kind to its (calculator, params, column) entries, so each
+    channel is cut into one batch and each calculator runs once on it."""
     out = np.empty((len(rows), n_cols), dtype=np.float64)
-    for r, i in enumerate(rows):
-        for kind, entries in plan:
-            x = slice_window(recording, windows[i], kind)
-            for calc_name, params, col in entries:
-                out[r, col] = CALCULATORS[calc_name].func(x, **params)
+    for kind, entries in plan.items():
+        batch = recording.channels[kind][index[rows.start : rows.stop]]
+        for calc_name, params, col in entries:
+            out[:, col] = CALCULATORS[calc_name].func(batch, **params)
     return out
 
 
@@ -127,24 +122,35 @@ def extract(
     One row per window in ``windows.windows``, one column per settings entry,
     columns in canonical-name order.  The output is independent of
     ``workers``; parameters are validated once up front so worker processes
-    only run the numeric kernels.
+    only run the numeric kernels.  Raises UnknownKind for a kind the
+    recording lacks, WindowOutOfRange for a window past its end, and
+    DataError when the windows differ in length.
     """
     for kind in settings.kinds:
         if kind not in recording.channels:
             raise UnknownKind(f"settings reference kind {kind!r} not in recording")
+    window_list = windows.windows
+    # An empty window set still needs a batch width; 2 is the shortest window.
+    lengths = {w.length for w in window_list} or {2}
+    if len(lengths) > 1:
+        raise DataError(f"windows must share one length, got lengths {sorted(lengths)}")
+    starts = np.asarray([w.start_index for w in window_list], dtype=np.int64)
+    index = starts[:, None] + np.arange(lengths.pop())
+    if np.any(index >= recording.length):
+        raise WindowOutOfRange(
+            f"windows reach sample {int(index.max()) + 1}, "
+            f"past the recording's {recording.length} samples"
+        )
 
     features = settings.feature_names()
-    # (kind -> [(calculator, validated params, column index)]) in column order
-    plan_map: dict[str, list[tuple[str, dict, int]]] = {}
+    # kind -> [(calculator, validated params, column index)] in column order
+    plan: dict[str, list[tuple[str, dict, int]]] = {}
     for col, feature in enumerate(features):
-        plan_map.setdefault(feature.kind, []).append(
+        plan.setdefault(feature.kind, []).append(
             (feature.calculator, feature.param_dict(), col)
         )
-    plan = tuple((kind, tuple(entries)) for kind, entries in plan_map.items())
-
-    window_list = windows.windows
     blocks = map_ranges(
-        _compute_rows, (recording, window_list, plan, len(features)), len(window_list), workers
+        _compute_rows, (recording, index, plan, len(features)), len(window_list), workers
     )
     return FeatureMatrix(
         feature_names=features,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -458,6 +458,14 @@ def save_model_file(model: ForestModel, path: str) -> None:
         save_model(model, fh)
 
 
+def _token(parse: Callable[[str], Any], parts: Sequence[str], i: int, what: str) -> Any:
+    """``parse(parts[i])``; a missing or malformed token is a DataError."""
+    try:
+        return parse(parts[i])
+    except (IndexError, ValueError):
+        raise DataError(f"model file: missing or malformed {what}") from None
+
+
 def load_model(stream: TextIO) -> ForestModel:
     from .calculators import decode_feature_name
 
@@ -472,28 +480,30 @@ def load_model(stream: TextIO) -> ForestModel:
     header = next_line().split()
     if header[:1] != ["classes"]:
         raise DataError("model file: expected classes header")
-    n_classes = int(header[1])
+    n_classes = _token(int, header, 1, "class count")
+    if n_classes < 1:
+        raise DataError("model file: a model needs at least one class")
     classes = tuple(next_line() for _ in range(n_classes))
     header = next_line().split()
     if header[:1] != ["features"]:
         raise DataError("model file: expected features header")
-    n_features = int(header[1])
+    n_features = _token(int, header, 1, "feature count")
     names: list[FeatureName] = []
     importances: list[float] = []
     for _ in range(n_features):
-        text, _, imp = next_line().rpartition(" ")
-        names.append(decode_feature_name(text))
-        importances.append(float(imp))
+        parts = next_line().rsplit(" ", 1)
+        names.append(decode_feature_name(parts[0]))
+        importances.append(_token(float, parts, 1, "feature importance"))
     header = next_line().split()
     if header[:1] != ["trees"]:
         raise DataError("model file: expected trees header")
-    n_trees = int(header[1])
+    n_trees = _token(int, header, 1, "tree count")
     trees: list[Tree] = []
     for _ in range(n_trees):
         header = next_line().split()
         if header[:1] != ["tree"]:
             raise DataError("model file: expected tree header")
-        n_nodes = int(header[1])
+        n_nodes = _token(int, header, 1, "node count")
         if n_nodes < 1:
             raise DataError("model file: a tree needs at least one node")
         feature = np.full(n_nodes, -1, dtype=np.int32)
@@ -507,8 +517,8 @@ def load_model(stream: TextIO) -> ForestModel:
             if record == "split":
                 if len(parts) != 5:
                     raise DataError("model file: split record has wrong arity")
-                f, lo, hi = int(parts[1]), int(parts[3]), int(parts[4])
-                thr = float(parts[2])
+                f, lo, hi = (_token(int, parts, j, "split index") for j in (1, 3, 4))
+                thr = _token(float, parts, 2, "split threshold")
                 if not 0 <= f < n_features:
                     raise DataError("model file: split feature index out of range")
                 if not math.isfinite(thr):
@@ -521,7 +531,7 @@ def load_model(stream: TextIO) -> ForestModel:
             elif record == "leaf":
                 if len(parts) != 1 + n_classes:
                     raise DataError("model file: leaf record has wrong arity")
-                leaf = [float(v) for v in parts[1:]]
+                leaf = [_token(float, parts, j, "leaf count") for j in range(1, len(parts))]
                 if not all(math.isfinite(c) and c >= 0 for c in leaf):
                     raise DataError("model file: leaf counts must be finite and non-negative")
                 counts[i] = leaf

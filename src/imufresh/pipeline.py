@@ -57,6 +57,7 @@ from .names import FeatureName
 from .selection import SelectionReport, save_report, select_features
 from .timeseries import (
     Recording,
+    check_intervals,
     load_labels,
     load_recording,
     render_float,
@@ -448,22 +449,20 @@ def predict(
     settings_path: str,
     recording_path: str,
     manifest_path: str,
-    window_seconds: float | None = None,
     labels_path: str | None = None,
     out_path: str | None = None,
     workers: int = 1,
 ) -> PredictionTimeline:
     """Deployment path: restricted extraction driven by parsed feature names.
 
-    Replays the manifest's virtual-sensor specs on the new recording,
-    segments it (unlabeled), extracts exactly the model's features, and
-    predicts per window.  When a labels file is supplied, true labels and
-    misclassification flags are attached to every window whose span lies in
-    a label interval.
+    Replays the manifest's virtual sensors and window length on the new
+    recording, extracts exactly the model's features, and predicts per
+    window.  When a labels file is supplied (overlaps raise
+    OverlappingLabels), true labels and misclassification flags are attached
+    to every window whose span lies in a label interval.
     """
     manifest = read_manifest(manifest_path)
-    if window_seconds is None:
-        window_seconds = float(manifest_value(manifest, "window_seconds"))
+    window_seconds = float(manifest_value(manifest, "window_seconds"))
     specs = [VirtualSensorSpec.from_line(line) for line in manifest.get("virtual_sensor", [])]
 
     model = load_model_file(model_path)
@@ -480,7 +479,7 @@ def predict(
     probs = predict_proba(model, matrix.values)
     predicted = [model.classes[i] for i in np.argmax(probs, axis=1)]
 
-    intervals = load_labels(labels_path) if labels_path else []
+    intervals = check_intervals(load_labels(labels_path)) if labels_path else []
     rows = []
     for i, window in enumerate(windows.windows):
         start_s, end_s = windows.window_times(window)
@@ -570,7 +569,6 @@ def benchmark(
             settings_path=str(art / "settings_topk.txt"),
             recording_path=config.recording,
             manifest_path=str(art / "manifest.txt"),
-            window_seconds=config.window_seconds,
             workers=config.workers,
         )
         predict_seconds = time.perf_counter() - t

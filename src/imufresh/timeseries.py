@@ -15,7 +15,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Sequence, TextIO
 
 import numpy as np
@@ -26,7 +26,6 @@ from .errors import (
     InvalidValue,
     NonUniformSampling,
     OverlappingLabels,
-    UnknownKind,
     WindowOutOfRange,
     WindowTooShort,
 )
@@ -350,7 +349,8 @@ def save_labels(intervals: Iterable[tuple[float, float, str]], path: str) -> Non
 # Segmentation
 # ---------------------------------------------------------------------------
 
-def _check_intervals(labels: Sequence[tuple[float, float, str]]) -> list[tuple[float, float, str]]:
+def check_intervals(labels: Sequence[tuple[float, float, str]]) -> list[tuple[float, float, str]]:
+    """Label intervals sorted by start; raises OverlappingLabels if two overlap."""
     ordered = sorted(labels, key=lambda iv: (iv[0], iv[1]))
     for (s0, e0, _), (s1, _, _) in zip(ordered, ordered[1:]):
         if s1 < e0 - _LABEL_EDGE_EPS:
@@ -386,7 +386,7 @@ def segment_fixed(
         raise WindowTooShort(
             f"{window_seconds} s at {recording.sample_rate_hz} Hz is {w} samples"
         )
-    intervals = _check_intervals(labels) if labels else []
+    intervals = check_intervals(labels) if labels else []
 
     labeled: list[Window] = []
     unlabeled: list[Window] = []
@@ -411,15 +411,3 @@ def segment_fixed(
         unlabeled=tuple(unlabeled),
         label_domain=domain,
     )
-
-
-def slice_window(recording: Recording, window: Window, kind: str) -> np.ndarray:
-    """Contiguous read-only view of one channel under one window."""
-    if kind not in recording.channels:
-        raise UnknownKind(f"no channel {kind!r} in recording")
-    end = window.start_index + window.length
-    if end > recording.length:
-        raise WindowOutOfRange(
-            f"window [{window.start_index}, {end}) exceeds recording length {recording.length}"
-        )
-    return recording.channels[kind][window.start_index:end]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from imufresh.cli import main
@@ -87,6 +89,21 @@ def test_corrupt_model_exit_code(workspace, tmp_path):
     parts = lines[split].split()
     lines[split] = " ".join(parts[:3] + ["999", parts[4]])
     (tmp_path / "model.txt").write_text("\n".join(lines) + "\n")
+    rc = main([
+        "predict",
+        "--model", str(tmp_path / "model.txt"),
+        "--settings", str(artifacts / "settings_topk.txt"),
+        "--manifest", str(artifacts / "manifest.txt"),
+        "--recording", str(workspace / "rec.csv"),
+        "--out", str(tmp_path / "timeline.csv"),
+    ])
+    assert rc == 3
+
+
+def test_non_numeric_model_token_exit_code(workspace, tmp_path):
+    artifacts = workspace / "artifacts"
+    text = (artifacts / "model.txt").read_text()
+    (tmp_path / "model.txt").write_text(re.sub(r"^tree \d+$", "tree x", text, count=1, flags=re.M))
     rc = main([
         "predict",
         "--model", str(tmp_path / "model.txt"),

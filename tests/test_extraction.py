@@ -8,7 +8,7 @@ from imufresh.calculators import (
     default_settings,
     settings_from_feature_names,
 )
-from imufresh.errors import DataError, UnknownKind
+from imufresh.errors import DataError, UnknownKind, WindowOutOfRange
 from imufresh.extraction import (
     FeatureMatrix,
     extract,
@@ -16,18 +16,25 @@ from imufresh.extraction import (
     save_matrix_csv,
 )
 from imufresh.names import FeatureName
-from imufresh.timeseries import Recording, segment_fixed, slice_window
+from imufresh.timeseries import Recording, Window, WindowSet, segment_fixed
+
+
+# Window 2 of accel_x_l (samples 200-299) is constant, so the documented NaN
+# and zero cases occur inside a batch; gyro_y_l has one decimal, so ties.
+CONSTANT_WINDOW = 2
 
 
 @pytest.fixture(scope="module")
 def recording():
     rng = np.random.default_rng(123)
+    accel_x_l = rng.standard_normal(1000)
+    accel_x_l[200:300] = 0.5
     return Recording(
         sample_rate_hz=50.0,
         channels={
-            "accel_x_l": rng.standard_normal(1000),
+            "accel_x_l": accel_x_l,
             "accel_x_r": rng.standard_normal(1000),
-            "gyro_y_l": rng.standard_normal(1000),
+            "gyro_y_l": np.round(rng.standard_normal(1000), 1),
         },
     )
 
@@ -56,25 +63,45 @@ class TestExtract:
         assert matrix.values.shape == (10, 0)
 
     def test_cells_match_direct_compute(self, recording, windows):
-        settings = settings_from_feature_names(
-            [
-                "accel_x_l__variance",
-                'accel_x_r__change_quantiles__f_agg_"var"__isabs_True__qh_1.0__ql_0.0',
-                "gyro_y_l__autocorrelation__lag_2",
-            ]
-        )
-        matrix = extract(windows, recording, settings)
+        matrix = extract(windows, recording, default_settings(recording.channels))
         for r, window in enumerate(windows.windows):
+            end = window.start_index + window.length
             for c, feature in enumerate(matrix.feature_names):
-                x = slice_window(recording, window, feature.kind)
-                assert matrix.values[r, c] == compute_feature(
-                    x, feature.calculator, feature.param_dict()
+                x = recording.channels[feature.kind][window.start_index:end]
+                want = compute_feature(x, feature.calculator, feature.param_dict())
+                assert matrix.values[r, c].tobytes() == np.float64(want).tobytes(), (
+                    r, feature.canonical()
                 )
+        nan_calcs = {
+            matrix.feature_names[c].calculator
+            for c in np.flatnonzero(np.isnan(matrix.values[CONSTANT_WINDOW]))
+        }
+        assert nan_calcs == {"skewness", "kurtosis", "autocorrelation"}
 
     def test_unknown_kind(self, recording, windows):
         settings = settings_from_feature_names(["zz__minimum"])
         with pytest.raises(UnknownKind):
             extract(windows, recording, settings)
+
+    def test_window_reaching_the_recording_end(self):
+        rec = Recording(sample_rate_hz=1.0, channels={"k": [1.0, 2.0, 3.0, 4.0]})
+        ws = WindowSet(rec, (Window(0, 0, 4),))
+        matrix = extract(ws, rec, settings_from_feature_names(["k__maximum", "k__minimum"]))
+        assert matrix.values.tolist() == [[4.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "window_list, error, match",
+        [
+            ((Window(0, 0, 2), Window(1, 4, 2)), WindowOutOfRange, "past the recording"),
+            ((Window(0, 0, 2), Window(1, 2, 3)), DataError, "share one length"),
+        ],
+        ids=["past-end", "mixed-lengths"],
+    )
+    def test_bad_windows_rejected(self, window_list, error, match):
+        rec = Recording(sample_rate_hz=1.0, channels={"k": [1.0, 2.0, 3.0, 4.0, 5.0]})
+        settings = settings_from_feature_names(["k__minimum"])
+        with pytest.raises(error, match=match):
+            extract(WindowSet(rec, window_list), rec, settings)
 
     def test_columns_sorted_canonically(self, recording, windows):
         settings = settings_from_feature_names(
@@ -85,9 +112,7 @@ class TestExtract:
         assert list(names) == sorted(names)
 
     def test_worker_count_does_not_change_bits(self, recording, windows):
-        settings = settings_from_feature_names(
-            [f"{k}__{c}" for k in recording.kinds for c in ("minimum", "variance", "skewness")]
-        )
+        settings = default_settings(recording.channels)
         one = extract(windows, recording, settings, workers=1)
         many = extract(windows, recording, settings, workers=3)
         assert one.values.tobytes() == many.values.tobytes()

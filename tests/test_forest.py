@@ -309,6 +309,13 @@ def test_hand_written_model_loads():
         (9, "leaf nan 0.0"),
         (10, "leaf 0.0 inf"),
         (9, ""),
+        (8, "split 0 abc 1 2"),
+        (9, "leaf 1.0 zz"),
+        (1, "classes"),
+        (1, "classes -1"),
+        (5, "k__minimum abc"),
+        (6, "trees"),
+        (7, "tree x"),
     ],
 )
 def test_corrupt_node_records_rejected(line, record):

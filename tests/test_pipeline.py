@@ -3,7 +3,12 @@ from pathlib import Path
 import pytest
 
 from imufresh.calculators import settings_from_feature_names
-from imufresh.errors import ConfigError, FeatureSetMismatch, NothingSelected
+from imufresh.errors import (
+    ConfigError,
+    FeatureSetMismatch,
+    NothingSelected,
+    OverlappingLabels,
+)
 from imufresh.extraction import extract
 from imufresh.pipeline import (
     PipelineConfig,
@@ -271,6 +276,19 @@ class TestPredict:
                 str(wrong),
                 str(rec_path),
                 run_result.manifest_path,
+            )
+
+    def test_overlapping_labels_rejected(self, run_result, train_data, tmp_path):
+        rec_path, _ = train_data
+        labels = tmp_path / "overlap.csv"
+        save_labels([(0.0, 10.0, "walk"), (5.0, 20.0, "run")], str(labels))
+        with pytest.raises(OverlappingLabels):
+            predict(
+                run_result.model_path,
+                run_result.settings_path,
+                str(rec_path),
+                run_result.manifest_path,
+                labels_path=str(labels),
             )
 
     def test_windows_ordered_by_time(self, run_result, train_data):

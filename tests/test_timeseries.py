@@ -10,17 +10,18 @@ from imufresh.errors import (
     NonUniformSampling,
     OverlappingLabels,
     UnknownKind,
-    WindowOutOfRange,
     WindowTooShort,
 )
+from imufresh.calculators import settings_from_feature_names
+from imufresh.extraction import extract
 from imufresh.timeseries import (
     Recording,
     Window,
+    WindowSet,
     load_labels_csv,
     load_recording_csv,
     save_recording_csv,
     segment_fixed,
-    slice_window,
     validate_kind,
 )
 
@@ -78,6 +79,11 @@ class TestIngestion:
     def test_bad_header(self):
         with pytest.raises(InconsistentChannels):
             load_recording_csv(io.BytesIO(b"t,k,v\n0.0,a,1.0\n"))
+
+    def test_channels_read_only(self):
+        rec = Recording(sample_rate_hz=1.0, channels={"k": [1.0, 2.0, 3.0]})
+        with pytest.raises(ValueError):
+            rec.channels["k"][0] = 99.0
 
     def test_nonzero_t0(self):
         rec = load_recording_csv(_csv(["10.0,a,1.0", "10.002,a,2.0"]))
@@ -201,29 +207,22 @@ class TestSegmentation:
 
 
 class TestSliceWindow:
+    """A window's samples are cut from the recording by `extract`."""
+
     def test_direct_slice(self):
         rec = Recording(sample_rate_hz=1.0, channels={"k": [1.0, 2.0, 3.0, 4.0]})
-        assert np.array_equal(slice_window(rec, Window(0, 1, 2), "k"), [2.0, 3.0])
-
-    def test_identity_slice(self):
-        rec = Recording(sample_rate_hz=1.0, channels={"k": [1.0, 2.0, 3.0, 4.0]})
-        assert np.array_equal(slice_window(rec, Window(0, 0, 4), "k"), [1.0, 2.0, 3.0, 4.0])
-
-    def test_out_of_range(self):
-        rec = Recording(sample_rate_hz=1.0, channels={"k": [1.0, 2.0, 3.0, 4.0]})
-        with pytest.raises(WindowOutOfRange):
-            slice_window(rec, Window(0, 3, 5), "k")
+        ws = WindowSet(rec, (Window(0, 1, 2),))
+        settings = settings_from_feature_names(["k__minimum", "k__maximum", "k__mean_change"])
+        matrix = extract(ws, rec, settings)
+        got = {f.calculator: v for f, v in zip(matrix.feature_names, matrix.values[0])}
+        # minimum, maximum and the signed step pin the slice to [2.0, 3.0] in order
+        assert got == {"minimum": 2.0, "maximum": 3.0, "mean_change": 1.0}
 
     def test_unknown_kind(self):
         rec = Recording(sample_rate_hz=1.0, channels={"k": [1.0, 2.0]})
+        ws = WindowSet(rec, (Window(0, 0, 2),))
         with pytest.raises(UnknownKind):
-            slice_window(rec, Window(0, 0, 2), "missing")
-
-    def test_slice_is_read_only(self):
-        rec = Recording(sample_rate_hz=1.0, channels={"k": [1.0, 2.0, 3.0]})
-        view = slice_window(rec, Window(0, 0, 2), "k")
-        with pytest.raises(ValueError):
-            view[0] = 99.0
+            extract(ws, rec, settings_from_feature_names(["missing__minimum"]))
 
 
 class TestLabelsCsv:
