@@ -12,7 +12,7 @@ per feature across the forest and normalized to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .extraction import FeatureMatrix
 from .names import FeatureName
+from .parallel import map_ranges
 from .timeseries import render_float
 
 _SEED_MASK = (1 << 64) - 1
@@ -132,46 +133,42 @@ def _best_split(
 ):
     """Best (gain, feature, threshold) over the sampled features, or None.
 
-    Candidate order is fixed (sampled feature order, thresholds ascending)
-    and comparisons are strict, so the choice is deterministic.
+    All sampled features are scored at once: one sort of the
+    ``(n_node, mtry)`` block, one class-count cumsum, and the Gini gain of
+    every boundary between distinct sorted values.  The pick is the first
+    maximum in sampled-feature order with thresholds ascending, taken only
+    if its gain is > 0, so the choice is deterministic.  The sort need not
+    be stable: rows tied on a value only reorder counts at boundaries inside
+    the tie, and those are never candidates.
     """
     n_node = idx.size
-    imp_parent = _gini(counts, n_node)
-    class_eye = np.arange(n_classes)
-    best_gain = 0.0
-    best: tuple[int, float] | None = None
-    for f in feats:
-        v = x_cols[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        ys = y[idx][order]
-        boundaries = np.nonzero(vs[:-1] < vs[1:])[0]
-        if boundaries.size == 0:
-            continue
-        n_left = boundaries + 1
-        ok = (n_left >= min_leaf) & (n_node - n_left >= min_leaf)
-        boundaries = boundaries[ok]
-        if boundaries.size == 0:
-            continue
-        n_left = n_left[ok]
-        cum = np.cumsum(ys[:, None] == class_eye, axis=0)
-        c_left = cum[boundaries]
-        c_right = counts - c_left
-        n_right = n_node - n_left
-        gini_left = 1.0 - np.sum(c_left * c_left, axis=1) / (n_left * n_left)
-        gini_right = 1.0 - np.sum(c_right * c_right, axis=1) / (n_right * n_right)
-        gain = imp_parent - (n_left * gini_left + n_right * gini_right) / n_node
-        pick = int(np.argmax(gain))
-        if gain[pick] > best_gain:
-            best_gain = float(gain[pick])
-            b = int(boundaries[pick])
-            thr = (vs[b] + vs[b + 1]) / 2.0
-            if thr == vs[b + 1]:  # adjacent floats: keep the partition consistent
-                thr = vs[b]
-            best = (int(f), float(thr))
-    if best is None:
+    order = np.argsort(x_cols[idx[:, None], feats], axis=0)
+    sorted_rows = idx[order]  # (n_node, mtry): the node's rows, by value per feature
+    vs = x_cols[sorted_rows, feats]
+    # Left-side class counts at every boundary: (n_node - 1, mtry, n_classes).
+    c_left = (y[sorted_rows][:, :, None] == np.arange(n_classes)).cumsum(axis=0)[:-1]
+    # Sums of squared class counts per side, in exact integer arithmetic;
+    # the right side expands sum((c - l)^2) so it needs no second count block.
+    c_node = counts.astype(np.int64)
+    sq_left = np.einsum("ijk,ijk->ij", c_left, c_left)
+    sq_right = c_node @ c_node - 2 * np.einsum("ijk,k->ij", c_left, c_node) + sq_left
+    n_left = np.arange(1, n_node)[:, None]
+    n_right = n_node - n_left
+    gini_left = 1.0 - sq_left / (n_left * n_left)
+    gini_right = 1.0 - sq_right / (n_right * n_right)
+    gain = _gini(counts, n_node) - (n_left * gini_left + n_right * gini_right) / n_node
+    valid = (vs[:-1] < vs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    gain[~valid] = -np.inf
+    # Feature-major argmax: the first maximum in sampled-feature order,
+    # thresholds ascending.
+    f_pos, b = np.unravel_index(int(np.argmax(gain.T)), gain.T.shape)
+    if gain[b, f_pos] <= 0.0:
         return None
-    return best_gain, best[0], best[1]
+    lo, hi = vs[b, f_pos], vs[b + 1, f_pos]
+    thr = (lo + hi) / 2.0
+    if thr == hi:  # adjacent floats: keep the partition consistent
+        thr = lo
+    return float(gain[b, f_pos]), int(feats[f_pos]), float(thr)
 
 
 def _grow_tree(
@@ -324,18 +321,45 @@ def _group_folds(groups: Sequence, k: int) -> np.ndarray:
     return np.asarray([to_fold[g] for g in ids], dtype=np.int64)
 
 
+def _fold_accuracies(
+    matrix: FeatureMatrix,
+    label_arr: np.ndarray,
+    fold: np.ndarray,
+    params: ForestParams,
+    folds: range,
+) -> list[float]:
+    """Test accuracy of a forest trained without each fold in *folds*;
+    *fold* holds each row's fold number."""
+    accuracies: list[float] = []
+    for f in folds:
+        test = fold == f
+        train = ~test
+        sub = FeatureMatrix(
+            feature_names=matrix.feature_names,
+            values=matrix.values[train],
+            window_ids=np.arange(int(train.sum()), dtype=np.int64),
+            labels=None,
+        )
+        model = train_forest(sub, list(label_arr[train]), params)
+        predicted = predict_labels(model, matrix.values[test])
+        accuracies.append(float(np.mean(np.asarray(predicted, dtype=object) == label_arr[test])))
+    return accuracies
+
+
 def cross_validate(
     matrix: FeatureMatrix,
     labels: Sequence[str],
     k: int,
     params: ForestParams,
     groups: Sequence | None = None,
+    workers: int = 1,
 ) -> CVReport:
     """k-fold accuracy; stratified by label, or group-pure when groups given.
 
     With groups, each distinct group id lands wholly in one fold
     (round-robin over groups sorted by id), so every fold's test rows come
-    from complete groups only.
+    from complete groups only.  ``workers`` > 1 trains the folds on a
+    process pool; the report does not depend on it.
     """
     n = matrix.n_rows
     label_list = [str(v) for v in labels]
@@ -350,23 +374,15 @@ def cross_validate(
     else:
         fold = _stratified_folds(label_list, k, params.seed)
 
-    label_arr = np.asarray(label_list, dtype=object)
-    accuracies: list[float] = []
-    for f in range(k):
-        test = fold == f
-        train = ~test
-        if not np.any(test) or not np.any(train):
-            raise BadParameters(f"fold {f} is empty; reduce k")
-        sub = FeatureMatrix(
-            feature_names=matrix.feature_names,
-            values=matrix.values[train],
-            window_ids=np.arange(int(train.sum()), dtype=np.int64),
-            labels=None,
-        )
-        model = train_forest(sub, list(label_arr[train]), params)
-        predicted = predict_labels(model, matrix.values[test])
-        accuracies.append(float(np.mean(np.asarray(predicted, dtype=object) == label_arr[test])))
+    # Checked before any pool starts.  With k >= 2 non-empty folds, every
+    # training set is non-empty too.
+    sizes = np.bincount(fold, minlength=k)
+    if not sizes.all():
+        raise BadParameters(f"fold {int(np.argmin(sizes))} is empty; reduce k")
 
+    label_arr = np.asarray(label_list, dtype=object)
+    blocks = map_ranges(_fold_accuracies, (matrix, label_arr, fold, params), k, workers)
+    accuracies = [acc for block in blocks for acc in block]
     return CVReport(
         fold_accuracies=tuple(accuracies),
         mean_accuracy=float(np.mean(accuracies)),
@@ -378,29 +394,36 @@ def cross_validate(
 # Importance aggregation
 # ---------------------------------------------------------------------------
 
+def _repeat_importances(
+    matrix: FeatureMatrix, labels: Sequence[str], params: ForestParams, repeats: range
+) -> list[np.ndarray]:
+    """Importances of the forests seeded ``params.seed + r`` for r in *repeats*."""
+    return [
+        train_forest(matrix, labels, replace(params, seed=params.seed + r)).importances
+        for r in repeats
+    ]
+
+
 def aggregate_importances(
     matrix: FeatureMatrix,
     labels: Sequence[str],
     repeats: int,
     params: ForestParams,
+    workers: int = 1,
 ) -> list[tuple[FeatureName, float]]:
     """Average importances over `repeats` forests seeded seed+0..seed+r-1.
 
     Returns (feature, mean importance) sorted descending, ties broken by
-    canonical feature name so rankings are reproducible.
+    canonical feature name so rankings are reproducible.  ``workers`` > 1
+    trains the repeats on a process pool; the forests, their sum (taken in
+    repeat order) and the ranking do not depend on it.
     """
     if repeats < 1:
         raise BadParameters(f"repeats must be >= 1, got {repeats}")
     acc = np.zeros(matrix.n_cols, dtype=np.float64)
-    for r in range(repeats):
-        rep_params = ForestParams(
-            n_trees=params.n_trees,
-            mtry=params.mtry,
-            min_leaf=params.min_leaf,
-            max_depth=params.max_depth,
-            seed=params.seed + r,
-        )
-        acc += train_forest(matrix, labels, rep_params).importances
+    for block in map_ranges(_repeat_importances, (matrix, labels, params), repeats, workers):
+        for importances in block:
+            acc += importances
     mean = acc / repeats
     # Columns are in canonical-name order, so a stable sort breaks ties by name.
     order = np.argsort(-mean, kind="stable")

@@ -1,8 +1,9 @@
-"""The one process-pool fan-out shared by extraction and selection.
+"""The one process-pool fan-out shared by extraction, selection and the forests.
 
-Both steps split their work into independent index ranges (windows for
-extraction, feature columns for selection) and stitch the blocks back in
-range order, so results never depend on the worker count.
+Each step splits its work into independent index ranges (windows for
+extraction, feature columns for selection, folds for cross-validation,
+repeats for importance ranking) and stitches the blocks back in range
+order, so results never depend on the worker count.
 """
 
 from __future__ import annotations
@@ -34,13 +35,16 @@ def map_ranges(
     """``[fn(*shared, r) for r in ranges]`` over consecutive ranges covering
     ``range(n)``, in range order.
 
-    With ``workers <= 1`` (or ``n == 0``) this is one in-process call on
-    ``range(n)``.  Otherwise ``range(n)`` is cut into about ``4 * workers``
-    ranges run on one process pool; *fn* and *shared* must pickle.
+    With ``workers <= 1`` (or ``n <= 1``) this is one in-process call on
+    ``range(n)``.  Otherwise ``range(n)`` is cut into at most ``workers``
+    ranges of ``ceil(n / workers)`` items (the last may be shorter), one per
+    pool process: each call of *fn* has a fixed cost (one batched kernel
+    call per feature in extraction) that smaller ranges would pay again.
+    *fn* and *shared* must pickle.
     """
-    if workers <= 1 or n == 0:
+    if workers <= 1 or n <= 1:
         return [fn(*shared, range(n))]
-    size = -(-n // (workers * 4))
+    size = -(-n // workers)
     ranges = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
     with ProcessPoolExecutor(
         max_workers=min(workers, len(ranges)),

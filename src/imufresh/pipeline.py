@@ -326,7 +326,9 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
     if not nan_free:
         raise NothingSelected("every selected feature column contains NaN")
     usable = selected_matrix.subset(nan_free)
-    ranked = aggregate_importances(usable, labels, config.repeats, config.forest_params())
+    ranked = aggregate_importances(
+        usable, labels, config.repeats, config.forest_params(), workers=config.workers
+    )
     top_k = config.top_k
     if top_k > len(ranked):
         logger.warning("top_k=%d exceeds %d usable features; clamping", top_k, len(ranked))
@@ -348,7 +350,9 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
     t4 = time.perf_counter()
     specialized = matrix.subset(top)
     cv_folds = min(config.cv_folds, specialized.n_rows)
-    cv = cross_validate(specialized, labels, cv_folds, config.forest_params())
+    cv = cross_validate(
+        specialized, labels, cv_folds, config.forest_params(), workers=config.workers
+    )
     model = train_forest(specialized, labels, config.forest_params())
     model_path = str(out / "model.txt")
     save_model_file(model, model_path)

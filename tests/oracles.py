@@ -2,12 +2,17 @@
 
 Everything here is deliberately written with plain Python loops and stdlib
 arithmetic (no numpy), so a library bug cannot hide in a shared code path.
+The one exception is ``best_split``: the per-feature numpy loop that the
+forest's vectorised split search replaced.  Its arithmetic is the same, so
+the two must agree exactly, including which candidate wins a tie.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 # --- quantiles / change_quantiles -----------------------------------------
@@ -191,3 +196,50 @@ def by_selected(p_values, q):
         return set()
     threshold = p_values[order[k_star - 1]]
     return {i for i in range(m) if p_values[i] <= threshold}
+
+
+# --- forest split search -----------------------------------------------------
+
+def best_split(x_cols, y, idx, counts, feats, min_leaf, n_classes):
+    """Best (gain, feature, threshold) over the sampled features, or None.
+
+    One feature at a time, in sampled order with thresholds ascending; a
+    later candidate wins only with a strictly larger gain.
+    """
+    n_node = idx.size
+    imp_parent = 1.0 - float(np.dot(counts, counts)) / (n_node * n_node)
+    class_eye = np.arange(n_classes)
+    best_gain = 0.0
+    best = None
+    for f in feats:
+        v = x_cols[idx, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        ys = y[idx][order]
+        boundaries = np.nonzero(vs[:-1] < vs[1:])[0]
+        if boundaries.size == 0:
+            continue
+        n_left = boundaries + 1
+        ok = (n_left >= min_leaf) & (n_node - n_left >= min_leaf)
+        boundaries = boundaries[ok]
+        if boundaries.size == 0:
+            continue
+        n_left = n_left[ok]
+        cum = np.cumsum(ys[:, None] == class_eye, axis=0)
+        c_left = cum[boundaries]
+        c_right = counts - c_left
+        n_right = n_node - n_left
+        gini_left = 1.0 - np.sum(c_left * c_left, axis=1) / (n_left * n_left)
+        gini_right = 1.0 - np.sum(c_right * c_right, axis=1) / (n_right * n_right)
+        gain = imp_parent - (n_left * gini_left + n_right * gini_right) / n_node
+        pick = int(np.argmax(gain))
+        if gain[pick] > best_gain:
+            best_gain = float(gain[pick])
+            b = int(boundaries[pick])
+            thr = (vs[b] + vs[b + 1]) / 2.0
+            if thr == vs[b + 1]:  # adjacent floats: keep the partition consistent
+                thr = vs[b]
+            best = (int(f), float(thr))
+    if best is None:
+        return None
+    return best_gain, best[0], best[1]

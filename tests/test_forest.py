@@ -3,6 +3,8 @@ import io
 import numpy as np
 import pytest
 
+import oracles
+from imufresh import forest
 from imufresh.errors import (
     BadParameters,
     DataError,
@@ -107,6 +109,59 @@ class TestTrain:
         assert predict_labels(model, values) == labels
 
 
+def _split_problem(rng, case):
+    """A seeded node for the split search: ties, discrete, constant,
+    duplicated and adjacent-float columns, drawn with repeated rows."""
+    n_classes = 2 + case % 3
+    min_leaf = 1 + (case // 3) % 3
+    n_rows = int(rng.integers(2, 40))
+    n_node = 2 if case % 7 == 0 else int(rng.integers(2, 40))
+    p = int(rng.integers(1, 9))
+    columns = []
+    for j in range(p):
+        kind = int(rng.integers(0, 5))
+        if kind == 0:
+            col = rng.standard_normal(n_rows)
+        elif kind == 1:
+            col = rng.integers(0, 3, size=n_rows).astype(np.float64)
+        elif kind == 2:
+            col = np.full(n_rows, 1.5)
+        elif kind == 3 and columns:
+            col = columns[int(rng.integers(0, len(columns)))].copy()
+        else:  # adjacent floats whose midpoint rounds up to the larger one
+            lo = np.nextafter(1.0, 2.0)
+            col = np.where(rng.random(n_rows) < 0.5, lo, np.nextafter(lo, 2.0))
+        columns.append(col)
+    x = np.column_stack(columns)
+    y = rng.integers(0, n_classes, size=n_rows)
+    idx = rng.integers(0, n_rows, size=n_node)
+    counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
+    feats = rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
+    return x, y, idx, counts, feats, min_leaf, n_classes
+
+
+class TestSplitSearch:
+    def test_matches_per_feature_loop(self):
+        rng = np.random.default_rng(31)
+        found = 0
+        for case in range(300):
+            problem = _split_problem(rng, case)
+            want = oracles.best_split(*problem)
+            assert forest._best_split(*problem) == want, case
+            found += want is not None
+        assert 0 < found < 300
+
+    def test_tie_goes_to_first_sampled_feature(self):
+        col = np.asarray([0.0, 1.0, 2.0, 3.0])
+        x = np.column_stack([col, col, col])
+        y = np.asarray([0, 0, 1, 1])
+        idx = np.arange(4)
+        counts = np.asarray([2.0, 2.0])
+        for feats in ([2, 0, 1], [1, 2, 0]):
+            got = forest._best_split(x, y, idx, counts, np.asarray(feats), 1, 2)
+            assert got == (0.5, feats[0], 1.5)
+
+
 class TestPredictProba:
     def test_rows_sum_to_one(self):
         matrix, labels = _separable(noise=0.6, seed=7)
@@ -196,6 +251,43 @@ class TestCrossValidate:
             )
             accs.append(report.mean_accuracy)
         assert abs(float(np.mean(accs)) - 0.5) <= 0.15
+
+
+class TestWorkers:
+    """Folds and repeats fan out over a pool; results must not move."""
+
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_cross_validate_across_workers(self, k, grouped):
+        matrix, labels = _separable(n=60, noise=1.5, seed=40)
+        groups = [f"p{i % 6}" for i in range(60)] if grouped else None
+        params = ForestParams(n_trees=6, seed=3)
+        reports = [
+            cross_validate(matrix, labels, k, params, groups, workers=w) for w in (1, 2, 3)
+        ]
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+
+    @pytest.mark.parametrize("repeats", [1, 2, 5])
+    def test_aggregate_importances_across_workers(self, repeats):
+        matrix, labels = _separable(n=50, noise=1.5, seed=41)
+        params = ForestParams(n_trees=6, seed=7)
+        ranked = [
+            aggregate_importances(matrix, labels, repeats, params, workers=w) for w in (1, 2, 3)
+        ]
+        assert ranked[1] == ranked[0]
+        assert ranked[2] == ranked[0]
+
+    def test_empty_fold_rejected_before_pool(self, monkeypatch):
+        matrix, labels = _separable(n=20, seed=42)
+
+        def no_pool(*args):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(forest, "_stratified_folds", lambda lab, k, seed: np.zeros(20, int))
+        monkeypatch.setattr(forest, "map_ranges", no_pool)
+        with pytest.raises(BadParameters, match="fold 1 is empty"):
+            cross_validate(matrix, labels, 2, ForestParams(seed=0), workers=2)
 
 
 class TestAggregation:
