@@ -22,6 +22,12 @@ from .names import FeatureName
 from .parallel import map_ranges
 from .timeseries import Recording, WindowSet, render_float
 
+# Below this many cells (windows x features) ``extract`` runs in-process at
+# any worker count.  Starting the pool and handing it the recording cost about
+# 18 ms on a 2-vCPU VM, and in-process extraction about 10 us per cell; the
+# pool at best halves the work, so below about 2 x 18 ms / 10 us it loses.
+POOL_MIN_CELLS = 4_000
+
 
 @dataclass(eq=False)
 class FeatureMatrix:
@@ -121,10 +127,11 @@ def extract(
 
     One row per window in ``windows.windows``, one column per settings entry,
     columns in canonical-name order.  The output is independent of
-    ``workers``; parameters are validated once up front so worker processes
-    only run the numeric kernels.  Raises UnknownKind for a kind the
-    recording lacks, WindowOutOfRange for a window past its end, and
-    DataError when the windows differ in length.
+    ``workers``, which is ignored below ``POOL_MIN_CELLS`` cells; parameters
+    are validated once up front so worker processes only run the numeric
+    kernels.  Raises UnknownKind for a kind the recording lacks,
+    WindowOutOfRange for a window past its end, and DataError when the
+    windows differ in length.
     """
     for kind in settings.kinds:
         if kind not in recording.channels:
@@ -149,6 +156,8 @@ def extract(
         plan.setdefault(feature.kind, []).append(
             (feature.calculator, feature.param_dict(), col)
         )
+    if len(window_list) * len(features) < POOL_MIN_CELLS:
+        workers = 1
     blocks = map_ranges(
         _compute_rows, (recording, index, plan, len(features)), len(window_list), workers
     )

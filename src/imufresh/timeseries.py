@@ -12,7 +12,6 @@ concurrently.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -194,54 +193,80 @@ class WindowSet:
 def load_recording_csv(stream: BinaryIO | TextIO) -> Recording:
     """Ingest a long-format CSV (``time,kind,value``) into a Recording.
 
-    Rows must be sorted by (kind, time) with a uniform time step per kind and
-    identical time grids across kinds.  The sample rate is inferred as
+    Every kind shares one uniform time grid.  Rows are grouped by kind in
+    order of first appearance, so contiguous blocks (the written format) and
+    interleaved kinds are both read.  Blank lines are skipped; ``\\r\\n`` and
+    a lone ``\\r`` end a line like ``\\n``.  The sample rate is inferred as
     1/median(dt) and validated uniform to relative tolerance 1e-6.
 
     Raises
     ------
     InconsistentChannels, NonUniformSampling, InvalidValue, InvalidKindName
     """
-    if hasattr(stream, "mode") and "b" in getattr(stream, "mode", ""):
-        text: TextIO = io.TextIOWrapper(stream, encoding="utf-8")  # type: ignore[arg-type]
-    elif isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
-        text = io.TextIOWrapper(stream, encoding="utf-8")
-    else:
-        text = stream  # already text
+    raw = stream.read()
+    return _parse_recording(raw.encode("utf-8") if isinstance(raw, str) else raw, None)
 
-    header = text.readline().rstrip("\n").rstrip("\r")
-    if header != "time,kind,value":
-        raise InconsistentChannels(f"expected header 'time,kind,value', got {header!r}")
 
-    times_by_kind: dict[str, list[str]] = {}
-    values_by_kind: dict[str, list[str]] = {}
-    for lineno, line in enumerate(text, start=2):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise InconsistentChannels(f"line {lineno}: expected 3 fields, got {len(parts)}")
-        t_s, kind, v_s = parts
-        if kind not in times_by_kind:
-            validate_kind(kind)
-            times_by_kind[kind] = []
-            values_by_kind[kind] = []
-        times_by_kind[kind].append(t_s)
-        values_by_kind[kind].append(v_s)
+def load_recording(path: str) -> Recording:
+    """Read the recording CSV at *path*; see :func:`load_recording_csv`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return _parse_recording(data, path)
 
-    if not times_by_kind:
-        raise InconsistentChannels("CSV contains no data rows")
+
+def _parse_recording(data: bytes, path: str | None) -> Recording:
+    """The reader behind both entry points; *data* is the whole CSV.
+
+    numpy's C text reader parses all rows in one call: from *path* when
+    given (it reads a named file fastest), else from the lines of *data*.
+    The comma positions give it the width of the kind field.  A malformed
+    line makes it fail, and only then are the lines checked one by one to
+    name the fault.
+    """
+    if b"\r" in data:  # universal newlines, as numpy reads a named file
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    end = data.find(b"\n")
+    header = data if end < 0 else data[:end]
+    if header != b"time,kind,value":
+        text = header.decode("utf-8", "replace")
+        raise InconsistentChannels(f"expected header 'time,kind,value', got {text!r}")
+    commas = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord(","))
+    # numpy drops trailing NUL bytes from a kind, so a NUL is checked by line.
+    if commas.size <= 2 or commas.size % 2 or b"\0" in data:
+        _check_lines(data)
+    # Every non-blank line, the header too, now has two commas, and each
+    # pair bounds a kind.  The kind field must hold the longest one: numpy
+    # truncates longer kinds without a word.
+    pairs = commas.reshape(-1, 2)
+    width = int(np.max(pairs[:, 1] - pairs[:, 0])) - 1
+    dtype = [("t", np.float64), ("k", f"S{width}"), ("v", np.float64)]
+    try:
+        source = path if path is not None else data.decode("utf-8").split("\n")
+        rows = np.loadtxt(
+            source, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+            encoding="utf-8", ndmin=1,
+        )
+    except ValueError as exc:
+        _check_lines(data)
+        raise InvalidValue(f"unparseable numeric field ({exc})") from None
+
+    # Group rows by kind in first-appearance order, block by block.  numpy
+    # stores each kind's characters as latin-1 bytes.
+    kinds = rows["k"]
+    firsts = np.concatenate(([0], np.flatnonzero(kinds[1:] != kinds[:-1]) + 1))
+    ids: dict[bytes, int] = {}
+    block_ids = [ids.setdefault(kind, len(ids)) for kind in kinds[firsts].tolist()]
+    names = [validate_kind(kind.decode("latin-1")) for kind in ids]
+    row_ids = np.repeat(block_ids, np.diff(firsts, append=kinds.shape[0]))
+    order = np.argsort(row_ids, kind="stable")
+    all_times, all_values = rows["t"][order], rows["v"][order]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(row_ids))))
 
     channels: dict[str, np.ndarray] = {}
     grid: np.ndarray | None = None
     grid_kind = ""
-    for kind in times_by_kind:
-        try:
-            times = np.asarray(times_by_kind[kind], dtype=np.float64)
-            values = np.asarray(values_by_kind[kind], dtype=np.float64)
-        except ValueError as exc:
-            raise InvalidValue(f"channel {kind!r}: unparseable numeric field ({exc})") from None
+    for kind, lo, hi in zip(names, bounds[:-1], bounds[1:]):
+        times, values = all_times[lo:hi], all_values[lo:hi]
         if not np.all(np.isfinite(values)):
             raise InvalidValue(f"channel {kind!r} contains NaN or infinite values")
         if not np.all(np.isfinite(times)):
@@ -262,43 +287,61 @@ def load_recording_csv(stream: BinaryIO | TextIO) -> Recording:
         channels[kind] = values
 
     assert grid is not None
-    if grid.shape[0] >= 2:
-        steps = np.diff(grid)
-        dt = float(np.median(steps))
-        if dt <= 0:
-            raise NonUniformSampling("time values must be strictly increasing")
-        if np.any(np.abs(steps - dt) > UNIFORM_STEP_RTOL * dt):
-            raise NonUniformSampling(
-                f"non-uniform time step: median {dt}, worst deviation "
-                f"{float(np.max(np.abs(steps - dt)))}"
-            )
-        rate = 1.0 / dt
-    else:
+    if grid.shape[0] < 2:
         raise InconsistentChannels("each channel needs at least 2 samples to infer a rate")
+    steps = np.diff(grid)
+    dt = float(np.median(steps))
+    if dt <= 0:
+        raise NonUniformSampling("time values must be strictly increasing")
+    if np.any(np.abs(steps - dt) > UNIFORM_STEP_RTOL * dt):
+        raise NonUniformSampling(
+            f"non-uniform time step: median {dt}, worst deviation "
+            f"{float(np.max(np.abs(steps - dt)))}"
+        )
+    return Recording(sample_rate_hz=1.0 / dt, channels=channels, t0=float(grid[0]))
 
-    return Recording(sample_rate_hz=rate, channels=channels, t0=float(grid[0]))
+
+def _check_lines(data: bytes) -> None:
+    """Raise for the first data line without exactly 3 fields
+    (InconsistentChannels; lines counted from 1, the header and blank lines
+    included) or with an invalid kind (InvalidKindName), as a line-at-a-time
+    reader meets them, or for a CSV with no data rows."""
+    lines = data.split(b"\n")
+    kinds: set[bytes] = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(b",")
+        if len(fields) != 3:
+            raise InconsistentChannels(f"line {lineno}: expected 3 fields, got {len(fields)}")
+        if fields[1] not in kinds:
+            validate_kind(fields[1].decode("utf-8", "replace"))
+            kinds.add(fields[1])
+    if not kinds:
+        raise InconsistentChannels("CSV contains no data rows")
 
 
-def load_recording(path: str) -> Recording:
-    """Open *path* and ingest it with :func:`load_recording_csv`."""
-    with open(path, "rb") as fh:
-        return load_recording_csv(fh)
+# Rows the writer renders per write call: one join per block keeps the
+# per-row cost low, and the block keeps its buffers to a few hundred kB.
+_WRITE_ROWS = 4096
 
 
 def save_recording_csv(recording: Recording, stream: TextIO) -> None:
-    """Serialize a recording back to long-format CSV.
+    """Serialize a recording back to long-format CSV, one block per kind.
 
     Values and times use the shortest round-trip decimal rendering, so
-    ingesting the output reproduces the channel values exactly.
+    ingesting the output reproduces the channel values exactly.  Every kind
+    shares the time column, so it is rendered once.
     """
     stream.write("time,kind,value\n")
-    rate = recording.sample_rate_hz
-    t0 = recording.t0
-    n = recording.length
+    grid = recording.t0 + np.arange(recording.length) / recording.sample_rate_hz
+    times = [render_float(t) for t in grid.tolist()]
     for kind in recording.kinds:
         values = recording.channels[kind]
-        for i in range(n):
-            stream.write(f"{render_float(t0 + i / rate)},{kind},{render_float(values[i])}\n")
+        for lo in range(0, len(times), _WRITE_ROWS):
+            rows = zip(times[lo : lo + _WRITE_ROWS], values[lo : lo + _WRITE_ROWS].tolist())
+            # {v!r} of a Python float is render_float(v), without a call per value.
+            stream.write("".join([f"{t},{kind},{v!r}\n" for t, v in rows]))
 
 
 def save_recording(recording: Recording, path: str) -> None:

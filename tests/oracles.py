@@ -2,17 +2,25 @@
 
 Everything here is deliberately written with plain Python loops and stdlib
 arithmetic (no numpy), so a library bug cannot hide in a shared code path.
-The one exception is ``best_split``: the per-feature numpy loop that the
-forest's vectorised split search replaced.  Its arithmetic is the same, so
-the two must agree exactly, including which candidate wins a tie.
+The exceptions are loops that a vectorised library path replaced and that
+must agree with it exactly:
+
+- ``best_split``: the per-feature numpy loop of the forest's split search,
+  including which candidate wins a tie;
+- ``load_recording_csv`` and ``save_recording_csv``: the line-at-a-time
+  recording CSV reader and writer.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from imufresh.errors import InconsistentChannels, InvalidValue, NonUniformSampling
+from imufresh.timeseries import UNIFORM_STEP_RTOL, Recording, render_float, validate_kind
 
 
 # --- quantiles / change_quantiles -----------------------------------------
@@ -243,3 +251,88 @@ def best_split(x_cols, y, idx, counts, feats, min_leaf, n_classes):
     if best is None:
         return None
     return best_gain, best[0], best[1]
+
+
+# --- recording CSV ------------------------------------------------------------
+
+def load_recording_csv(stream):
+    """The reader one line at a time: same checks, exceptions and result."""
+    if hasattr(stream, "mode") and "b" in getattr(stream, "mode", ""):
+        text = io.TextIOWrapper(stream, encoding="utf-8")
+    elif isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
+        text = io.TextIOWrapper(stream, encoding="utf-8")
+    else:
+        text = stream  # already text
+
+    header = text.readline().rstrip("\n").rstrip("\r")
+    if header != "time,kind,value":
+        raise InconsistentChannels(f"expected header 'time,kind,value', got {header!r}")
+
+    times_by_kind = {}
+    values_by_kind = {}
+    for lineno, line in enumerate(text, start=2):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise InconsistentChannels(f"line {lineno}: expected 3 fields, got {len(parts)}")
+        t_s, kind, v_s = parts
+        if kind not in times_by_kind:
+            validate_kind(kind)
+            times_by_kind[kind] = []
+            values_by_kind[kind] = []
+        times_by_kind[kind].append(t_s)
+        values_by_kind[kind].append(v_s)
+
+    if not times_by_kind:
+        raise InconsistentChannels("CSV contains no data rows")
+
+    channels = {}
+    grid = None
+    grid_kind = ""
+    for kind in times_by_kind:
+        try:
+            times = np.asarray(times_by_kind[kind], dtype=np.float64)
+            values = np.asarray(values_by_kind[kind], dtype=np.float64)
+        except ValueError as exc:
+            raise InvalidValue(f"channel {kind!r}: unparseable numeric field ({exc})") from None
+        if not np.all(np.isfinite(values)):
+            raise InvalidValue(f"channel {kind!r} contains NaN or infinite values")
+        if not np.all(np.isfinite(times)):
+            raise InvalidValue(f"channel {kind!r} has NaN or infinite timestamps")
+        if grid is None:
+            grid = times
+            grid_kind = kind
+        else:
+            if times.shape != grid.shape:
+                raise InconsistentChannels(
+                    f"channel {kind!r} has {times.shape[0]} rows, "
+                    f"{grid_kind!r} has {grid.shape[0]}"
+                )
+            if not np.array_equal(times, grid):
+                raise InconsistentChannels(
+                    f"channel {kind!r} is not on the same time grid as {grid_kind!r}"
+                )
+        channels[kind] = values
+
+    if grid.shape[0] < 2:
+        raise InconsistentChannels("each channel needs at least 2 samples to infer a rate")
+    steps = np.diff(grid)
+    dt = float(np.median(steps))
+    if dt <= 0:
+        raise NonUniformSampling("time values must be strictly increasing")
+    if np.any(np.abs(steps - dt) > UNIFORM_STEP_RTOL * dt):
+        raise NonUniformSampling("non-uniform time step")
+    return Recording(sample_rate_hz=1.0 / dt, channels=channels, t0=float(grid[0]))
+
+
+def save_recording_csv(recording, stream):
+    """The writer one sample at a time, with one f-string per row."""
+    stream.write("time,kind,value\n")
+    rate = recording.sample_rate_hz
+    t0 = recording.t0
+    for kind in recording.kinds:
+        values = recording.channels[kind]
+        for i in range(recording.length):
+            stream.write(f"{render_float(t0 + i / rate)},{kind},{render_float(values[i])}\n")

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from imufresh.calculators import (
+    ExtractionSettings,
     compute_feature,
     default_settings,
     settings_from_feature_names,
 )
+import imufresh.parallel
 from imufresh.errors import DataError, UnknownKind, WindowOutOfRange
 from imufresh.extraction import (
+    POOL_MIN_CELLS,
     FeatureMatrix,
     extract,
     load_matrix_csv,
@@ -140,6 +143,32 @@ class TestExtract:
         ws = segment_fixed(recording, 2.0, [(4.0, 12.0, "a")])
         matrix = extract(ws, recording, settings_from_feature_names(["accel_x_l__mean"]))
         assert list(matrix.window_ids) == [w.window_id for w in ws.windows]
+
+
+class TestPoolThreshold:
+    """The pool starts only for POOL_MIN_CELLS cells or more; below, a
+    multi-worker call runs in-process and gives the same bits."""
+
+    @pytest.mark.parametrize("extra, pooled", [(-1, False), (0, True)])
+    def test_pool_starts_only_at_threshold(self, recording, monkeypatch, extra, pooled):
+        ws = segment_fixed(recording, 0.4, [(0.0, 20.0, "walk")])
+        n_features = POOL_MIN_CELLS // len(ws.windows) + extra
+        grid = default_settings(recording.channels).features
+        settings = ExtractionSettings(features=grid[:n_features])
+        assert (len(ws.windows) * n_features >= POOL_MIN_CELLS) == pooled
+        started = []
+        real = imufresh.parallel.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            started.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(imufresh.parallel, "ProcessPoolExecutor", spy)
+        two = extract(ws, recording, settings, workers=2)
+        assert started == ([2] if pooled else [])
+        one = extract(ws, recording, settings, workers=1)
+        assert one.values.tobytes() == two.values.tobytes()
+        assert one.canonical_names() == two.canonical_names()
 
 
 class TestFeatureMatrix:

@@ -3,7 +3,9 @@ import io
 import numpy as np
 import pytest
 
+import oracles
 from imufresh.errors import (
+    ImufreshError,
     InconsistentChannels,
     InvalidKindName,
     InvalidValue,
@@ -19,6 +21,7 @@ from imufresh.timeseries import (
     Window,
     WindowSet,
     load_labels_csv,
+    load_recording,
     load_recording_csv,
     save_recording_csv,
     segment_fixed,
@@ -112,6 +115,177 @@ class TestIngestion:
         save_recording_csv(rec, buf)
         values = [line.split(",")[2] for line in buf.getvalue().splitlines()[1:]]
         assert values == ["0.1", "-2.5", "3.0"]
+
+    @pytest.mark.parametrize("bad", ["0.002,a", "0.002,a,2.0,9"])
+    def test_wrong_field_count_names_the_file_line(self, bad):
+        # header is line 1; the blank line 3 still counts
+        text = f"time,kind,value\n0.0,a,1.0\n\n{bad}\n0.004,a,3.0\n"
+        with pytest.raises(InconsistentChannels, match="line 4"):
+            load_recording_csv(io.BytesIO(text.encode()))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [["0.0,a,1.0", "0.002,a,abc"], ["0.0,a,1.0", "x,a,2.0"], ["0.0,a,1.0", "0.002,a,"]],
+    )
+    def test_non_numeric_field_rejected(self, rows):
+        with pytest.raises(InvalidValue):
+            load_recording_csv(_csv(rows))
+
+    def test_crlf_and_blank_lines_accepted(self):
+        text = "time,kind,value\r\n0.0,a,1.0\r\n\r\n0.002,a,2.0\r\n\n0.004,a,3.0"
+        for stream in (io.BytesIO(text.encode()), io.StringIO(text)):
+            rec = load_recording_csv(stream)
+            assert rec.channels["a"].tolist() == [1.0, 2.0, 3.0]
+            assert rec.sample_rate_hz == pytest.approx(500.0, rel=1e-9)
+
+    def test_interleaved_kinds_grouped_in_first_appearance_order(self):
+        rows = ["0.0,b,1.0", "0.0,a,-1.0", "0.002,b,2.0", "0.002,a,-2.0", "0.004,b,3.0",
+                "0.004,a,-3.0"]
+        rec = load_recording_csv(_csv(rows))
+        assert list(rec.channels) == ["b", "a"]
+        assert rec.channels["b"].tolist() == [1.0, 2.0, 3.0]
+        assert rec.channels["a"].tolist() == [-1.0, -2.0, -3.0]
+
+    def test_prefix_and_long_kinds_read_whole(self):
+        long_kind = "gyro_" + "x" * 40 + "_l"
+        kinds = ["acc", "acc_x", long_kind, "a"]
+        rec = load_recording_csv(_long_csv(kinds, 4, value=lambda k, i: len(k) + i / 8))
+        assert list(rec.channels) == kinds
+        for kind in kinds:
+            assert rec.channels[kind].tolist() == [len(kind) + i / 8 for i in range(4)]
+
+    @pytest.mark.parametrize(
+        "text", ["time,kind,value\n", "time,kind,value", "time,kind,value\n\n\n"]
+    )
+    def test_header_only_rejected(self, text):
+        with pytest.raises(InconsistentChannels):
+            load_recording_csv(io.BytesIO(text.encode()))
+
+    def test_one_sample_per_kind_rejected(self):
+        with pytest.raises(InconsistentChannels):
+            load_recording_csv(_csv(["0.0,a,1.0", "0.0,b,2.0"]))
+
+
+_H = "time,kind,value\n"
+# Valid and malformed recordings; where two rules break, the first line's fault wins.
+READER_CASES = {
+    "two-kinds": _H + "0.0,a,1.0\n0.01,a,-2.5\n0.0,b,3.0\n0.01,b,4.0\n",
+    "crlf": _H.replace("\n", "\r\n") + "0.0,a,1.0\r\n0.01,a,2.0\r\n",
+    "blank-lines": _H + "\n0.0,a,1.0\n\n\n0.01,a,2.0\n\n",
+    "no-final-newline": _H + "0.0,a,1.0\n0.01,a,2.0",
+    "interleaved": _H + "5.0,b,1\n5.0,a,2\n5.5,b,3\n5.5,a,4\n6.0,b,5\n6.0,a,6\n",
+    "prefix-kinds": _H + "".join(
+        f"{t},{k},{t * 3}\n" for k in ("acc", "acc_x", "a", "gyro_" + "y" * 30) for t in (1, 2)
+    ),
+    "number-forms": _H + "0,a, 1e-310\n1,a,-0.0 \n2,a,+.5\n3,a,5.\n4,a,1.7976931348623157e308\n",
+    "bad-header": "time,kind,val\n0.0,a,1.0\n0.01,a,2.0\n",
+    "empty-file": "",
+    "header-only": _H,
+    "header-and-blanks": _H + "\n\n",
+    "two-fields": _H + "0.0,a,1.0\n0.01,a\n",
+    "four-fields": _H + "0.0,a,1.0\n0.01,a,2.0,3.0\n",
+    "spaces-only-line": _H + "0.0,a,1.0\n   \n0.01,a,2.0\n",
+    "non-numeric-value": _H + "0.0,a,1.0\n0.01,a,one\n",
+    "non-numeric-time": _H + "0.0,a,1.0\nsoon,a,2.0\n",
+    "empty-value": _H + "0.0,a,1.0\n0.01,a,\n",
+    "nan-value": _H + "0.0,a,nan\n0.01,a,2.0\n",
+    "overflowing-value": _H + "0.0,a,1e400\n0.01,a,2.0\n",
+    "inf-time": _H + "0.0,a,1.0\ninf,a,2.0\n",
+    "reserved-separator": _H + "0.0,a__b,1.0\n0.01,a__b,2.0\n",
+    "padded-kind": _H + "0.0,a ,1.0\n0.01,a ,2.0\n",
+    "empty-kind": _H + "0.0,,1.0\n0.01,,2.0\n",
+    "nul-after-kind": _H + "0.0,a\0,1.0\n0.01,a\0,2.0\n",
+    "non-latin-1-kind": _H + "0.0,\u20ac,1.0\n0.01,\u20ac,2.0\n",
+    "bad-kind-then-bad-value": _H + "0.0,a-b,1.0\n0.01,a-b,two\n",
+    "bad-kind-then-bad-line": _H + "0.0,a-b,1.0\n0.01,a-b\n",
+    "ragged": _H + "0.0,a,1.0\n0.01,a,2.0\n0.0,b,1.0\n",
+    "shifted-grid": _H + "0.0,a,1.0\n0.01,a,2.0\n0.005,b,1.0\n0.015,b,2.0\n",
+    "non-uniform": _H + "0.0,a,1.0\n0.01,a,2.0\n0.03,a,3.0\n",
+    "decreasing": _H + "0.02,a,1.0\n0.01,a,2.0\n0.0,a,3.0\n",
+    "one-sample": _H + "0.0,a,1.0\n0.0,b,2.0\n",
+}
+
+
+def _outcome(read):
+    """The exception class raised, or the recording with every float as bits."""
+    try:
+        rec = read()
+    except ImufreshError as exc:
+        return type(exc)
+    bits = np.float64([rec.sample_rate_hz, rec.t0]).tobytes()
+    return bits, [(kind, values.tobytes()) for kind, values in rec.channels.items()]
+
+
+class TestReaderMatchesLineLoop:
+    """The bulk reader against the line loop in ``oracles``, from a path, a
+    byte stream and a text stream."""
+
+    @pytest.mark.parametrize("name", sorted(READER_CASES))
+    def test_same_recording_or_exception(self, name, tmp_path):
+        text = READER_CASES[name]
+        want = _outcome(lambda: oracles.load_recording_csv(io.BytesIO(text.encode())))
+        path = tmp_path / "rec.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(lambda: load_recording(str(path))) == want
+        assert _outcome(lambda: load_recording_csv(io.BytesIO(text.encode()))) == want
+        assert _outcome(lambda: load_recording_csv(io.StringIO(text))) == want
+
+    def test_digit_separators_rejected(self):
+        # float() reads "1_000" and so did the line loop; numpy's reader does
+        # not, and the narrowing is documented.
+        text = _H + "0.0,a,1_000\n0.01,a,2.0\n"
+        assert oracles.load_recording_csv(io.BytesIO(text.encode())).channels["a"][0] == 1000.0
+        with pytest.raises(InvalidValue):
+            load_recording_csv(io.BytesIO(text.encode()))
+
+
+class TestWriter:
+    def test_bytes_match_the_row_loop(self):
+        # more rows than one write block, and not a multiple of it
+        n = 10_001
+        rng = np.random.default_rng(5)
+        rec = Recording(
+            sample_rate_hz=97.3,
+            channels={"b": rng.standard_normal(n), "a_1": rng.standard_normal(n) * 1e-300},
+            t0=-12.345,
+        )
+        new, old = io.StringIO(), io.StringIO()
+        save_recording_csv(rec, new)
+        oracles.save_recording_csv(rec, old)
+        assert new.getvalue() == old.getvalue()
+
+
+def test_roundtrip_property():
+    """save_recording_csv then load_recording_csv gives back every bit."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    kinds = st.from_regex(r"[A-Za-z0-9]{1,6}(_[A-Za-z0-9]{1,6}){0,2}", fullmatch=True)
+    values = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7e308, -1.7e308]),
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        kind_set=st.sets(kinds, min_size=1, max_size=4),
+        n=st.integers(2, 40),
+        t0=st.floats(-1e3, 1e3).filter(lambda t: t != 0.0),
+        rate=st.floats(1.0, 1000.0),
+        data=st.data(),
+    )
+    def roundtrip(kind_set, n, t0, rate, data):
+        channels = {k: data.draw(st.lists(values, min_size=n, max_size=n)) for k in kind_set}
+        rec = Recording(sample_rate_hz=rate, channels=channels, t0=t0)
+        buf = io.StringIO()
+        save_recording_csv(rec, buf)
+        back = load_recording_csv(io.BytesIO(buf.getvalue().encode()))
+        assert back.kinds == rec.kinds
+        assert back.t0 == rec.t0
+        for kind in rec.kinds:
+            assert back.channels[kind].tobytes() == rec.channels[kind].tobytes()
+        assert back.sample_rate_hz == pytest.approx(rate, rel=1e-6)
+
+    roundtrip()
 
 
 class TestKindValidation:
