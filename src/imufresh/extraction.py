@@ -22,11 +22,13 @@ from .names import FeatureName
 from .parallel import map_ranges
 from .timeseries import Recording, WindowSet, render_float
 
-# Below this many cells (windows x features) ``extract`` runs in-process at
-# any worker count.  Starting the pool and handing it the recording cost about
-# 18 ms on a 2-vCPU VM, and in-process extraction about 10 us per cell; the
-# pool at best halves the work, so below about 2 x 18 ms / 10 us it loses.
-POOL_MIN_CELLS = 4_000
+# Below this much work (window samples x features) ``extract`` runs
+# in-process at any worker count.  Measured at workers=2 against workers=1 on
+# a 2-vCPU VM, 9 alternating pairs per size, on the hard benchmark
+# workload's generator (405 features) at 5 to 10 persons: the pool won 3-4
+# of 9 pairs at 3.2M and 3.9M (40 and 48 windows of 200 samples) and 8-9 of
+# 9 from 4.5M up (56 windows of 200, 40 of 400).
+POOL_MIN_WORK = 4_000_000
 
 
 @dataclass(eq=False)
@@ -127,7 +129,7 @@ def extract(
 
     One row per window in ``windows.windows``, one column per settings entry,
     columns in canonical-name order.  The output is independent of
-    ``workers``, which is ignored below ``POOL_MIN_CELLS`` cells; parameters
+    ``workers``, which is ignored below ``POOL_MIN_WORK``; parameters
     are validated once up front so worker processes only run the numeric
     kernels.  Raises UnknownKind for a kind the recording lacks,
     WindowOutOfRange for a window past its end, and DataError when the
@@ -156,7 +158,7 @@ def extract(
         plan.setdefault(feature.kind, []).append(
             (feature.calculator, feature.param_dict(), col)
         )
-    if len(window_list) * len(features) < POOL_MIN_CELLS:
+    if index.size * len(features) < POOL_MIN_WORK:
         workers = 1
     blocks = map_ranges(
         _compute_rows, (recording, index, plan, len(features)), len(window_list), workers

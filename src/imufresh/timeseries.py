@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Sequence, TextIO
@@ -52,7 +53,11 @@ def validate_kind(name: str) -> str:
 
 
 def render_float(v: float) -> str:
-    """Shortest decimal string that round-trips to the same 64-bit float."""
+    """Shortest decimal string that round-trips to the same 64-bit float.
+
+    This is ``repr`` of a Python float, which the recording writer applies
+    to whole columns directly.
+    """
     return repr(float(v))
 
 
@@ -209,19 +214,24 @@ def load_recording_csv(stream: BinaryIO | TextIO) -> Recording:
 
 def load_recording(path: str) -> Recording:
     """Read the recording CSV at *path*; see :func:`load_recording_csv`."""
+    path = os.fspath(path)
     with open(path, "rb") as fh:
         data = fh.read()
     return _parse_recording(data, path)
+
+
+# Suffixes numpy's reader decompresses when it opens a file by name.  A plain
+# recording with such a name is parsed from its lines instead.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _parse_recording(data: bytes, path: str | None) -> Recording:
     """The reader behind both entry points; *data* is the whole CSV.
 
     numpy's C text reader parses all rows in one call: from *path* when
-    given (it reads a named file fastest), else from the lines of *data*.
-    The comma positions give it the width of the kind field.  A malformed
-    line makes it fail, and only then are the lines checked one by one to
-    name the fault.
+    given (it reads a named file fastest, even though the file was read into
+    *data* already), else from the lines of *data*.  The comma positions
+    give it the width of the kind field.
     """
     if b"\r" in data:  # universal newlines, as numpy reads a named file
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -241,32 +251,23 @@ def _parse_recording(data: bytes, path: str | None) -> Recording:
     width = int(np.max(pairs[:, 1] - pairs[:, 0])) - 1
     dtype = [("t", np.float64), ("k", f"S{width}"), ("v", np.float64)]
     try:
-        source = path if path is not None else data.decode("utf-8").split("\n")
-        rows = np.loadtxt(
-            source, dtype=dtype, delimiter=",", comments=None, skiprows=1,
-            encoding="utf-8", ndmin=1,
-        )
-    except ValueError as exc:
+        if path is not None and not path.endswith(_COMPRESSED_SUFFIXES):
+            rows = _loadtxt(path, dtype, skiprows=1)
+        else:
+            rows = _loadtxt(data.decode("utf-8").split("\n"), dtype, skiprows=1)
+    except ValueError:
+        # Some field does not parse.  Name the first line with a bad field
+        # count or kind, else parse kind by kind, so that a fault in an
+        # earlier kind is still raised first.
         _check_lines(data)
-        raise InvalidValue(f"unparseable numeric field ({exc})") from None
-
-    # Group rows by kind in first-appearance order, block by block.  numpy
-    # stores each kind's characters as latin-1 bytes.
-    kinds = rows["k"]
-    firsts = np.concatenate(([0], np.flatnonzero(kinds[1:] != kinds[:-1]) + 1))
-    ids: dict[bytes, int] = {}
-    block_ids = [ids.setdefault(kind, len(ids)) for kind in kinds[firsts].tolist()]
-    names = [validate_kind(kind.decode("latin-1")) for kind in ids]
-    row_ids = np.repeat(block_ids, np.diff(firsts, append=kinds.shape[0]))
-    order = np.argsort(row_ids, kind="stable")
-    all_times, all_values = rows["t"][order], rows["v"][order]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(row_ids))))
+        columns = _parse_each_kind(data, dtype)
+    else:
+        columns = _group_by_kind(rows)
 
     channels: dict[str, np.ndarray] = {}
     grid: np.ndarray | None = None
     grid_kind = ""
-    for kind, lo, hi in zip(names, bounds[:-1], bounds[1:]):
-        times, values = all_times[lo:hi], all_values[lo:hi]
+    for kind, times, values in columns:
         if not np.all(np.isfinite(values)):
             raise InvalidValue(f"channel {kind!r} contains NaN or infinite values")
         if not np.all(np.isfinite(times)):
@@ -301,6 +302,50 @@ def _parse_recording(data: bytes, path: str | None) -> Recording:
     return Recording(sample_rate_hz=1.0 / dt, channels=channels, t0=float(grid[0]))
 
 
+def _loadtxt(source, dtype: list, skiprows: int = 0) -> np.ndarray:
+    return np.loadtxt(
+        source, dtype=dtype, delimiter=",", comments=None, skiprows=skiprows,
+        encoding="utf-8", ndmin=1,
+    )
+
+
+def _group_by_kind(rows: np.ndarray) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """(kind, times, values) per kind in first-appearance order, found from
+    the change points of the kind column, so blocks and interleaved rows
+    both group.  numpy stores each kind's characters as latin-1 bytes."""
+    kinds = rows["k"]
+    firsts = np.concatenate(([0], np.flatnonzero(kinds[1:] != kinds[:-1]) + 1))
+    ids: dict[bytes, int] = {}
+    block_ids = [ids.setdefault(kind, len(ids)) for kind in kinds[firsts].tolist()]
+    names = [validate_kind(kind.decode("latin-1")) for kind in ids]
+    row_ids = np.repeat(block_ids, np.diff(firsts, append=kinds.shape[0]))
+    order = np.argsort(row_ids, kind="stable")
+    times, values = rows["t"][order], rows["v"][order]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(row_ids))))
+    return [
+        (name, times[lo:hi], values[lo:hi])
+        for name, lo, hi in zip(names, bounds[:-1], bounds[1:])
+    ]
+
+
+def _parse_each_kind(data: bytes, dtype: list):
+    """Yield (kind, times, values) per kind in first-appearance order,
+    parsing each kind's lines only when it is reached, and raise
+    InvalidValue for the first kind with a field that does not parse.
+    *data* has passed :func:`_check_lines`."""
+    lines_by_kind: dict[bytes, list[bytes]] = {}
+    for line in data.split(b"\n")[1:]:
+        if line:
+            lines_by_kind.setdefault(line.split(b",")[1], []).append(line)
+    for kind, lines in lines_by_kind.items():
+        name = kind.decode("ascii")  # validated by _check_lines
+        try:
+            rows = _loadtxt([line.decode("utf-8") for line in lines], dtype)
+        except ValueError as exc:
+            raise InvalidValue(f"channel {name!r}: unparseable numeric field ({exc})") from None
+        yield name, rows["t"], rows["v"]
+
+
 def _check_lines(data: bytes) -> None:
     """Raise for the first data line without exactly 3 fields
     (InconsistentChannels; lines counted from 1, the header and blank lines
@@ -329,18 +374,18 @@ _WRITE_ROWS = 4096
 def save_recording_csv(recording: Recording, stream: TextIO) -> None:
     """Serialize a recording back to long-format CSV, one block per kind.
 
-    Values and times use the shortest round-trip decimal rendering, so
-    ingesting the output reproduces the channel values exactly.  Every kind
-    shares the time column, so it is rendered once.
+    Values and times are rendered by ``repr`` of a Python float, the
+    shortest round-trip decimal (:func:`render_float`), so ingesting the
+    output reproduces the channel values exactly.  Every kind shares the
+    time column, so it is rendered once.
     """
     stream.write("time,kind,value\n")
     grid = recording.t0 + np.arange(recording.length) / recording.sample_rate_hz
-    times = [render_float(t) for t in grid.tolist()]
+    times = [repr(t) for t in grid.tolist()]
     for kind in recording.kinds:
         values = recording.channels[kind]
         for lo in range(0, len(times), _WRITE_ROWS):
             rows = zip(times[lo : lo + _WRITE_ROWS], values[lo : lo + _WRITE_ROWS].tolist())
-            # {v!r} of a Python float is render_float(v), without a call per value.
             stream.write("".join([f"{t},{kind},{v!r}\n" for t, v in rows]))
 
 

@@ -9,10 +9,11 @@ from imufresh.calculators import (
     default_settings,
     settings_from_feature_names,
 )
+import imufresh.extraction
 import imufresh.parallel
 from imufresh.errors import DataError, UnknownKind, WindowOutOfRange
 from imufresh.extraction import (
-    POOL_MIN_CELLS,
+    POOL_MIN_WORK,
     FeatureMatrix,
     extract,
     load_matrix_csv,
@@ -146,16 +147,10 @@ class TestExtract:
 
 
 class TestPoolThreshold:
-    """The pool starts only for POOL_MIN_CELLS cells or more; below, a
-    multi-worker call runs in-process and gives the same bits."""
+    """The pool starts only for POOL_MIN_WORK window samples x features or
+    more; below, a multi-worker call runs in-process and gives the same bits."""
 
-    @pytest.mark.parametrize("extra, pooled", [(-1, False), (0, True)])
-    def test_pool_starts_only_at_threshold(self, recording, monkeypatch, extra, pooled):
-        ws = segment_fixed(recording, 0.4, [(0.0, 20.0, "walk")])
-        n_features = POOL_MIN_CELLS // len(ws.windows) + extra
-        grid = default_settings(recording.channels).features
-        settings = ExtractionSettings(features=grid[:n_features])
-        assert (len(ws.windows) * n_features >= POOL_MIN_CELLS) == pooled
+    def _spy(self, monkeypatch):
         started = []
         real = imufresh.parallel.ProcessPoolExecutor
 
@@ -164,11 +159,33 @@ class TestPoolThreshold:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(imufresh.parallel, "ProcessPoolExecutor", spy)
+        return started
+
+    def _same_bits(self, ws, recording, settings):
         two = extract(ws, recording, settings, workers=2)
-        assert started == ([2] if pooled else [])
         one = extract(ws, recording, settings, workers=1)
         assert one.values.tobytes() == two.values.tobytes()
         assert one.canonical_names() == two.canonical_names()
+
+    def test_full_grid_on_a_small_recording_runs_in_process(self, recording, monkeypatch):
+        ws = segment_fixed(recording, 0.4, [(0.0, 20.0, "walk")])
+        settings = default_settings(recording.channels)
+        assert recording.length * len(settings.features) < POOL_MIN_WORK
+        started = self._spy(monkeypatch)
+        self._same_bits(ws, recording, settings)
+        assert started == []
+
+    @pytest.mark.parametrize("extra, pooled", [(-1, False), (0, True)])
+    def test_pool_starts_only_at_threshold(self, recording, monkeypatch, extra, pooled):
+        # 50 windows of 20 samples; a threshold of 40 features' work
+        ws = segment_fixed(recording, 0.4, [(0.0, 20.0, "walk")])
+        samples = len(ws.windows) * ws.windows[0].length
+        monkeypatch.setattr(imufresh.extraction, "POOL_MIN_WORK", samples * 40)
+        grid = default_settings(recording.channels).features
+        settings = ExtractionSettings(features=grid[: 40 + extra])
+        started = self._spy(monkeypatch)
+        self._same_bits(ws, recording, settings)
+        assert started == ([2] if pooled else [])
 
 
 class TestFeatureMatrix:

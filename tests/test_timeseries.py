@@ -167,7 +167,9 @@ class TestIngestion:
 
 
 _H = "time,kind,value\n"
-# Valid and malformed recordings; where two rules break, the first line's fault wins.
+# Valid and malformed recordings.  Where two rules break, a bad field count or
+# kind wins, in line order; otherwise the kinds are checked one at a time in
+# first-appearance order, so the first kind with any fault wins.
 READER_CASES = {
     "two-kinds": _H + "0.0,a,1.0\n0.01,a,-2.5\n0.0,b,3.0\n0.01,b,4.0\n",
     "crlf": _H.replace("\n", "\r\n") + "0.0,a,1.0\r\n0.01,a,2.0\r\n",
@@ -203,6 +205,12 @@ READER_CASES = {
     "non-uniform": _H + "0.0,a,1.0\n0.01,a,2.0\n0.03,a,3.0\n",
     "decreasing": _H + "0.02,a,1.0\n0.01,a,2.0\n0.0,a,3.0\n",
     "one-sample": _H + "0.0,a,1.0\n0.0,b,2.0\n",
+    "ragged-then-bad-value": _H + "0,a,1\n1,a,2\n0,b,1\n0,c,1\n1,c,two\n",
+    "bad-value-then-ragged": _H + "0,a,1\n1,a,two\n0,b,1\n",
+    "shifted-grid-then-bad-time": _H + "0,a,1\n1,a,2\n0.5,b,1\n1.5,b,2\n0,c,1\nlater,c,2\n",
+    "nan-then-bad-value": _H + "0,a,nan\n1,a,2\n0,b,1\n1,b,two\n",
+    "ragged-then-digit-separator": _H + "0,a,1\n1,a,2\n0,b,1\n0,c,1_000\n1,c,2\n",
+    "interleaved-ragged-then-bad-value": _H + "0,a,1\n0,b,1\n1,a,2\n0,c,x\n2,a,3\n1,b,2\n",
 }
 
 
@@ -229,6 +237,14 @@ class TestReaderMatchesLineLoop:
         assert _outcome(lambda: load_recording(str(path))) == want
         assert _outcome(lambda: load_recording_csv(io.BytesIO(text.encode()))) == want
         assert _outcome(lambda: load_recording_csv(io.StringIO(text))) == want
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".csv.gz"])
+    def test_plain_text_with_a_compression_suffix(self, suffix, tmp_path):
+        # numpy decompresses a named file by suffix; a plain one still loads
+        path = tmp_path / f"rec{suffix}"
+        path.write_bytes(READER_CASES["interleaved"].encode())
+        want = oracles.load_recording_csv(io.BytesIO(path.read_bytes()))
+        assert _outcome(lambda: load_recording(str(path))) == _outcome(lambda: want)
 
     def test_digit_separators_rejected(self):
         # float() reads "1_000" and so did the line loop; numpy's reader does
