@@ -1,9 +1,9 @@
-"""The one process-pool fan-out shared by extraction, selection and the forests.
+"""The one process-pool fan-out shared by extraction and the forests.
 
 Each step splits its work into independent index ranges (windows for
-extraction, feature columns for selection, folds for cross-validation,
-repeats for importance ranking) and stitches the blocks back in range
-order, so results never depend on the worker count.
+extraction, folds for cross-validation, repeats for importance ranking) and
+stitches the blocks back in range order, so results never depend on the
+worker count.
 """
 
 from __future__ import annotations

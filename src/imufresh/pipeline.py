@@ -109,6 +109,7 @@ class PipelineConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.cv_folds < 2:
             raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        self.forest_params()  # raises BadParameters, a ConfigError, before any step runs
 
     def forest_params(self) -> ForestParams:
         return ForestParams(
@@ -303,7 +304,7 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
     # Step 3: FRESH selection at FDR q.
     t2 = time.perf_counter()
     labels = list(windows.labels or ())
-    report = select_features(matrix, labels, q=config.q, workers=config.workers)
+    report = select_features(matrix, labels, q=config.q)
     selection_path = str(out / "selection.csv")
     save_report(report, selection_path)
     timings["select"] = time.perf_counter() - t2

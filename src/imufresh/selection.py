@@ -38,7 +38,6 @@ from .errors import (
 )
 from .extraction import FeatureMatrix
 from .names import FeatureName
-from .parallel import map_ranges
 from .timeseries import render_float
 
 TEST_FISHER = "fisher_exact"
@@ -289,31 +288,29 @@ class SelectionReport:
         return tuple(f.canonical() for f in self.selected)
 
 
-def _binary_target_p(xv: np.ndarray, in_group: np.ndarray) -> tuple[float, str]:
-    """p for a non-constant feature against a boolean group indicator."""
+def _group_p(xv: np.ndarray, in_group: np.ndarray, distinct: np.ndarray) -> float:
+    """p for a non-constant feature (distinct values *distinct*) against a
+    boolean group indicator: Fisher for a binary feature, else KS."""
     g0 = xv[~in_group]
     g1 = xv[in_group]
-    values = np.unique(xv)
-    kind = TEST_FISHER if values.size == 2 else TEST_KS
     if g0.size == 0 or g1.size == 0:
-        return 1.0, kind
-    if values.size == 2:
+        return 1.0
+    if distinct.size == 2:
         table = [
-            [int(np.sum(g0 == values[0])), int(np.sum(g1 == values[0]))],
-            [int(np.sum(g0 == values[1])), int(np.sum(g1 == values[1]))],
+            [int(np.sum(g0 == distinct[0])), int(np.sum(g1 == distinct[0]))],
+            [int(np.sum(g0 == distinct[1])), int(np.sum(g1 == distinct[1]))],
         ]
         try:
-            return fisher_exact_test(table), kind
+            return fisher_exact_test(table)
         except DegenerateTable:
-            return 1.0, kind
-    return ks_two_sample_test(g0, g1), kind
+            return 1.0
+    return ks_two_sample_test(g0, g1)
 
 
-def _real_target_p(xv: np.ndarray, tv: np.ndarray) -> tuple[float, str]:
-    values = np.unique(xv)
-    if values.size == 2:
-        a = tv[xv == values[0]]
-        b = tv[xv == values[1]]
+def _real_target_p(xv: np.ndarray, tv: np.ndarray, distinct: np.ndarray) -> tuple[float, str]:
+    if distinct.size == 2:
+        a = tv[xv == distinct[0]]
+        b = tv[xv == distinct[1]]
         return ks_two_sample_test(a, b), TEST_KS
     if xv.size < 3:
         return 1.0, TEST_KENDALL
@@ -323,58 +320,21 @@ def _real_target_p(xv: np.ndarray, tv: np.ndarray) -> tuple[float, str]:
         return 1.0, TEST_KENDALL
 
 
-def _test_columns(
-    values: np.ndarray,
-    target_rows: np.ndarray,
-    mode: str,
-    class_values: list,
-    cols: range,
-) -> tuple[np.ndarray, list[str], list[int]]:
-    """Test one block of columns; returns (p-values, test kinds, n_effective)."""
-    n_classes = len(class_values) if mode == "multiclass" else 1
-    p_block = np.ones((len(cols), n_classes), dtype=np.float64)
-    kinds: list[str] = []
-    n_eff: list[int] = []
-    for i, col in enumerate(cols):
-        x = values[:, col]
-        mask = ~np.isnan(x)
-        xv = x[mask]
-        n_eff.append(int(mask.sum()))
-        if xv.size == 0 or np.unique(xv).size <= 1:
-            kinds.append(TEST_CONSTANT)
-            continue
-        tv = target_rows[mask]
-        if mode == "binary":
-            in_group = tv == class_values[1]
-            p, kind = _binary_target_p(xv, in_group)
-            p_block[i, 0] = p
-        elif mode == "real":
-            p, kind = _real_target_p(xv, tv)
-            p_block[i, 0] = p
-        else:
-            kind = TEST_FISHER if np.unique(xv).size == 2 else TEST_KS
-            for ci, cls in enumerate(class_values):
-                in_group = tv == cls
-                p_block[i, ci] = _binary_target_p(xv, in_group)[0]
-        kinds.append(kind)
-    return p_block, kinds, n_eff
-
-
 def select_features(
     matrix: FeatureMatrix,
     target: Sequence,
     q: float = 0.05,
     method: str = "by",
-    workers: int = 1,
 ) -> SelectionReport:
     """FRESH selection: test every column, then FDR-select at level q.
 
     The target may be binary (two distinct values, any type), real-valued,
-    or categorical with more than two classes (handled one-vs-rest).  NaN
+    or categorical with more than two classes (handled one-vs-rest).  A
+    binary target is one group, its second class against the first.  NaN
     feature cells are dropped pairwise per column; a feature that is
-    constant (or all NaN) after dropping gets p = 1.  Column tests are
-    independent; ``workers`` > 1 spreads them over a process pool without
-    changing the result.
+    constant (or all NaN) after dropping gets p = 1.  The columns are tested
+    one after another in this process: each test costs too little for a
+    process pool to pay.
     """
     n = matrix.n_rows
     if n < 2:
@@ -385,42 +345,51 @@ def select_features(
 
     numeric = all(isinstance(v, (int, float, np.integer, np.floating)) for v in target_list)
     if numeric:
-        t_real = np.asarray(target_list, dtype=np.float64)
-        row_ok = ~np.isnan(t_real)
-        t_real = t_real[row_ok]
-        distinct = np.unique(t_real)
-        if distinct.size <= 1:
-            raise DegenerateTarget("target is constant")
-        mode = "binary" if distinct.size == 2 else "real"
-        class_values: list = list(distinct) if mode == "binary" else []
-        target_rows: np.ndarray = t_real
+        target_rows = np.asarray(target_list, dtype=np.float64)
+        row_ok = ~np.isnan(target_rows)
+        target_rows = target_rows[row_ok]
+        classes = np.unique(target_rows)
     else:
-        t_cat = np.asarray([str(v) for v in target_list], dtype=object)
+        target_rows = np.asarray([str(v) for v in target_list], dtype=object)
         row_ok = np.ones(n, dtype=bool)
-        classes = sorted(set(t_cat))
-        if len(classes) <= 1:
-            raise DegenerateTarget("target is constant")
-        mode = "binary" if len(classes) == 2 else "multiclass"
-        class_values = classes
-        target_rows = t_cat
+        classes = sorted(set(target_rows))
+    if len(classes) <= 1:
+        raise DegenerateTarget("target is constant")
+    if numeric and len(classes) > 2:
+        groups = None  # a real target
+    else:  # one-vs-rest; a binary target is one group, its second class
+        groups = classes[1:] if len(classes) == 2 else classes
 
     values = matrix.values[row_ok]
     if values.shape[0] < 2:
         raise DegenerateTarget("fewer than 2 rows with a usable target")
 
     n_cols = matrix.n_cols
-    n_classes = len(class_values) if mode == "multiclass" else 1
-    p_blocks, kind_blocks, eff_blocks = zip(*map_ranges(
-        _test_columns, (values, target_rows, mode, class_values), n_cols, workers
-    ))
-    p_matrix = np.concatenate(p_blocks)
-    kinds = [kind for block in kind_blocks for kind in block]
-    n_eff = [eff for block in eff_blocks for eff in block]
+    p_matrix = np.ones((n_cols, 1 if groups is None else len(groups)), dtype=np.float64)
+    kinds: list[str] = []
+    n_eff: list[int] = []
+    for col in range(n_cols):
+        x = values[:, col]
+        mask = ~np.isnan(x)
+        xv = x[mask]
+        n_eff.append(xv.size)
+        distinct = np.unique(xv)
+        if distinct.size <= 1:
+            kinds.append(TEST_CONSTANT)
+            continue
+        tv = target_rows[mask]
+        if groups is None:
+            p, kind = _real_target_p(xv, tv, distinct)
+            p_matrix[col, 0] = p
+        else:
+            p_matrix[col] = [_group_p(xv, tv == group, distinct) for group in groups]
+            kind = TEST_FISHER if distinct.size == 2 else TEST_KS
+        kinds.append(kind)
 
     selected_mask = np.zeros(n_cols, dtype=bool)
     threshold_rank = 0
-    for ci in range(n_classes):
-        idx, k_star = fdr_select(p_matrix[:, ci], q, method)
+    for p_group in p_matrix.T:
+        idx, k_star = fdr_select(p_group, q, method)
         selected_mask[idx] = True
         threshold_rank = max(threshold_rank, k_star)
 

@@ -71,6 +71,10 @@ class Recording:
         Common sampling rate of all channels, > 0.
     channels : dict
         Maps channel kind to a 1-D float array; all arrays share one length.
+        The recording keeps a float64 array as it is when neither it nor
+        the array owning its memory can be written, and otherwise a
+        read-only copy; a caller that makes such an array writable again
+        can change the recording.
     t0 : float
         Time of the first sample, in seconds.
     """
@@ -99,8 +103,16 @@ class Recording:
                 )
             if not np.all(np.isfinite(arr)):
                 raise InvalidValue(f"channel {kind!r} contains NaN or infinite values")
-            arr = arr.copy()
-            arr.setflags(write=False)
+            base = arr.base
+            if arr.flags.writeable or not (
+                base is None
+                or isinstance(base, np.ndarray)
+                and base.flags.owndata
+                and not base.flags.writeable
+            ):
+                # Someone may still write to this memory: keep a private copy.
+                arr = arr.copy()
+                arr.setflags(write=False)
             frozen[kind] = arr
         object.__setattr__(self, "channels", frozen)
 
@@ -321,6 +333,7 @@ def _group_by_kind(rows: np.ndarray) -> list[tuple[str, np.ndarray, np.ndarray]]
     row_ids = np.repeat(block_ids, np.diff(firsts, append=kinds.shape[0]))
     order = np.argsort(row_ids, kind="stable")
     times, values = rows["t"][order], rows["v"][order]
+    values.setflags(write=False)  # the Recording keeps its slices uncopied
     bounds = np.concatenate(([0], np.cumsum(np.bincount(row_ids))))
     return [
         (name, times[lo:hi], values[lo:hi])

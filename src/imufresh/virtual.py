@@ -77,6 +77,7 @@ def apply_virtual_sensors(
             out = np.empty_like(x)
             out[0] = 0.0
             out[1:] = (x[1:] - x[:-1]) * recording.sample_rate_hz
+        out.setflags(write=False)  # the Recording keeps it uncopied
         channels[spec.output] = out
     return Recording(
         sample_rate_hz=recording.sample_rate_hz, channels=channels, t0=recording.t0

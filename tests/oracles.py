@@ -8,7 +8,10 @@ must agree with it exactly:
 - ``best_split``: the per-feature numpy loop of the forest's split search,
   including which candidate wins a tie;
 - ``load_recording_csv`` and ``save_recording_csv``: the line-at-a-time
-  recording CSV reader and writer.
+  recording CSV reader and writer;
+- ``select_features``: selection's per-target-mode test dispatch (a binary
+  branch, a multiclass branch and a real branch), which must give the same
+  report as the library's single per-column loop.
 """
 
 from __future__ import annotations
@@ -19,7 +22,27 @@ from fractions import Fraction
 
 import numpy as np
 
-from imufresh.errors import InconsistentChannels, InvalidValue, NonUniformSampling
+from imufresh.errors import (
+    BadParameters,
+    DegenerateFeature,
+    DegenerateTable,
+    DegenerateTarget,
+    InconsistentChannels,
+    InvalidValue,
+    NonUniformSampling,
+)
+from imufresh.selection import (
+    TEST_CONSTANT,
+    TEST_FISHER,
+    TEST_KENDALL,
+    TEST_KS,
+    FeatureTargetTest,
+    SelectionReport,
+    fdr_select,
+    fisher_exact_test,
+    kendall_tau_test,
+    ks_two_sample_test,
+)
 from imufresh.timeseries import UNIFORM_STEP_RTOL, Recording, render_float, validate_kind
 
 
@@ -204,6 +227,121 @@ def by_selected(p_values, q):
         return set()
     threshold = p_values[order[k_star - 1]]
     return {i for i in range(m) if p_values[i] <= threshold}
+
+
+# --- feature selection ---------------------------------------------------------
+
+def _binary_target_p(xv, in_group):
+    """p for a non-constant feature against a boolean group indicator."""
+    g0 = xv[~in_group]
+    g1 = xv[in_group]
+    values = np.unique(xv)
+    kind = TEST_FISHER if values.size == 2 else TEST_KS
+    if g0.size == 0 or g1.size == 0:
+        return 1.0, kind
+    if values.size == 2:
+        table = [
+            [int(np.sum(g0 == values[0])), int(np.sum(g1 == values[0]))],
+            [int(np.sum(g0 == values[1])), int(np.sum(g1 == values[1]))],
+        ]
+        try:
+            return fisher_exact_test(table), kind
+        except DegenerateTable:
+            return 1.0, kind
+    return ks_two_sample_test(g0, g1), kind
+
+
+def _real_target_p(xv, tv):
+    values = np.unique(xv)
+    if values.size == 2:
+        a = tv[xv == values[0]]
+        b = tv[xv == values[1]]
+        return ks_two_sample_test(a, b), TEST_KS
+    if xv.size < 3:
+        return 1.0, TEST_KENDALL
+    try:
+        return kendall_tau_test(xv, tv), TEST_KENDALL
+    except DegenerateFeature:
+        return 1.0, TEST_KENDALL
+
+
+def _test_columns(values, target_rows, mode, class_values):
+    """(p-values, test kinds, n_effective) of every column."""
+    n_classes = len(class_values) if mode == "multiclass" else 1
+    p_block = np.ones((values.shape[1], n_classes), dtype=np.float64)
+    kinds = []
+    n_eff = []
+    for col in range(values.shape[1]):
+        x = values[:, col]
+        mask = ~np.isnan(x)
+        xv = x[mask]
+        n_eff.append(int(mask.sum()))
+        if xv.size == 0 or np.unique(xv).size <= 1:
+            kinds.append(TEST_CONSTANT)
+            continue
+        tv = target_rows[mask]
+        if mode == "binary":
+            p, kind = _binary_target_p(xv, tv == class_values[1])
+            p_block[col, 0] = p
+        elif mode == "real":
+            p, kind = _real_target_p(xv, tv)
+            p_block[col, 0] = p
+        else:
+            kind = TEST_FISHER if np.unique(xv).size == 2 else TEST_KS
+            for ci, cls in enumerate(class_values):
+                p_block[col, ci] = _binary_target_p(xv, tv == cls)[0]
+        kinds.append(kind)
+    return p_block, kinds, n_eff
+
+
+def select_features(matrix, target, q=0.05, method="by"):
+    """The selection report, dispatched on the target mode: binary,
+    multiclass (one-vs-rest over every class) or real."""
+    n = matrix.n_rows
+    if n < 2:
+        raise BadParameters("selection requires at least 2 rows")
+    target_list = list(target)
+    if len(target_list) != n:
+        raise BadParameters(f"target length {len(target_list)} != row count {n}")
+    numeric = all(isinstance(v, (int, float, np.integer, np.floating)) for v in target_list)
+    if numeric:
+        t_real = np.asarray(target_list, dtype=np.float64)
+        row_ok = ~np.isnan(t_real)
+        t_real = t_real[row_ok]
+        distinct = np.unique(t_real)
+        if distinct.size <= 1:
+            raise DegenerateTarget("target is constant")
+        mode = "binary" if distinct.size == 2 else "real"
+        class_values = list(distinct) if mode == "binary" else []
+        target_rows = t_real
+    else:
+        t_cat = np.asarray([str(v) for v in target_list], dtype=object)
+        row_ok = np.ones(n, dtype=bool)
+        classes = sorted(set(t_cat))
+        if len(classes) <= 1:
+            raise DegenerateTarget("target is constant")
+        mode = "binary" if len(classes) == 2 else "multiclass"
+        class_values = classes
+        target_rows = t_cat
+    values = matrix.values[row_ok]
+    if values.shape[0] < 2:
+        raise DegenerateTarget("fewer than 2 rows with a usable target")
+
+    p_matrix, kinds, n_eff = _test_columns(values, target_rows, mode, class_values)
+    selected_mask = np.zeros(matrix.n_cols, dtype=bool)
+    threshold_rank = 0
+    for ci in range(p_matrix.shape[1]):
+        idx, k_star = fdr_select(p_matrix[:, ci], q, method)
+        selected_mask[idx] = True
+        threshold_rank = max(threshold_rank, k_star)
+    best_p = p_matrix.min(axis=1)
+    order = np.argsort(best_p, kind="stable")
+    tests = tuple(
+        FeatureTargetTest(matrix.feature_names[i], kinds[i], float(best_p[i]), n_eff[i])
+        for i in order
+    )
+    selected = tuple(matrix.feature_names[i] for i in order if selected_mask[i])
+    return SelectionReport(q=q, tests=tests, selected=selected, threshold_rank=threshold_rank)
 
 
 # --- forest split search -----------------------------------------------------

@@ -82,6 +82,16 @@ def test_top_k_zero_is_a_config_error(workspace):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["n_trees", "min_leaf", "mtry", "max_depth"])
+def test_forest_param_zero_is_a_config_error(workspace, key):
+    cfg = workspace / f"{key}0.cfg"
+    cfg.write_text((workspace / "pipe.cfg").read_text() + f"{key} = 0\n")
+    out = workspace / f"{key}0"
+    rc = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_corrupt_model_exit_code(workspace, tmp_path):
     artifacts = workspace / "artifacts"
     lines = (artifacts / "model.txt").read_text().splitlines()

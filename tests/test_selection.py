@@ -201,6 +201,19 @@ def _matrix(columns: dict[str, np.ndarray], labels=None):
     )
 
 
+def _random_column(rng, n, shape):
+    """A real, tied, binary, constant or all-NaN column of n rows."""
+    if shape == 0:
+        return rng.standard_normal(n)
+    if shape == 1:
+        return rng.integers(0, 4, n).astype(np.float64)
+    if shape == 2:
+        return rng.integers(0, 2, n).astype(np.float64)
+    if shape == 3:
+        return np.full(n, 2.5)
+    return np.full(n, np.nan)
+
+
 class TestSelectFeatures:
     def test_identical_binary_feature_is_top_and_selected(self):
         rng = np.random.default_rng(0)
@@ -315,21 +328,11 @@ class TestSelectFeatures:
         loose = set(select_features(matrix, target, q=0.2).selected_canonical())
         assert tight <= loose
 
-    def test_workers_do_not_change_report(self):
-        rng = np.random.default_rng(11)
-        target = ["a"] * 20 + ["b"] * 20
-        cols = {f"f{i:02d}": rng.standard_normal(40) for i in range(12)}
-        matrix = _matrix(cols)
-        seq = select_features(matrix, target, q=0.05, workers=1)
-        par = select_features(matrix, target, q=0.05, workers=3)
-        assert [t.p_value for t in seq.tests] == [t.p_value for t in par.tests]
-        assert seq.selected_canonical() == par.selected_canonical()
-
     @pytest.mark.parametrize(
         "n_rows, n_cols", [(40, 0), (40, 1), (1, 3), (0, 3)],
         ids=["zero-columns", "one-column", "one-row", "zero-rows"],
     )
-    def test_small_inputs_match_across_workers(self, n_rows, n_cols):
+    def test_small_inputs_match_reference(self, n_rows, n_cols):
         rng = np.random.default_rng(13)
         target = ["a", "b"] * (n_rows // 2) + ["a"] * (n_rows % 2)
         names = tuple(FeatureName(f"f{i}", "minimum") for i in range(n_cols))
@@ -337,14 +340,43 @@ class TestSelectFeatures:
             names, rng.standard_normal((n_rows, n_cols)), np.arange(n_rows), None
         )
         if n_rows < 2:
-            for workers in (1, 2):
-                with pytest.raises(BadParameters):
-                    select_features(matrix, target, workers=workers)
+            with pytest.raises(BadParameters):
+                select_features(matrix, target)
             return
-        seq = select_features(matrix, target, workers=1)
-        par = select_features(matrix, target, workers=2)
-        assert par == seq
-        assert len(par.tests) == n_cols
+        report = select_features(matrix, target)
+        assert report == oracles.select_features(matrix, target)
+        assert len(report.tests) == n_cols
+
+    def test_matches_reference_on_random_cases(self):
+        rng = np.random.default_rng(14)
+        for case in range(400):
+            n = int(rng.integers(2, 41))
+            kind = ("binary", "4-class", "numeric-binary", "real")[case % 4]
+            if kind == "binary":
+                target = list(rng.choice(["walk", "run"], n))
+            elif kind == "4-class":
+                target = list(rng.choice(["a", "b", "c", "d"], n))
+            elif kind == "numeric-binary":
+                target = list(rng.choice([3, 7], n))
+            else:
+                target = list(rng.standard_normal(n).round(int(rng.integers(0, 3))))
+                target[int(rng.integers(n))] = float("nan")
+            columns = {}
+            for j in range(int(rng.integers(1, 9))):
+                col = _random_column(rng, n, j % 5)
+                if rng.random() < 0.3:
+                    col[rng.random(n) < 0.2] = np.nan
+                columns[f"f{j}"] = col
+            matrix = _matrix(columns)
+            q = float(rng.choice([0.05, 0.2, 0.5]))
+            method = ("by", "bh")[case % 2]
+            try:
+                expected = oracles.select_features(matrix, target, q=q, method=method)
+            except (BadParameters, DegenerateTarget) as exc:
+                with pytest.raises(type(exc)):
+                    select_features(matrix, target, q=q, method=method)
+                continue
+            assert select_features(matrix, target, q=q, method=method) == expected, case
 
     def test_report_csv_format(self):
         rng = np.random.default_rng(12)

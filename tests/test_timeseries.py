@@ -88,6 +88,15 @@ class TestIngestion:
         with pytest.raises(ValueError):
             rec.channels["k"][0] = 99.0
 
+    def test_read_only_view_of_writable_array_is_copied(self):
+        owner = np.array([1.0, 2.0, 3.0])
+        view = owner[:]
+        view.setflags(write=False)
+        rec = Recording(sample_rate_hz=1.0, channels={"k": view})
+        owner[0] = 99.0
+        assert not np.shares_memory(rec.channels["k"], owner)
+        assert rec.channels["k"][0] == 1.0
+
     def test_nonzero_t0(self):
         rec = load_recording_csv(_csv(["10.0,a,1.0", "10.002,a,2.0"]))
         assert rec.t0 == 10.0

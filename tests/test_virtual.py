@@ -57,6 +57,12 @@ class TestApply:
         assert rec.kinds == ("a", "b")
         assert len(out.channels) == len(rec.channels) + 1
 
+    def test_base_channels_share_memory_with_input(self):
+        rec = _rec({"a": [1.0, 2.0], "b": [3.0, 4.0]})
+        out = apply_virtual_sensors(rec, [VirtualSensorSpec("diff", ("a", "b"), "c")])
+        assert np.shares_memory(out.channels["a"], rec.channels["a"])
+        assert not out.channels["c"].flags.writeable
+
     def test_missing_input(self):
         rec = _rec({"a": [1.0, 2.0]})
         with pytest.raises(UnknownKind):
