@@ -22,7 +22,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -253,12 +253,27 @@ def _resolve_specs(config: PipelineConfig, recording: Recording) -> list[Virtual
     return specs
 
 
-def _load_settings(settings_file: str | None, engineered: Recording) -> ExtractionSettings:
-    """The settings file's features, or the full default grid without one."""
+def _load_settings(settings_file: str | None, kinds: Iterable[str]) -> ExtractionSettings:
+    """The settings file's features, or the full default grid over *kinds*
+    without one."""
     if settings_file is None:
-        return default_settings(engineered.channels)
+        return default_settings(kinds)
     with open(settings_file, "r", encoding="utf-8") as fh:
-        return read_settings_file(fh, set(engineered.channels))
+        return read_settings_file(fh, set(kinds))
+
+
+def _referenced_specs(
+    specs: Sequence[VirtualSensorSpec], kinds: Iterable[str]
+) -> list[VirtualSensorSpec]:
+    """The specs, in order, whose outputs *kinds* reference directly or
+    through the inputs of a later referenced spec."""
+    needed = set(kinds)
+    kept = []
+    for spec in reversed(specs):
+        if spec.output in needed:
+            kept.append(spec)
+            needed.update(spec.inputs)
+    return kept[::-1]
 
 
 def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -291,7 +306,7 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
     windows = segment_fixed(engineered, config.window_seconds, intervals)
     if not windows.windows:
         raise DataError("no labeled windows; check the label intervals")
-    settings = _load_settings(config.settings_file, engineered)
+    settings = _load_settings(config.settings_file, engineered.channels)
     matrix = extract(windows, engineered, settings, workers=config.workers)
     matrix_path = str(out / "features_full.csv")
     save_matrix(matrix, matrix_path)
@@ -460,11 +475,12 @@ def predict(
 ) -> PredictionTimeline:
     """Deployment path: restricted extraction driven by parsed feature names.
 
-    Replays the manifest's virtual sensors and window length on the new
-    recording, extracts exactly the model's features, and predicts per
-    window.  When a labels file is supplied (overlaps raise
-    OverlappingLabels), true labels and misclassification flags are attached
-    to every window whose span lies in a label interval.
+    Replays the manifest's window length, and those of its virtual sensors
+    that the model's features reference, on the new recording, extracts
+    exactly the model's features, and predicts per window.  When a labels
+    file is supplied (overlaps raise OverlappingLabels), true labels and
+    misclassification flags are attached to every window whose span lies
+    in a label interval.
     """
     manifest = read_manifest(manifest_path)
     window_seconds = float(manifest_value(manifest, "window_seconds"))
@@ -472,12 +488,14 @@ def predict(
 
     model = load_model_file(model_path)
     recording = load_recording(recording_path)
-    engineered = apply_virtual_sensors(recording, specs)
-    settings = _load_settings(settings_path, engineered)
+    settings = _load_settings(
+        settings_path, set(recording.channels).union(spec.output for spec in specs)
+    )
     if settings.canonical_names() != tuple(f.canonical() for f in model.feature_names):
         raise FeatureSetMismatch(
             "restricted settings do not match the model's feature list"
         )
+    engineered = apply_virtual_sensors(recording, _referenced_specs(specs, settings.kinds))
 
     windows = segment_fixed(engineered, window_seconds, labels=None)
     matrix = extract(windows, engineered, settings, workers=workers)
@@ -555,7 +573,7 @@ def benchmark(
     windows = segment_fixed(engineered, config.window_seconds, intervals)
     stages.append(("segment", time.perf_counter() - t))
 
-    settings = _load_settings(config.settings_file, engineered)
+    settings = _load_settings(config.settings_file, engineered.channels)
 
     extraction: list[tuple[int, float, float]] = []
     for workers in worker_counts:

@@ -12,6 +12,7 @@ concurrently.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import re
@@ -61,6 +62,10 @@ def render_float(v: float) -> str:
     return repr(float(v))
 
 
+class _OwnChannels(dict):
+    """float64 arrays no caller holds, which a Recording keeps uncopied."""
+
+
 @dataclass(frozen=True, eq=False)
 class Recording:
     """Synchronized multi-channel signal store.
@@ -71,10 +76,9 @@ class Recording:
         Common sampling rate of all channels, > 0.
     channels : dict
         Maps channel kind to a 1-D float array; all arrays share one length.
-        The recording keeps a float64 array as it is when neither it nor
-        the array owning its memory can be written, and otherwise a
-        read-only copy; a caller that makes such an array writable again
-        can change the recording.
+        The recording keeps a read-only float64 copy of each, so that no
+        caller can change it afterwards, not even by making an array it
+        passed writable again.
     t0 : float
         Time of the first sample, in seconds.
     """
@@ -89,10 +93,11 @@ class Recording:
         if not (self.sample_rate_hz > 0):
             raise InvalidValue(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         frozen: dict[str, np.ndarray] = {}
+        own = isinstance(self.channels, _OwnChannels)
         length = None
         for kind, values in self.channels.items():
             validate_kind(kind)
-            arr = np.asarray(values, dtype=np.float64)
+            arr = np.asarray(values) if own else np.array(values, dtype=np.float64)
             if arr.ndim != 1 or arr.shape[0] < 1:
                 raise InconsistentChannels(f"channel {kind!r} must be a non-empty 1-D sequence")
             if length is None:
@@ -103,16 +108,7 @@ class Recording:
                 )
             if not np.all(np.isfinite(arr)):
                 raise InvalidValue(f"channel {kind!r} contains NaN or infinite values")
-            base = arr.base
-            if arr.flags.writeable or not (
-                base is None
-                or isinstance(base, np.ndarray)
-                and base.flags.owndata
-                and not base.flags.writeable
-            ):
-                # Someone may still write to this memory: keep a private copy.
-                arr = arr.copy()
-                arr.setflags(write=False)
+            arr.setflags(write=False)
             frozen[kind] = arr
         object.__setattr__(self, "channels", frozen)
 
@@ -221,60 +217,50 @@ def load_recording_csv(stream: BinaryIO | TextIO) -> Recording:
     InconsistentChannels, NonUniformSampling, InvalidValue, InvalidKindName
     """
     raw = stream.read()
-    return _parse_recording(raw.encode("utf-8") if isinstance(raw, str) else raw, None)
+    return _parse_recording(raw.encode("utf-8") if isinstance(raw, str) else raw)
 
 
 def load_recording(path: str) -> Recording:
     """Read the recording CSV at *path*; see :func:`load_recording_csv`."""
     path = os.fspath(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return _parse_recording(data, path)
+    if path.endswith(_COMPRESSED_SUFFIXES):
+        with open(path, "rb") as fh:
+            return _parse_recording(fh.read())
+    return _parse_recording(path)
 
 
 # Suffixes numpy's reader decompresses when it opens a file by name.  A plain
 # recording with such a name is parsed from its lines instead.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
+# Bytes the header and comma scan reads at a time: its buffers stay this small.
+_SCAN_BYTES = 1 << 20
 
-def _parse_recording(data: bytes, path: str | None) -> Recording:
-    """The reader behind both entry points; *data* is the whole CSV.
 
-    numpy's C text reader parses all rows in one call: from *path* when
-    given (it reads a named file fastest, even though the file was read into
-    *data* already), else from the lines of *data*.  The comma positions
-    give it the width of the kind field.
-    """
-    if b"\r" in data:  # universal newlines, as numpy reads a named file
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    end = data.find(b"\n")
-    header = data if end < 0 else data[:end]
-    if header != b"time,kind,value":
-        text = header.decode("utf-8", "replace")
-        raise InconsistentChannels(f"expected header 'time,kind,value', got {text!r}")
-    commas = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord(","))
-    # numpy drops trailing NUL bytes from a kind, so a NUL is checked by line.
-    if commas.size <= 2 or commas.size % 2 or b"\0" in data:
-        _check_lines(data)
-    # Every non-blank line, the header too, now has two commas, and each
-    # pair bounds a kind.  The kind field must hold the longest one: numpy
-    # truncates longer kinds without a word.
-    pairs = commas.reshape(-1, 2)
-    width = int(np.max(pairs[:, 1] - pairs[:, 0])) - 1
+def _parse_recording(source: str | bytes) -> Recording:
+    """The reader behind both entry points: numpy's C text reader parses a
+    path by name, or the lines of the whole CSV given as bytes.  A path is
+    read whole only when a check fails and the first bad line is named."""
+    with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
+        width, clean = _scan(fh)
+    if not clean:
+        _check_lines(_whole(source))
     dtype = [("t", np.float64), ("k", f"S{width}"), ("v", np.float64)]
     try:
-        if path is not None and not path.endswith(_COMPRESSED_SUFFIXES):
-            rows = _loadtxt(path, dtype, skiprows=1)
-        else:
-            rows = _loadtxt(data.decode("utf-8").split("\n"), dtype, skiprows=1)
+        rows = _loadtxt(
+            source if isinstance(source, str) else _whole(source).decode("utf-8").split("\n"),
+            dtype, skiprows=1,
+        )
     except ValueError:
         # Some field does not parse.  Name the first line with a bad field
         # count or kind, else parse kind by kind, so that a fault in an
         # earlier kind is still raised first.
+        data = _whole(source)
         _check_lines(data)
         columns = _parse_each_kind(data, dtype)
     else:
         columns = _group_by_kind(rows)
+        del rows  # the generator lets go of it after the last kind
 
     channels: dict[str, np.ndarray] = {}
     grid: np.ndarray | None = None
@@ -311,7 +297,45 @@ def _parse_recording(data: bytes, path: str | None) -> Recording:
             f"non-uniform time step: median {dt}, worst deviation "
             f"{float(np.max(np.abs(steps - dt)))}"
         )
-    return Recording(sample_rate_hz=1.0 / dt, channels=channels, t0=float(grid[0]))
+    return Recording(1.0 / dt, _OwnChannels(channels), float(grid[0]))
+
+
+def _scan(fh: BinaryIO) -> tuple[int, bool]:
+    """Check the header of the CSV read from *fh* in blocks of ``_SCAN_BYTES``
+    and return (the width of its longest kind, whether every line may have
+    three fields: even commas, more than two, and no NUL byte, which numpy
+    drops from a kind).  Each comma pairs with the next, across blocks too,
+    and bounds a kind; numpy truncates a kind longer than the field."""
+    head = b""  # enough of the file to hold the header line and its end
+    carry = np.zeros(0, dtype=np.intp)  # a comma whose pair is in a later block
+    offset = pairs = width = 0
+    nul = False
+    while block := fh.read(_SCAN_BYTES):
+        if len(head) <= len(b"time,kind,value"):
+            head += block
+        nul = nul or b"\0" in block
+        at = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord(",")) + offset
+        commas = np.concatenate((carry, at))
+        even = commas.size - commas.size % 2
+        carry = commas[even:]
+        width = max(width, int(np.max(commas[1:even:2] - commas[:even:2], initial=1)) - 1)
+        pairs += even // 2
+        offset += len(block)
+    header = re.split(rb"[\r\n]", head, maxsplit=1)[0]
+    if header != b"time,kind,value":
+        text = header.decode("utf-8", "replace")
+        raise InconsistentChannels(f"expected header 'time,kind,value', got {text!r}")
+    return width, not carry.size and pairs > 1 and not nul
+
+
+def _whole(source: str | bytes) -> bytes:
+    """The whole CSV, with universal newlines as numpy reads a named file."""
+    if isinstance(source, str):
+        with open(source, "rb") as fh:
+            source = fh.read()
+    if b"\r" in source:
+        source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return source
 
 
 def _loadtxt(source, dtype: list, skiprows: int = 0) -> np.ndarray:
@@ -321,24 +345,39 @@ def _loadtxt(source, dtype: list, skiprows: int = 0) -> np.ndarray:
     )
 
 
-def _group_by_kind(rows: np.ndarray) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """(kind, times, values) per kind in first-appearance order, found from
-    the change points of the kind column, so blocks and interleaved rows
-    both group.  numpy stores each kind's characters as latin-1 bytes."""
+def _group_by_kind(rows: np.ndarray):
+    """Yield (kind, times, values) per kind in first-appearance order, for
+    blocks and interleaved rows alike.  The change points of the kind column
+    give each row a small-int kind id; a mask per kind picks its rows in
+    order, and its values fill a slice of one block.  numpy stores each
+    kind's characters as latin-1 bytes."""
     kinds = rows["k"]
-    firsts = np.concatenate(([0], np.flatnonzero(kinds[1:] != kinds[:-1]) + 1))
-    ids: dict[bytes, int] = {}
-    block_ids = [ids.setdefault(kind, len(ids)) for kind in kinds[firsts].tolist()]
-    names = [validate_kind(kind.decode("latin-1")) for kind in ids]
-    row_ids = np.repeat(block_ids, np.diff(firsts, append=kinds.shape[0]))
-    order = np.argsort(row_ids, kind="stable")
-    times, values = rows["t"][order], rows["v"][order]
-    values.setflags(write=False)  # the Recording keeps its slices uncopied
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(row_ids))))
-    return [
-        (name, times[lo:hi], values[lo:hi])
-        for name, lo, hi in zip(names, bounds[:-1], bounds[1:])
-    ]
+    change = np.empty(kinds.shape, dtype=bool)
+    change[0] = True
+    np.not_equal(kinds[1:], kinds[:-1], out=change[1:])
+    run_kinds = kinds[change]
+    # Ids and run numbers take the smallest integer type that holds them.
+    run_ids = np.full(run_kinds.shape, -1, dtype=np.min_scalar_type(-run_kinds.size))
+    names: list[str] = []
+    first = 0  # the first run without an id
+    while first < run_ids.size:
+        run_ids[first:][run_kinds[first:] == run_kinds[first]] = len(names)
+        names.append(validate_kind(run_kinds[first].decode("latin-1")))
+        # argmax is 0, a run with an id, once every run has one
+        first += int(np.argmax(run_ids[first:] < 0)) or run_ids.size
+    del run_kinds
+    run_of_row = np.cumsum(change, dtype=np.min_scalar_type(run_ids.size))
+    run_of_row -= 1
+    row_ids = run_ids.astype(np.min_scalar_type(len(names)))[run_of_row]
+    del change, run_ids, run_of_row
+    values = np.empty(kinds.shape)
+    lo = 0
+    for k, name in enumerate(names):
+        mask = row_ids == k
+        hi = lo + np.count_nonzero(mask)
+        values[lo:hi] = rows["v"][mask]
+        yield name, rows["t"][mask], values[lo:hi]
+        lo = hi
 
 
 def _parse_each_kind(data: bytes, dtype: list):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters, DuplicateKind, NoPairsFound, UnknownKind
-from .timeseries import Recording, validate_kind
+from .timeseries import Recording, _OwnChannels, validate_kind
 
 VIRTUAL_OPS = ("abs_diff", "diff", "derivative")
 
@@ -77,11 +77,8 @@ def apply_virtual_sensors(
             out = np.empty_like(x)
             out[0] = 0.0
             out[1:] = (x[1:] - x[:-1]) * recording.sample_rate_hz
-        out.setflags(write=False)  # the Recording keeps it uncopied
         channels[spec.output] = out
-    return Recording(
-        sample_rate_hz=recording.sample_rate_hz, channels=channels, t0=recording.t0
-    )
+    return Recording(recording.sample_rate_hz, _OwnChannels(channels), recording.t0)
 
 
 def default_pairing(

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from imufresh import pipeline
 from imufresh.calculators import settings_from_feature_names
 from imufresh.errors import (
     ConfigError,
@@ -25,7 +26,7 @@ from imufresh.timeseries import (
     save_recording,
     segment_fixed,
 )
-from imufresh.virtual import VirtualSensorSpec
+from imufresh.virtual import VirtualSensorSpec, apply_virtual_sensors
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +303,18 @@ class TestPredict:
         starts = [r.start_s for r in timeline.rows]
         assert starts == sorted(starts)
 
+    def test_unreferenced_virtual_sensor_is_not_applied(self, run_result, train_data, tmp_path):
+        # the extra spec's input is missing, so applying it would raise UnknownKind
+        rec_path, _ = train_data
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(
+            Path(run_result.manifest_path).read_text()
+            + "virtual_sensor = derivative gyro_q_l gyro_q_l_rate\n"
+        )
+        args = (run_result.model_path, run_result.settings_path, str(rec_path))
+        timeline = predict(*args, str(manifest))
+        assert timeline == predict(*args, run_result.manifest_path)
+
 
 class TestDeterminism:
     def test_identical_runs_bitwise(self, train_data, tmp_path):
@@ -390,3 +403,30 @@ class TestExplicitVirtualSensors:
             result.model_path, result.settings_path, str(rec_path), result.manifest_path
         )
         assert len(timeline.rows) == 30
+
+    def test_predict_applies_referenced_specs_in_manifest_order(
+        self, train_data, tmp_path, monkeypatch
+    ):
+        rec_path, _ = train_data
+        settings_path = tmp_path / "restricted.txt"
+        settings_path.write_text("dx_rate__variance\ndx_rate__abs_energy\n")
+        specs = (
+            VirtualSensorSpec("diff", ("accel_x_l", "accel_x_r"), "dx"),
+            VirtualSensorSpec("abs_diff", ("accel_y_l", "accel_y_r"), "dy"),
+            VirtualSensorSpec("derivative", ("dx",), "dx_rate"),
+        )
+        config = _config(
+            train_data, tmp_path / "vs", auto_pair=None, virtual_sensors=specs,
+            settings_file=str(settings_path), repeats=1, n_trees=20,
+        )
+        result = run_full_pipeline(config)
+        assert {f.kind for f in result.top_features} == {"dx_rate"}
+        applied = []
+
+        def spy(recording, specs):
+            applied.append(list(specs))
+            return apply_virtual_sensors(recording, specs)
+
+        monkeypatch.setattr(pipeline, "apply_virtual_sensors", spy)
+        predict(result.model_path, result.settings_path, str(rec_path), result.manifest_path)
+        assert applied == [[specs[0], specs[2]]]

@@ -1,9 +1,11 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from imufresh import timeseries
 from imufresh.errors import (
     ImufreshError,
     InconsistentChannels,
@@ -96,6 +98,14 @@ class TestIngestion:
         owner[0] = 99.0
         assert not np.shares_memory(rec.channels["k"], owner)
         assert rec.channels["k"][0] == 1.0
+
+    def test_read_only_array_made_writable_again_is_copied(self):
+        a = np.arange(5.0)
+        a.setflags(write=False)
+        rec = Recording(1.0, {"x": a})
+        a.setflags(write=True)
+        a[0] = 9
+        assert rec.channels["x"][0] == 0.0
 
     def test_nonzero_t0(self):
         rec = load_recording_csv(_csv(["10.0,a,1.0", "10.002,a,2.0"]))
@@ -247,6 +257,19 @@ class TestReaderMatchesLineLoop:
         assert _outcome(lambda: load_recording_csv(io.BytesIO(text.encode()))) == want
         assert _outcome(lambda: load_recording_csv(io.StringIO(text))) == want
 
+    @pytest.mark.parametrize("scan_bytes", [1, 2, 7, 64])
+    def test_same_at_every_scan_block_size(self, scan_bytes, monkeypatch, tmp_path):
+        # Small blocks split the header, a "\r\n", a kind's comma pair and
+        # the final line without a newline across blocks.
+        monkeypatch.setattr(timeseries, "_SCAN_BYTES", scan_bytes)
+        path = tmp_path / "rec.csv"
+        for name, text in sorted(READER_CASES.items()):
+            data = text.encode()
+            want = _outcome(lambda: oracles.load_recording_csv(io.BytesIO(data)))
+            path.write_bytes(data)
+            assert _outcome(lambda: load_recording(str(path))) == want, name
+            assert _outcome(lambda: load_recording_csv(io.BytesIO(data))) == want, name
+
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".csv.gz"])
     def test_plain_text_with_a_compression_suffix(self, suffix, tmp_path):
         # numpy decompresses a named file by suffix; a plain one still loads
@@ -262,6 +285,38 @@ class TestReaderMatchesLineLoop:
         assert oracles.load_recording_csv(io.BytesIO(text.encode())).channels["a"][0] == 1000.0
         with pytest.raises(InvalidValue):
             load_recording_csv(io.BytesIO(text.encode()))
+
+
+class TestReaderMemory:
+    """Reading a path holds no copy of the file and no per-byte array: the
+    traced peak is numpy's rows plus the channels, about 1.1x the file."""
+
+    @pytest.mark.parametrize("layout", ["blocks", "interleaved"])
+    def test_peak_at_most_one_and_a_half_times_the_file(self, layout, tmp_path):
+        rng = np.random.default_rng(3)
+        kinds = [f"{sensor}_{axis}_l" for sensor in ("accel", "gyro") for axis in "xyz"]
+        n = 100_000 // len(kinds)
+        times = [repr(t) for t in (np.arange(n) / 100.0).tolist()]
+        values = {kind: [repr(v) for v in rng.standard_normal(n).tolist()] for kind in kinds}
+        if layout == "blocks":
+            rows = [(i, kind) for kind in kinds for i in range(n)]
+        else:
+            rows = [(i, kind) for i in range(n) for kind in kinds]
+        path = tmp_path / "rec.csv"
+        path.write_text(
+            "time,kind,value\n" + "".join(f"{times[i]},{k},{values[k][i]}\n" for i, k in rows)
+        )
+        del rows, values
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rec = load_recording(str(path))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert list(rec.channels) == kinds and rec.length == n
+        assert peak <= 1.5 * path.stat().st_size
 
 
 class TestWriter:
