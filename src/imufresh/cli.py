@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("benchmark", help="time the data path")
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--workers", type=int, default=None,
-                         help="extra worker count to time (besides 1)")
+                         help="worker count to time at (overrides the config's workers)")
     p_bench.add_argument("--artifacts", default=None,
                          help="completed run directory; also time restricted predict")
 
@@ -165,9 +165,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    counts = sorted({1, args.workers}) if args.workers else None
-    report = benchmark(config, worker_counts=counts, artifacts_dir=args.artifacts)
+    config = load_config(args.config, {"workers": args.workers})
+    report = benchmark(config, artifacts_dir=args.artifacts)
     print(report.to_text())
     return EXIT_OK
 

@@ -17,13 +17,12 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import MalformedFeatureName
-from .timeseries import validate_kind
+from .timeseries import _IDENT_RE, validate_kind
 
 SEPARATOR = "__"
 
 ParamValue = bool | int | float | str
 
-_IDENT_RE = re.compile(r"^[A-Za-z0-9]+(?:_[A-Za-z0-9]+)*$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 

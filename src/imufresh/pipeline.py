@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .calculators import (
     write_settings_file,
 )
 from .errors import (
+    BadParameters,
     ConfigError,
     DataError,
     FeatureSetMismatch,
@@ -245,6 +247,14 @@ class PipelineResult:
     step_seconds: dict[str, float] = field(default_factory=dict)
 
 
+@contextmanager
+def _timed(timings: dict[str, float], name: str) -> Iterator[None]:
+    """Record the wall time of the ``with`` block as ``timings[name]``."""
+    started = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - started
+
+
 def _resolve_specs(config: PipelineConfig, recording: Recording) -> list[VirtualSensorSpec]:
     specs: list[VirtualSensorSpec] = []
     if config.auto_pair is not None:
@@ -287,42 +297,39 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
-    started = time.perf_counter()
 
     # Step 1: ingest + virtual sensors.
-    recording = load_recording(config.recording)
-    intervals = load_labels(config.labels)
-    specs = _resolve_specs(config, recording)
-    engineered = apply_virtual_sensors(recording, specs)
-    engineered_path = str(out / "engineered.csv")
-    save_recording(engineered, engineered_path)
-    timings["engineer"] = time.perf_counter() - started
+    with _timed(timings, "engineer"):
+        recording = load_recording(config.recording)
+        intervals = load_labels(config.labels)
+        specs = _resolve_specs(config, recording)
+        engineered = apply_virtual_sensors(recording, specs)
+        engineered_path = str(out / "engineered.csv")
+        save_recording(engineered, engineered_path)
     logger.info(
         "step 1: %d physical + %d virtual channels", len(recording.channels), len(specs)
     )
 
     # Step 2: segmentation + exhaustive extraction.
-    t1 = time.perf_counter()
-    windows = segment_fixed(engineered, config.window_seconds, intervals)
-    if not windows.windows:
-        raise DataError("no labeled windows; check the label intervals")
-    settings = _load_settings(config.settings_file, engineered.channels)
-    matrix = extract(windows, engineered, settings, workers=config.workers)
-    matrix_path = str(out / "features_full.csv")
-    save_matrix(matrix, matrix_path)
-    timings["extract"] = time.perf_counter() - t1
+    with _timed(timings, "extract"):
+        windows = segment_fixed(engineered, config.window_seconds, intervals)
+        if not windows.windows:
+            raise DataError("no labeled windows; check the label intervals")
+        settings = _load_settings(config.settings_file, engineered.channels)
+        matrix = extract(windows, engineered, settings, workers=config.workers)
+        matrix_path = str(out / "features_full.csv")
+        save_matrix(matrix, matrix_path)
     logger.info(
         "step 2: %d labeled windows x %d features (%d dropped as unlabeled)",
         matrix.n_rows, matrix.n_cols, len(windows.unlabeled),
     )
 
     # Step 3: FRESH selection at FDR q.
-    t2 = time.perf_counter()
-    labels = list(windows.labels or ())
-    report = select_features(matrix, labels, q=config.q)
-    selection_path = str(out / "selection.csv")
-    save_report(report, selection_path)
-    timings["select"] = time.perf_counter() - t2
+    with _timed(timings, "select"):
+        labels = list(windows.labels or ())
+        report = select_features(matrix, labels, q=config.q)
+        selection_path = str(out / "selection.csv")
+        save_report(report, selection_path)
     logger.info("step 3: %d of %d features selected at q=%s",
                 len(report.selected), matrix.n_cols, config.q)
     if not report.selected:
@@ -332,47 +339,45 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
         )
 
     # Step 4: importance ranking over the selected columns only.
-    t3 = time.perf_counter()
-    selected_matrix = matrix.subset(report.selected)
-    has_nan = np.isnan(selected_matrix.values).any(axis=0)
-    nan_free = [f for f, bad in zip(selected_matrix.feature_names, has_nan) if not bad]
-    dropped = int(has_nan.sum())
-    if dropped:
-        logger.info("step 4: dropping %d selected columns containing NaN", dropped)
-    if not nan_free:
-        raise NothingSelected("every selected feature column contains NaN")
-    usable = selected_matrix.subset(nan_free)
-    ranked = aggregate_importances(
-        usable, labels, config.repeats, config.forest_params(), workers=config.workers
-    )
-    top_k = config.top_k
-    if top_k > len(ranked):
-        logger.warning("top_k=%d exceeds %d usable features; clamping", top_k, len(ranked))
-        top_k = len(ranked)
-    top = top_k_features(ranked, top_k)
-    importance_path = str(out / "importance.csv")
-    with open(importance_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("feature,mean_importance\n")
-        for feature, importance in ranked:
-            fh.write(f"{feature.canonical()},{render_float(importance)}\n")
-    settings_path = str(out / "settings_topk.txt")
-    restricted = settings_from_feature_names([f.canonical() for f in top])
-    with open(settings_path, "w", encoding="utf-8", newline="") as fh:
-        write_settings_file(restricted, fh)
-    timings["rank"] = time.perf_counter() - t3
+    with _timed(timings, "rank"):
+        selected_matrix = matrix.subset(report.selected)
+        has_nan = np.isnan(selected_matrix.values).any(axis=0)
+        nan_free = [f for f, bad in zip(selected_matrix.feature_names, has_nan) if not bad]
+        dropped = int(has_nan.sum())
+        if dropped:
+            logger.info("step 4: dropping %d selected columns containing NaN", dropped)
+        if not nan_free:
+            raise NothingSelected("every selected feature column contains NaN")
+        usable = selected_matrix.subset(nan_free)
+        ranked = aggregate_importances(
+            usable, labels, config.repeats, config.forest_params(), workers=config.workers
+        )
+        top_k = config.top_k
+        if top_k > len(ranked):
+            logger.warning("top_k=%d exceeds %d usable features; clamping", top_k, len(ranked))
+            top_k = len(ranked)
+        top = top_k_features(ranked, top_k)
+        importance_path = str(out / "importance.csv")
+        with open(importance_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("feature,mean_importance\n")
+            for feature, importance in ranked:
+                fh.write(f"{feature.canonical()},{render_float(importance)}\n")
+        settings_path = str(out / "settings_topk.txt")
+        restricted = settings_from_feature_names([f.canonical() for f in top])
+        with open(settings_path, "w", encoding="utf-8", newline="") as fh:
+            write_settings_file(restricted, fh)
     logger.info("step 4: top %d of %d usable features kept", top_k, len(ranked))
 
     # Step 5: specialized model on the top-k columns.
-    t4 = time.perf_counter()
-    specialized = matrix.subset(top)
-    cv_folds = min(config.cv_folds, specialized.n_rows)
-    cv = cross_validate(
-        specialized, labels, cv_folds, config.forest_params(), workers=config.workers
-    )
-    model = train_forest(specialized, labels, config.forest_params())
-    model_path = str(out / "model.txt")
-    save_model_file(model, model_path)
-    timings["fit"] = time.perf_counter() - t4
+    with _timed(timings, "fit"):
+        specialized = matrix.subset(top)
+        cv_folds = min(config.cv_folds, specialized.n_rows)
+        cv = cross_validate(
+            specialized, labels, cv_folds, config.forest_params(), workers=config.workers
+        )
+        model = train_forest(specialized, labels, config.forest_params())
+        model_path = str(out / "model.txt")
+        save_model_file(model, model_path)
     logger.info("step 5: specialized %d-fold CV accuracy %.4f", cv_folds, cv.mean_accuracy)
 
     manifest_path = str(out / "manifest.txt")
@@ -482,6 +487,8 @@ def predict(
     misclassification flags are attached to every window whose span lies
     in a label interval.
     """
+    if workers < 1:
+        raise BadParameters(f"workers must be >= 1, got {workers}")
     manifest = read_manifest(manifest_path)
     window_seconds = float(manifest_value(manifest, "window_seconds"))
     specs = [VirtualSensorSpec.from_line(line) for line in manifest.get("virtual_sensor", [])]
@@ -531,73 +538,39 @@ def predict(
 @dataclass(frozen=True)
 class BenchmarkReport:
     stage_seconds: tuple[tuple[str, float], ...]
-    extraction: tuple[tuple[int, float, float], ...]  # (workers, seconds, rows/s)
-    predict_seconds: float | None = None
+    rows: int  # rows of the extracted feature matrix
 
     def to_text(self) -> str:
         lines = ["stage timings:"]
         lines.extend(f"  {name:<24} {seconds:9.3f} s" for name, seconds in self.stage_seconds)
-        lines.append("extraction throughput:")
-        for workers, seconds, rate in self.extraction:
-            lines.append(f"  workers={workers:<3} {seconds:9.3f} s   {rate:12.1f} rows/s")
-        if self.predict_seconds is not None:
-            lines.append(f"restricted predict: {self.predict_seconds:.3f} s")
+        seconds = dict(self.stage_seconds)["extract"]
+        rate = self.rows / seconds if seconds > 0 else float("inf")
+        lines.append(f"extraction throughput: {rate:.1f} rows/s")
         return "\n".join(lines)
 
 
-def benchmark(
-    config: PipelineConfig,
-    worker_counts: Sequence[int] | None = None,
-    artifacts_dir: str | None = None,
-) -> BenchmarkReport:
-    """Wall-clock the data path: ingest, engineer, segment, extract.
-
-    Extraction is timed once per entry of *worker_counts* (default: 1 and
-    the configured worker count).  With *artifacts_dir* pointing at a
-    completed run, the full restricted predict path is timed as well.
-    """
-    if worker_counts is None:
-        worker_counts = sorted({1, config.workers})
-    stages: list[tuple[str, float]] = []
-
-    t = time.perf_counter()
-    recording = load_recording(config.recording)
-    stages.append(("ingest", time.perf_counter() - t))
-
-    t = time.perf_counter()
-    engineered = apply_virtual_sensors(recording, _resolve_specs(config, recording))
-    stages.append(("virtual_sensors", time.perf_counter() - t))
-
-    t = time.perf_counter()
-    intervals = load_labels(config.labels) if config.labels else None
-    windows = segment_fixed(engineered, config.window_seconds, intervals)
-    stages.append(("segment", time.perf_counter() - t))
-
+def benchmark(config: PipelineConfig, artifacts_dir: str | None = None) -> BenchmarkReport:
+    """Time ingest, virtual sensors, segment and extract once at
+    ``config.workers``, and restricted predict on the run in *artifacts_dir*."""
+    stages: dict[str, float] = {}
+    with _timed(stages, "ingest"):
+        recording = load_recording(config.recording)
+    with _timed(stages, "virtual_sensors"):
+        engineered = apply_virtual_sensors(recording, _resolve_specs(config, recording))
+    with _timed(stages, "segment"):
+        intervals = load_labels(config.labels) if config.labels else None
+        windows = segment_fixed(engineered, config.window_seconds, intervals)
     settings = _load_settings(config.settings_file, engineered.channels)
-
-    extraction: list[tuple[int, float, float]] = []
-    for workers in worker_counts:
-        t = time.perf_counter()
-        matrix = extract(windows, engineered, settings, workers=workers)
-        seconds = time.perf_counter() - t
-        rate = matrix.n_rows / seconds if seconds > 0 else float("inf")
-        extraction.append((workers, seconds, rate))
-
-    predict_seconds = None
+    with _timed(stages, "extract"):
+        matrix = extract(windows, engineered, settings, workers=config.workers)
     if artifacts_dir is not None:
         art = Path(artifacts_dir)
-        t = time.perf_counter()
-        predict(
-            model_path=str(art / "model.txt"),
-            settings_path=str(art / "settings_topk.txt"),
-            recording_path=config.recording,
-            manifest_path=str(art / "manifest.txt"),
-            workers=config.workers,
-        )
-        predict_seconds = time.perf_counter() - t
-
-    return BenchmarkReport(
-        stage_seconds=tuple(stages),
-        extraction=tuple(extraction),
-        predict_seconds=predict_seconds,
-    )
+        with _timed(stages, "predict"):
+            predict(
+                model_path=str(art / "model.txt"),
+                settings_path=str(art / "settings_topk.txt"),
+                recording_path=config.recording,
+                manifest_path=str(art / "manifest.txt"),
+                workers=config.workers,
+            )
+    return BenchmarkReport(stage_seconds=tuple(stages.items()), rows=matrix.n_rows)

@@ -38,7 +38,8 @@ UNIFORM_STEP_RTOL = 1e-6
 # absorbing float noise in regenerated time grids.
 _LABEL_EDGE_EPS = 1e-9
 
-_KIND_RE = re.compile(r"^[A-Za-z0-9]+(?:_[A-Za-z0-9]+)*$")
+# Also checks calculator and parameter names in ``names.validate_identifier``.
+_IDENT_RE = re.compile(r"^[A-Za-z0-9]+(?:_[A-Za-z0-9]+)*$")
 
 
 def validate_kind(name: str) -> str:
@@ -48,7 +49,7 @@ def validate_kind(name: str) -> str:
     underscores, and in particular never contain ``__``, which is reserved
     as the feature-name separator.
     """
-    if not isinstance(name, str) or not _KIND_RE.match(name):
+    if not isinstance(name, str) or not _IDENT_RE.match(name):
         raise InvalidKindName(f"invalid channel kind: {name!r}")
     return name
 

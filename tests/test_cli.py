@@ -131,6 +131,31 @@ def test_benchmark_command(workspace, capsys):
     assert "rows/s" in capsys.readouterr().out
 
 
+def test_benchmark_times_predict_on_artifacts(workspace, capsys):
+    rc = main(["benchmark", "--config", str(workspace / "pipe.cfg"),
+               "--artifacts", str(workspace / "artifacts")])
+    assert rc == 0
+    assert re.search(r"^ +predict +\d", capsys.readouterr().out, flags=re.M)
+
+
+def test_benchmark_workers_zero_is_a_config_error(workspace):
+    assert main(["benchmark", "--config", str(workspace / "pipe.cfg"), "--workers", "0"]) == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_predict_bad_workers_is_a_config_error(workspace, tmp_path, workers):
+    out = tmp_path / "timeline.csv"
+    rc = main([
+        "predict",
+        "--artifacts", str(workspace / "artifacts"),
+        "--recording", str(workspace / "rec.csv"),
+        "--out", str(out),
+        "--workers", workers,
+    ])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_inspect_manifest(workspace, capsys):
     rc = main(["inspect", str(workspace / "artifacts" / "manifest.txt")])
     assert rc == 0

@@ -28,6 +28,9 @@ from imufresh.timeseries import (
 )
 from imufresh.virtual import VirtualSensorSpec, apply_virtual_sensors
 
+# The step timings, in run order, that the manifest and benchmark harness read.
+STEPS = ("engineer", "extract", "select", "rank", "fit")
+
 
 @pytest.fixture(scope="module")
 def train_data(tmp_path_factory):
@@ -175,6 +178,18 @@ class TestFullRun:
         assert int(manifest["top_k_effective"][0]) == len(run_result.top_features)
         assert len(manifest["virtual_sensor"]) == 3
         assert "classes" in manifest
+
+    def test_step_seconds_in_step_order(self, run_result):
+        steps = run_result.step_seconds
+        assert list(steps) == list(STEPS)
+        assert all(seconds >= 0 for seconds in steps.values())
+
+    def test_manifest_step_times_in_step_order(self, run_result):
+        keys = [line.partition("=")[0].strip()
+                for line in Path(run_result.manifest_path).read_text().splitlines()]
+        assert [k for k in keys if k.startswith("time_")] == [
+            f"time_{step}_seconds" for step in STEPS
+        ]
 
     def test_specialized_cv_recorded(self, run_result):
         manifest = read_manifest(run_result.manifest_path)
@@ -363,7 +378,7 @@ class TestBenchmark:
         report = benchmark(config)
         stages = dict(report.stage_seconds)
         assert {"ingest", "virtual_sensors", "segment"} <= set(stages)
-        assert [w for w, _, _ in report.extraction] == [1, 2]
+        assert list(stages) == ["ingest", "virtual_sensors", "segment", "extract"]
         text = report.to_text()
         assert "rows/s" in text
 
@@ -377,8 +392,16 @@ class TestBenchmark:
             output_dir=str(tmp_path / "bench0"),
             settings_file=str(settings_path),
         )
-        report = benchmark(config, worker_counts=[1])
-        assert report.extraction[0][1] < 0.5
+        report = benchmark(config)
+        assert dict(report.stage_seconds)["extract"] < 0.5
+
+    def test_times_predict_on_a_completed_run(self, run_result):
+        config = run_result.config
+        report = benchmark(config, artifacts_dir=config.output_dir)
+        assert [name for name, _ in report.stage_seconds] == [
+            "ingest", "virtual_sensors", "segment", "extract", "predict"
+        ]
+        assert report.rows == run_result.matrix.n_rows
 
 
 class TestExplicitVirtualSensors:

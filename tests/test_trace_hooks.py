@@ -11,6 +11,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from imufresh import pipeline
+from imufresh.synth import synth_walk_run
+from imufresh.timeseries import save_labels, save_recording
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
@@ -33,3 +37,43 @@ def test_tracer_restores_every_wrapped_attribute():
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original, attr
     assert tracer.spans == []
+
+
+def test_traced_run_and_predict_span_every_stage_call(tmp_path):
+    """A traced run and predict record each call the harness times, and the
+    rank step's anchors keep their order: ``save_report`` ends before
+    ``aggregate_importances`` starts, ``write_settings_file`` before
+    ``cross_validate``."""
+    spans = _load_spans()
+    data = synth_walk_run(duration_s=120.0, sample_rate_hz=50.0, seed=7)
+    save_recording(data.recording, str(tmp_path / "rec.csv"))
+    save_labels(data.labels, str(tmp_path / "labels.csv"))
+    config = pipeline.PipelineConfig(
+        recording=str(tmp_path / "rec.csv"),
+        labels=str(tmp_path / "labels.csv"),
+        output_dir=str(tmp_path / "out"),
+        repeats=1,
+        n_trees=10,
+        top_k=5,
+    )
+    with spans.Tracer("hooks") as tracer:
+        result = tracer.call("pipeline.run_full_pipeline", pipeline.run_full_pipeline, config)
+        tracer.call(
+            "pipeline.predict", pipeline.predict, result.model_path, result.settings_path,
+            config.recording, result.manifest_path,
+        )
+    layer = {attr: f"{module}.{attr}" for module, attr in spans._PIPELINE_CALLS}
+    for attr in ("load_recording", "load_labels", "apply_virtual_sensors", "segment_fixed",
+                 "extract", "save_matrix", "select_features", "save_report",
+                 "aggregate_importances", "write_settings_file", "cross_validate",
+                 "train_forest", "save_model_file", "load_model_file", "predict_proba"):
+        assert tracer.named(layer[attr]), attr
+
+    def ends(attr):
+        return max(s.end for s in tracer.named(layer[attr]))
+
+    def starts(attr):
+        return min(s.start for s in tracer.named(layer[attr]))
+
+    assert ends("save_report") <= starts("aggregate_importances")
+    assert ends("write_settings_file") <= starts("cross_validate")
