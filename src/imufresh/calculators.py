@@ -1,12 +1,19 @@
 """Curated library of parameterized time-series feature calculators.
 
-Each calculator is a batch kernel mapping an ``(n_windows, w)`` array
-(``w >= 2``) to one real number per row.  Kernels reduce only within rows
-(never ``@`` on a 2-D array), so a row's bits do not depend on its batch.
-Each declares an ordered parameter signature; the signature order is what
-the canonical feature-name codec uses.  Population statistics are used
-throughout.  A calculator may return NaN only in its documented undefined
-cases:
+Each calculator is a family kernel mapping an ``(n_windows, w)`` array
+(``w >= 2``) and a list of parameter dicts to an ``(n_windows,
+len(params_list))`` array: one column per parameter set, so a parameter
+sweep shares its intermediates (a row sort, the step differences, a
+corridor mask, a chunk aggregate, a linear fit).  Each intermediate is
+computed from whole rows, never from which parameters were requested, so a
+column's bits do not depend on the other entries of ``params_list``.
+Kernels reduce only within rows (never ``@`` on a 2-D array), so a row's
+bits do not depend on its batch either.
+
+Each calculator declares an ordered parameter signature; the signature
+order is what the canonical feature-name codec uses.  Population statistics
+are used throughout.  A calculator may return NaN only in its documented
+undefined cases:
 
 * ``skewness``: n < 3 or zero variance
 * ``kurtosis``: n < 4 or zero variance
@@ -37,8 +44,11 @@ from .names import (
 )
 from .timeseries import validate_kind
 
+Params = Mapping[str, ParamValue]
+Family = Callable[[np.ndarray, Sequence[Params]], np.ndarray]
+
 # ---------------------------------------------------------------------------
-# Calculator kernels: (n_windows, w) -> (n_windows,)
+# Row kernels: (n_windows, w) -> (n_windows,), lifted into families by _each
 # ---------------------------------------------------------------------------
 
 def _nan_rows(X: np.ndarray) -> np.ndarray:
@@ -55,10 +65,6 @@ def _maximum(X: np.ndarray) -> np.ndarray:
 
 def _mean(X: np.ndarray) -> np.ndarray:
     return X.mean(axis=1)
-
-
-def _median(X: np.ndarray) -> np.ndarray:
-    return np.median(X, axis=1)
 
 
 def _variance(X: np.ndarray) -> np.ndarray:
@@ -93,11 +99,6 @@ def _kurtosis(X: np.ndarray) -> np.ndarray:
     return (n - 1) / ((n - 2) * (n - 3)) * ((n + 1) * g2 + 6.0)
 
 
-def _quantile(X: np.ndarray, q: float) -> np.ndarray:
-    # Linear interpolation between order statistics at position (n-1)*q.
-    return np.quantile(X, q, axis=1)
-
-
 def _abs_energy(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)
 
@@ -114,19 +115,115 @@ def _mean_change(X: np.ndarray) -> np.ndarray:
     return (X[:, -1] - X[:, 0]) / (X.shape[1] - 1)
 
 
-def _change_quantiles(X: np.ndarray, f_agg: str, isabs: bool, qh: float, ql: float) -> np.ndarray:
+def _autocorrelation(X: np.ndarray, lag: int) -> np.ndarray:
+    n = X.shape[1]
+    if lag >= n:
+        return _nan_rows(X)
+    v = X.var(axis=1)
+    d = X - X.mean(axis=1, keepdims=True)
+    num = np.einsum("ij,ij->i", d[:, : n - lag], d[:, lag:])
+    return np.divide(num, (n - lag) * v, out=_nan_rows(X), where=v != 0.0)
+
+
+def _partial_stationarity_gap(X: np.ndarray) -> np.ndarray:
+    half = X.shape[1] // 2
+    gap = np.abs(X[:, :half].mean(axis=1) - X[:, half:].mean(axis=1))
+    return gap / (X.std(axis=1) + 1e-12)
+
+
+def _c3(X: np.ndarray, lag: int) -> np.ndarray:
+    n = X.shape[1]
+    if n <= 2 * lag:
+        return _nan_rows(X)
+    return (X[:, : n - 2 * lag] * X[:, lag : n - lag] * X[:, 2 * lag :]).mean(axis=1)
+
+
+def _time_reversal_asymmetry_statistic(X: np.ndarray, lag: int) -> np.ndarray:
+    n = X.shape[1]
+    if n <= 2 * lag:
+        return _nan_rows(X)
+    a = X[:, 2 * lag :]
+    b = X[:, lag : n - lag]
+    c = X[:, : n - 2 * lag]
+    return (a * a * b - b * c * c).mean(axis=1)
+
+
+def _each(kernel: Callable[..., np.ndarray]) -> Family:
+    """The family of a row kernel: one kernel call per parameter set."""
+
+    def family(X: np.ndarray, params_list: Sequence[Params]) -> np.ndarray:
+        return np.stack([kernel(X, **params) for params in params_list], axis=1)
+
+    return family
+
+
+# ---------------------------------------------------------------------------
+# Family kernels with shared intermediates
+# ---------------------------------------------------------------------------
+
+def _sorted_quantile(S: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(X, q, axis=1)`` from ``S = np.sort(X, axis=1)``, bit for bit.
+
+    numpy's ``linear`` rule: virtual index ``(n-1)*q`` between the order
+    statistics ``floor`` and ``floor + 1``, the upper one clamped to the last
+    (at q = 1 numpy weighs against a clamped index -1 instead, which gives
+    the same bits), interpolated as numpy's ``_lerp`` does: counting back
+    from the upper neighbour when the weight is >= 0.5.
+    """
+    n = S.shape[1]
+    v = (n - 1) * q
+    below = math.floor(v)
+    a, b = S[:, below], S[:, min(below + 1, n - 1)]
+    t = v - below
+    diff = b - a
+    if t >= 0.5:
+        return b - diff * (1 - t)
+    return a + diff * t
+
+
+def _quantile(X: np.ndarray, params_list: Sequence[Params]) -> np.ndarray:
+    # Linear interpolation between order statistics at position (n-1)*q.
+    S = np.sort(X, axis=1)
+    return np.stack([_sorted_quantile(S, params["q"]) for params in params_list], axis=1)
+
+
+def _median(X: np.ndarray, params_list: Sequence[Params]) -> np.ndarray:
+    # np.median's mean of the one or two middle order statistics.
+    S = np.sort(X, axis=1)
+    k = S.shape[1] // 2
+    mid = S[:, k] if S.shape[1] % 2 else (S[:, k - 1] + S[:, k]) / 2
+    return np.stack([mid for _ in params_list], axis=1)
+
+
+def _change_quantiles(X: np.ndarray, params_list: Sequence[Params]) -> np.ndarray:
     # Mean or variance of the steps with both ends inside the row's corridor
-    # [quantile ql, quantile qh]; 0.0 where no step is.
-    lo = np.quantile(X, ql, axis=1, keepdims=True)
-    hi = np.quantile(X, qh, axis=1, keepdims=True)
-    inside = (X >= lo) & (X <= hi)
-    keep = inside[:, :-1] & inside[:, 1:]
-    d = np.abs(np.diff(X, axis=1)) if isabs else np.diff(X, axis=1)
-    count = np.maximum(keep.sum(axis=1), 1)
-    mean = np.where(keep, d, 0.0).sum(axis=1) / count
-    if f_agg == "mean":
-        return mean
-    return np.where(keep, (d - mean[:, None]) ** 2, 0.0).sum(axis=1) / count
+    # [quantile ql, quantile qh]; 0.0 where no step is.  One sort gives every
+    # corridor bound, and one mask per (ql, qh) serves both isabs and f_agg.
+    S = np.sort(X, axis=1)
+    d = np.diff(X, axis=1)
+    steps = {False: d, True: np.abs(d)}
+    levels = {params[key] for params in params_list for key in ("ql", "qh")}
+    bound = {q: _sorted_quantile(S, q)[:, None] for q in levels}
+    corridors: dict[tuple, list[int]] = {}
+    for j, params in enumerate(params_list):
+        corridors.setdefault((params["ql"], params["qh"]), []).append(j)
+    out = np.empty((X.shape[0], len(params_list)))
+    for (ql, qh), cols in corridors.items():
+        inside = (X >= bound[ql]) & (X <= bound[qh])
+        keep = inside[:, :-1] & inside[:, 1:]
+        count = np.maximum(keep.sum(axis=1), 1)
+        means: dict[bool, np.ndarray] = {}
+        for j in cols:
+            isabs = params_list[j]["isabs"]
+            if isabs not in means:
+                means[isabs] = np.where(keep, steps[isabs], 0.0).sum(axis=1) / count
+            mean = means[isabs]
+            if params_list[j]["f_agg"] == "mean":
+                out[:, j] = mean
+            else:
+                dev = (steps[isabs] - mean[:, None]) ** 2
+                out[:, j] = np.where(keep, dev, 0.0).sum(axis=1) / count
+    return out
 
 
 def _linear_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -160,62 +257,68 @@ def _linear_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 _TREND_ATTRS = ("slope", "intercept", "stderr", "rvalue")
 
 
-def _linear_trend(X: np.ndarray, attr: str) -> np.ndarray:
-    return _linear_fit(X)[_TREND_ATTRS.index(attr)]
+def _linear_trend(X: np.ndarray, params_list: Sequence[Params]) -> np.ndarray:
+    # One fit per row feeds every attribute.
+    fit = _linear_fit(X)
+    return np.stack(
+        [fit[_TREND_ATTRS.index(params["attr"])] for params in params_list], axis=1
+    )
 
 
-def _agg_linear_trend(X: np.ndarray, f_agg: str, chunk_len: int, attr: str) -> np.ndarray:
-    n_chunks = X.shape[1] // chunk_len
-    if n_chunks < 2:
-        return _nan_rows(X)
-    chunks = X[:, : n_chunks * chunk_len].reshape(X.shape[0], n_chunks, chunk_len)
-    return _linear_trend(getattr(chunks, f_agg)(axis=2), attr)  # max, min or mean
-
-
-def _autocorrelation(X: np.ndarray, lag: int) -> np.ndarray:
-    n = X.shape[1]
-    if lag >= n:
-        return _nan_rows(X)
-    v = X.var(axis=1)
-    d = X - X.mean(axis=1, keepdims=True)
-    num = np.einsum("ij,ij->i", d[:, : n - lag], d[:, lag:])
-    return np.divide(num, (n - lag) * v, out=_nan_rows(X), where=v != 0.0)
-
-
-def _partial_stationarity_gap(X: np.ndarray) -> np.ndarray:
-    half = X.shape[1] // 2
-    gap = np.abs(X[:, :half].mean(axis=1) - X[:, half:].mean(axis=1))
-    return gap / (X.std(axis=1) + 1e-12)
-
-
-def _binned_entropy(X: np.ndarray, bins: int) -> np.ndarray:
-    # One np.histogram per row: its bin-edge rule is costly to match in bulk.
-    out = np.zeros(X.shape[0])
-    for i, x in enumerate(X):
-        lo, hi = float(x.min()), float(x.max())  # np.histogram is slower on numpy scalars
-        if lo == hi:
-            continue
-        hist, _ = np.histogram(x, bins=bins, range=(lo, hi))
-        p = hist[hist > 0] / x.size
-        out[i] = -np.sum(p * np.log(p))
+def _agg_linear_trend(X: np.ndarray, params_list: Sequence[Params]) -> np.ndarray:
+    # One chunk aggregate and one fit per (chunk_len, f_agg) feed every
+    # attribute; NaN with fewer than 2 full chunks.
+    fits: dict[tuple, tuple | None] = {}
+    out = np.empty((X.shape[0], len(params_list)))
+    for j, params in enumerate(params_list):
+        key = (params["chunk_len"], params["f_agg"])
+        if key not in fits:
+            chunk_len, f_agg = key
+            n_chunks = X.shape[1] // chunk_len
+            fits[key] = None
+            if n_chunks >= 2:
+                chunks = X[:, : n_chunks * chunk_len].reshape(X.shape[0], n_chunks, chunk_len)
+                fits[key] = _linear_fit(getattr(chunks, f_agg)(axis=2))  # max, min or mean
+        fit = fits[key]
+        out[:, j] = math.nan if fit is None else fit[_TREND_ATTRS.index(params["attr"])]
     return out
 
 
-def _c3(X: np.ndarray, lag: int) -> np.ndarray:
-    n = X.shape[1]
-    if n <= 2 * lag:
-        return _nan_rows(X)
-    return (X[:, : n - 2 * lag] * X[:, lag : n - lag] * X[:, 2 * lag :]).mean(axis=1)
+def _uniform_bin_counts(X: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
+    """``np.histogram(x, bins, range=(x.min(), x.max()))`` counts of each row
+    (``lo < hi``), bit for bit: numpy's uniform-bin rule, with its
+    ``np.linspace`` edges and the decrement and increment that put values
+    within an ulp of an edge on the edge's side."""
+    edges = np.linspace(lo, hi, bins + 1, axis=1)
+    if np.any(edges[:, :-1] >= edges[:, 1:]):
+        raise ValueError(
+            f"Too many bins for data range. Cannot create {bins} finite-sized bins."
+        )
+    idx = ((X - lo[:, None]) / (hi - lo)[:, None] * bins).astype(np.intp)
+    idx[idx == bins] -= 1
+    idx[X < np.take_along_axis(edges, idx, axis=1)] -= 1
+    idx[(X >= np.take_along_axis(edges, idx + 1, axis=1)) & (idx != bins - 1)] += 1
+    flat = idx + bins * np.arange(X.shape[0])[:, None]
+    return np.bincount(flat.ravel(), minlength=X.shape[0] * bins).reshape(-1, bins)
 
 
-def _time_reversal_asymmetry_statistic(X: np.ndarray, lag: int) -> np.ndarray:
-    n = X.shape[1]
-    if n <= 2 * lag:
-        return _nan_rows(X)
-    a = X[:, 2 * lag :]
-    b = X[:, lag : n - lag]
-    c = X[:, : n - 2 * lag]
-    return (a * a * b - b * c * c).mean(axis=1)
+def _binned_entropy(X: np.ndarray, params_list: Sequence[Params]) -> np.ndarray:
+    # Entropy of the row's histogram over [min, max]; 0.0 for a constant row.
+    # Each row sums its non-empty bins in bin order in one array of their
+    # number, as one np.sum per row would.
+    lo, hi = X.min(axis=1), X.max(axis=1)
+    rows = np.flatnonzero(lo != hi)
+    V, lo, hi = X[rows], lo[rows], hi[rows]
+    out = np.zeros((X.shape[0], len(params_list)))
+    for j, params in enumerate(params_list):
+        counts = _uniform_bin_counts(V, lo, hi, params["bins"])
+        filled = counts > 0
+        n_filled = filled.sum(axis=1)
+        for k in np.unique(n_filled):
+            group = np.flatnonzero(n_filled == k)
+            p = counts[group][filled[group]].reshape(len(group), k) / X.shape[1]
+            out[rows[group], j] = -np.sum(p * np.log(p), axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +337,10 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class Calculator:
-    """Registered calculator: batch kernel plus ordered signature."""
+    """Registered calculator: family kernel plus ordered signature."""
 
     name: str
-    func: Callable[..., np.ndarray]
+    family: Family
     params: tuple[ParamSpec, ...] = ()
     cross_check: Callable[[dict[str, ParamValue]], str | None] | None = None
 
@@ -268,34 +371,34 @@ def _register(calc: Calculator) -> None:
     CALCULATORS[calc.name] = calc
 
 
-for _name, _func in [
-    ("minimum", _minimum),
-    ("maximum", _maximum),
-    ("mean", _mean),
+for _name, _family in [
+    ("minimum", _each(_minimum)),
+    ("maximum", _each(_maximum)),
+    ("mean", _each(_mean)),
     ("median", _median),
-    ("variance", _variance),
-    ("standard_deviation", _standard_deviation),
-    ("skewness", _skewness),
-    ("kurtosis", _kurtosis),
-    ("abs_energy", _abs_energy),
-    ("root_mean_square", _root_mean_square),
-    ("mean_abs_change", _mean_abs_change),
-    ("mean_change", _mean_change),
-    ("partial_stationarity_gap", _partial_stationarity_gap),
+    ("variance", _each(_variance)),
+    ("standard_deviation", _each(_standard_deviation)),
+    ("skewness", _each(_skewness)),
+    ("kurtosis", _each(_kurtosis)),
+    ("abs_energy", _each(_abs_energy)),
+    ("root_mean_square", _each(_root_mean_square)),
+    ("mean_abs_change", _each(_mean_abs_change)),
+    ("mean_change", _each(_mean_change)),
+    ("partial_stationarity_gap", _each(_partial_stationarity_gap)),
 ]:
-    _register(Calculator(name=_name, func=_func))
+    _register(Calculator(name=_name, family=_family))
 
 _register(
     Calculator(
         name="quantile",
-        func=_quantile,
+        family=_quantile,
         params=(ParamSpec("q", float, _unit_interval, "0 <= q <= 1"),),
     )
 )
 _register(
     Calculator(
         name="change_quantiles",
-        func=_change_quantiles,
+        family=_change_quantiles,
         params=(
             ParamSpec("f_agg", str, _choice("mean", "var"), "mean or var"),
             ParamSpec("isabs", bool),
@@ -308,14 +411,14 @@ _register(
 _register(
     Calculator(
         name="linear_trend",
-        func=_linear_trend,
+        family=_linear_trend,
         params=(ParamSpec("attr", str, _choice(*_TREND_ATTRS), "trend attribute"),),
     )
 )
 _register(
     Calculator(
         name="agg_linear_trend",
-        func=_agg_linear_trend,
+        family=_agg_linear_trend,
         params=(
             ParamSpec("f_agg", str, _choice("max", "min", "mean"), "chunk aggregate"),
             ParamSpec("chunk_len", int, _positive_int, "chunk_len >= 1"),
@@ -326,28 +429,28 @@ _register(
 _register(
     Calculator(
         name="autocorrelation",
-        func=_autocorrelation,
+        family=_each(_autocorrelation),
         params=(ParamSpec("lag", int, _positive_int, "lag >= 1"),),
     )
 )
 _register(
     Calculator(
         name="binned_entropy",
-        func=_binned_entropy,
+        family=_binned_entropy,
         params=(ParamSpec("bins", int, _positive_int, "bins >= 1"),),
     )
 )
 _register(
     Calculator(
         name="c3",
-        func=_c3,
+        family=_each(_c3),
         params=(ParamSpec("lag", int, _positive_int, "lag >= 1"),),
     )
 )
 _register(
     Calculator(
         name="time_reversal_asymmetry_statistic",
-        func=_time_reversal_asymmetry_statistic,
+        family=_each(_time_reversal_asymmetry_statistic),
         params=(ParamSpec("lag", int, _positive_int, "lag >= 1"),),
     )
 )
@@ -412,8 +515,9 @@ def compute_feature(
 ) -> float:
     """Apply one calculator to a value sequence (length >= 2).
 
-    This is the calculator's batch kernel run on a batch of one row, the
-    same code path :func:`~imufresh.extraction.extract` takes.
+    This is the calculator's family kernel run on a batch of one row with
+    one parameter set, the same code path :func:`~imufresh.extraction.extract`
+    takes.
     """
     calc = CALCULATORS.get(calculator)
     if calc is None:
@@ -422,7 +526,7 @@ def compute_feature(
     if arr.ndim != 1 or arr.size < 2:
         raise BadParameters(f"{calculator}: input must be a 1-D sequence of length >= 2")
     validated = _validate_params(calc, params or {})
-    return float(calc.func(arr[None, :], **validated)[0])
+    return float(calc.family(arr[None, :], [validated])[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Batch feature extraction into a windows-by-features matrix.
 
 Each channel is cut once per row range into an ``(n_windows, w)`` batch and
-each configured calculator runs once on it.  Calculators never mix rows, so
+each configured calculator's family kernel runs once on it, with every
+parameter set requested for that channel.  Calculators never mix rows, so
 the result is bitwise identical no matter how many workers compute it.
 """
 
@@ -19,16 +20,18 @@ from .calculators import (
 )
 from .errors import DataError, UnknownKind, WindowOutOfRange
 from .names import FeatureName
-from .parallel import map_ranges
+from .parallel import check_workers, map_ranges
 from .timeseries import Recording, WindowSet, render_float
 
 # Below this much work (window samples x features) ``extract`` runs
 # in-process at any worker count.  Measured at workers=2 against workers=1 on
 # a 2-vCPU VM, 9 alternating pairs per size, on the hard benchmark
-# workload's generator (405 features) at 5 to 10 persons: the pool won 3-4
-# of 9 pairs at 3.2M and 3.9M (40 and 48 windows of 200 samples) and 8-9 of
-# 9 from 4.5M up (56 windows of 200, 40 of 400).
-POOL_MIN_WORK = 4_000_000
+# workload's generator (405 features, windows of 200 samples), with one
+# family kernel call per calculator and kind: the pool won 0 of 9 pairs at
+# 3.2M, 4.5M and 6.5M (in-process medians 20-33 ms against 36-42 ms), 1-4 of
+# 9 from 7.8M to 11.7M, 3 and 9 of 9 in two runs at 13.0M, and 9 of 9 from
+# 15.6M up (100 ms against 78 ms at 15.6M).
+POOL_MIN_WORK = 15_000_000
 
 
 @dataclass(eq=False)
@@ -109,13 +112,13 @@ def _compute_rows(
     recording: Recording, index: np.ndarray, plan: dict, n_cols: int, rows: range
 ) -> np.ndarray:
     """Feature rows for the windows whose sample indices are ``index[rows]``;
-    plan maps each kind to its (calculator, params, column) entries, so each
-    channel is cut into one batch and each calculator runs once on it."""
+    plan maps each kind to its calculators' (params list, columns), so each
+    channel is cut into one batch and each family kernel runs once on it."""
     out = np.empty((len(rows), n_cols), dtype=np.float64)
-    for kind, entries in plan.items():
+    for kind, families in plan.items():
         batch = recording.channels[kind][index[rows.start : rows.stop]]
-        for calc_name, params, col in entries:
-            out[:, col] = CALCULATORS[calc_name].func(batch, **params)
+        for calc_name, (params_list, cols) in families.items():
+            out[:, cols] = CALCULATORS[calc_name].family(batch, params_list)
     return out
 
 
@@ -131,10 +134,11 @@ def extract(
     columns in canonical-name order.  The output is independent of
     ``workers``, which is ignored below ``POOL_MIN_WORK``; parameters
     are validated once up front so worker processes only run the numeric
-    kernels.  Raises UnknownKind for a kind the recording lacks,
-    WindowOutOfRange for a window past its end, and DataError when the
-    windows differ in length.
+    kernels.  Raises BadParameters for ``workers < 1``, UnknownKind for a
+    kind the recording lacks, WindowOutOfRange for a window past its end,
+    and DataError when the windows differ in length.
     """
+    check_workers(workers)
     for kind in settings.kinds:
         if kind not in recording.channels:
             raise UnknownKind(f"settings reference kind {kind!r} not in recording")
@@ -152,12 +156,14 @@ def extract(
         )
 
     features = settings.feature_names()
-    # kind -> [(calculator, validated params, column index)] in column order
-    plan: dict[str, list[tuple[str, dict, int]]] = {}
+    # kind -> calculator -> (validated params list, column indices), in column order
+    plan: dict[str, dict[str, tuple[list[dict], list[int]]]] = {}
     for col, feature in enumerate(features):
-        plan.setdefault(feature.kind, []).append(
-            (feature.calculator, feature.param_dict(), col)
+        params_list, cols = plan.setdefault(feature.kind, {}).setdefault(
+            feature.calculator, ([], [])
         )
+        params_list.append(feature.param_dict())
+        cols.append(col)
     if index.size * len(features) < POOL_MIN_WORK:
         workers = 1
     blocks = map_ranges(

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .extraction import FeatureMatrix
 from .names import FeatureName
-from .parallel import map_ranges
+from .parallel import check_workers, map_ranges
 from .timeseries import render_float
 
 _SEED_MASK = (1 << 64) - 1
@@ -359,8 +359,10 @@ def cross_validate(
     With groups, each distinct group id lands wholly in one fold
     (round-robin over groups sorted by id), so every fold's test rows come
     from complete groups only.  ``workers`` > 1 trains the folds on a
-    process pool; the report does not depend on it.
+    process pool; the report does not depend on it.  ``workers`` < 1 raises
+    BadParameters.
     """
+    check_workers(workers)
     n = matrix.n_rows
     label_list = [str(v) for v in labels]
     if len(label_list) != n:
@@ -416,8 +418,10 @@ def aggregate_importances(
     Returns (feature, mean importance) sorted descending, ties broken by
     canonical feature name so rankings are reproducible.  ``workers`` > 1
     trains the repeats on a process pool; the forests, their sum (taken in
-    repeat order) and the ranking do not depend on it.
+    repeat order) and the ranking do not depend on it.  ``workers`` < 1
+    raises BadParameters.
     """
+    check_workers(workers)
     if repeats < 1:
         raise BadParameters(f"repeats must be >= 1, got {repeats}")
     acc = np.zeros(matrix.n_cols, dtype=np.float64)

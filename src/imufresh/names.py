@@ -96,24 +96,29 @@ def split_param_token(token: str) -> tuple[str, ParamValue]:
 
 @dataclass(frozen=True)
 class FeatureName:
-    """Structured (kind, calculator, ordered params) feature identity."""
+    """Structured (kind, calculator, ordered params) feature identity.
+
+    The canonical string is rendered once, at construction, which also
+    rejects unencodable values early.
+    """
 
     kind: str
     calculator: str
     params: tuple[tuple[str, ParamValue], ...] = field(default_factory=tuple)
+    _canonical: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         validate_kind(self.kind)
         validate_identifier(self.calculator, "calculator name")
         object.__setattr__(self, "params", tuple((n, v) for n, v in self.params))
+        parts = [self.kind, self.calculator]
         for name, value in self.params:
             validate_identifier(name, "parameter name")
-            render_value(value)  # reject unencodable values early
+            parts.append(f"{name}_{render_value(value)}")
+        object.__setattr__(self, "_canonical", SEPARATOR.join(parts))
 
     def canonical(self) -> str:
-        parts = [self.kind, self.calculator]
-        parts.extend(f"{name}_{render_value(value)}" for name, value in self.params)
-        return SEPARATOR.join(parts)
+        return self._canonical
 
     def param_dict(self) -> dict[str, ParamValue]:
         return dict(self.params)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
+from .errors import BadParameters
+
 T = TypeVar("T")
 
 # (fn, shared) of the pool this worker process belongs to.  Only the pool
@@ -27,6 +29,12 @@ def _init_worker(fn: Callable, shared: tuple) -> None:
 def _run_range(r: range):
     fn, shared = _WORK
     return fn(*shared, r)
+
+
+def check_workers(workers: int) -> None:
+    """Reject a worker count below 1 (BadParameters), before any work runs."""
+    if workers < 1:
+        raise BadParameters(f"workers must be >= 1, got {workers}")
 
 
 def map_ranges(

@@ -36,7 +36,6 @@ from .calculators import (
     write_settings_file,
 )
 from .errors import (
-    BadParameters,
     ConfigError,
     DataError,
     FeatureSetMismatch,
@@ -56,6 +55,7 @@ from .forest import (
     train_forest,
 )
 from .names import FeatureName
+from .parallel import check_workers
 from .selection import SelectionReport, save_report, select_features
 from .timeseries import (
     Recording,
@@ -487,8 +487,7 @@ def predict(
     misclassification flags are attached to every window whose span lies
     in a label interval.
     """
-    if workers < 1:
-        raise BadParameters(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     manifest = read_manifest(manifest_path)
     window_seconds = float(manifest_value(manifest, "window_seconds"))
     specs = [VirtualSensorSpec.from_line(line) for line in manifest.get("virtual_sensor", [])]

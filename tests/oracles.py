@@ -11,7 +11,12 @@ must agree with it exactly:
   recording CSV reader and writer;
 - ``select_features``: selection's per-target-mode test dispatch (a binary
   branch, a multiclass branch and a real branch), which must give the same
-  report as the library's single per-column loop.
+  report as the library's single per-column loop;
+- the ``*_kernel`` functions: the per-parameter batch kernels of the
+  calculators whose family kernels share intermediates (``quantile``,
+  ``median``, ``change_quantiles``, ``agg_linear_trend``,
+  ``binned_entropy``), one numpy call chain per parameter set, which the
+  families must match bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from imufresh.calculators import _linear_fit
 from imufresh.errors import (
     BadParameters,
     DegenerateFeature,
@@ -115,6 +121,53 @@ def agg_linear_trend(xs, f_agg, chunk_len, attr):
         else:
             agg.append(sum(chunk) / len(chunk))
     return linear_trend(agg, attr)
+
+
+# --- per-parameter calculator kernels: (n_windows, w) -> (n_windows,) -------
+
+_TREND_ATTRS = ("slope", "intercept", "stderr", "rvalue")
+
+
+def quantile_kernel(X, q):
+    return np.quantile(X, q, axis=1)
+
+
+def median_kernel(X):
+    return np.median(X, axis=1)
+
+
+def change_quantiles_kernel(X, f_agg, isabs, qh, ql):
+    lo = np.quantile(X, ql, axis=1, keepdims=True)
+    hi = np.quantile(X, qh, axis=1, keepdims=True)
+    inside = (X >= lo) & (X <= hi)
+    keep = inside[:, :-1] & inside[:, 1:]
+    d = np.abs(np.diff(X, axis=1)) if isabs else np.diff(X, axis=1)
+    count = np.maximum(keep.sum(axis=1), 1)
+    mean = np.where(keep, d, 0.0).sum(axis=1) / count
+    if f_agg == "mean":
+        return mean
+    return np.where(keep, (d - mean[:, None]) ** 2, 0.0).sum(axis=1) / count
+
+
+def agg_linear_trend_kernel(X, f_agg, chunk_len, attr):
+    # The fit itself is the library's; linear_trend above checks it.
+    n_chunks = X.shape[1] // chunk_len
+    if n_chunks < 2:
+        return np.full(X.shape[0], math.nan)
+    chunks = X[:, : n_chunks * chunk_len].reshape(X.shape[0], n_chunks, chunk_len)
+    return _linear_fit(getattr(chunks, f_agg)(axis=2))[_TREND_ATTRS.index(attr)]
+
+
+def binned_entropy_kernel(X, bins):
+    out = np.zeros(X.shape[0])
+    for i, x in enumerate(X):
+        lo, hi = float(x.min()), float(x.max())
+        if lo == hi:
+            continue
+        hist, _ = np.histogram(x, bins=bins, range=(lo, hi))
+        p = hist[hist > 0] / x.size
+        out[i] = -np.sum(p * np.log(p))
+    return out
 
 
 # --- Fisher exact -------------------------------------------------------------

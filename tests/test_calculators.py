@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from imufresh.calculators import (
+    CALCULATORS,
     GRID_FEATURES_PER_KIND,
     compute_feature,
     default_settings,
@@ -316,3 +317,89 @@ def test_nan_only_in_documented_cases():
             else:
                 expect_nan = False  # skewness/kurtosis need n >= 3/4; all n here qualify
             assert math.isnan(got) == expect_nan, (f.canonical(), n)
+
+
+# Per-parameter reference kernel of each calculator whose family shares
+# intermediates between parameter sets.
+ORACLE_KERNELS = {
+    "quantile": oracles.quantile_kernel,
+    "median": oracles.median_kernel,
+    "change_quantiles": oracles.change_quantiles_kernel,
+    "agg_linear_trend": oracles.agg_linear_trend_kernel,
+    "binned_entropy": oracles.binned_entropy_kernel,
+}
+
+
+def _family_batch(w: int) -> np.ndarray:
+    """Rows of length *w* covering the families' edge cases: ties and signed
+    zeros, a constant row, a linear ramp, and rows that leave histogram bins
+    empty (two values; a cluster with one far outlier)."""
+    rng = np.random.default_rng(1000 + w)
+    cluster = 0.01 * rng.standard_normal(w)
+    cluster[w // 2] = 10.0
+    return np.stack([
+        rng.standard_normal(w),
+        rng.standard_normal(w),
+        np.round(rng.standard_normal(w), 1),
+        np.round(rng.standard_normal(w)),
+        np.full(w, 0.5),
+        np.arange(w, dtype=np.float64),
+        np.where(rng.random(w) < 0.5, -1.0, 2.0),
+        cluster,
+    ])
+
+
+def _bits(values: np.ndarray, calc: str) -> bytes:
+    # A quantile or median landing on tied zeros of both signs takes the sign
+    # of whichever zero the ordering put there, and np.sort and numpy's
+    # partition order equal keys differently; every other bit must match.
+    if calc in ("quantile", "median"):
+        values = np.where(values == 0.0, 0.0, values)
+    return values.tobytes()
+
+
+class TestFamilies:
+    """Family kernels against the per-parameter oracle kernels, bit for bit
+    (NaN positions included), up to the sign of a zero order statistic."""
+
+    @pytest.mark.parametrize("w", [2, 3, 4, 5, 50, 200, 400])
+    @pytest.mark.parametrize("calc", sorted(ORACLE_KERNELS))
+    def test_family_matches_per_parameter_oracle(self, calc, w):
+        X = _family_batch(w)
+        params_list = [
+            f.param_dict() for f in default_settings(["k"]).features if f.calculator == calc
+        ]
+        if calc == "quantile":
+            params_list += [{"q": 0.0}, {"q": 1.0}, {"q": 0.25}, {"q": 0.75}]
+        if calc == "binned_entropy":
+            params_list += [{"bins": b} for b in (1, 2, 3, 40)]
+        got = CALCULATORS[calc].family(X, params_list)
+        want = np.stack([ORACLE_KERNELS[calc](X, **p) for p in params_list], axis=1)
+        assert got.shape == (X.shape[0], len(params_list))
+        assert _bits(got, calc) == _bits(want, calc)
+
+    def test_top_quantile_of_a_negative_zero_maximum(self):
+        # numpy's lerp at q = 1 adds +0.0 to the maximum: -0.0 becomes 0.0.
+        X = np.asarray([[-1.0, -0.0], [-0.0, -2.0], [-0.0, -0.0]])
+        got = CALCULATORS["quantile"].family(X, [{"q": 1.0}, {"q": 0.0}])
+        assert got[:, 0].tobytes() == oracles.quantile_kernel(X, 1.0).tobytes()
+        assert got[:, 1].tobytes() == oracles.quantile_kernel(X, 0.0).tobytes()
+
+    def test_binned_entropy_rejects_a_range_too_narrow_for_its_bins(self):
+        # np.histogram refuses bins narrower than the row's spacing of floats.
+        X = np.asarray([[1.0, np.nextafter(1.0, 2.0), 1.0]])
+        with pytest.raises(ValueError, match="Too many bins"):
+            oracles.binned_entropy_kernel(X, 10)
+        with pytest.raises(ValueError, match="Too many bins"):
+            CALCULATORS["binned_entropy"].family(X, [{"bins": 10}])
+
+    @pytest.mark.parametrize("calc", sorted(ORACLE_KERNELS))
+    def test_each_column_alone_matches_the_sweep(self, calc):
+        X = _family_batch(50)
+        params_list = [
+            f.param_dict() for f in default_settings(["k"]).features if f.calculator == calc
+        ]
+        sweep = CALCULATORS[calc].family(X, params_list)
+        for j, params in enumerate(params_list):
+            alone = CALCULATORS[calc].family(X, [params])
+            assert alone[:, 0].tobytes() == sweep[:, j].tobytes(), params

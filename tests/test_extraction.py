@@ -1,9 +1,12 @@
+import dataclasses
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from imufresh.calculators import (
+    CALCULATORS,
     ExtractionSettings,
     compute_feature,
     default_settings,
@@ -11,7 +14,7 @@ from imufresh.calculators import (
 )
 import imufresh.extraction
 import imufresh.parallel
-from imufresh.errors import DataError, UnknownKind, WindowOutOfRange
+from imufresh.errors import BadParameters, DataError, UnknownKind, WindowOutOfRange
 from imufresh.extraction import (
     POOL_MIN_WORK,
     FeatureMatrix,
@@ -186,6 +189,134 @@ class TestPoolThreshold:
         started = self._spy(monkeypatch)
         self._same_bits(ws, recording, settings)
         assert started == ([2] if pooled else [])
+
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected_before_any_work(
+        self, recording, windows, monkeypatch, workers
+    ):
+        # Checked before small extractions are sent in-process at any count.
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(imufresh.extraction, "map_ranges", no_work)
+        settings = settings_from_feature_names(["accel_x_l__minimum"])
+        with pytest.raises(BadParameters, match=f"workers must be >= 1, got {workers}"):
+            extract(windows, recording, settings, workers=workers)
+
+
+class TestFamilyCalls:
+    """``extract`` runs each calculator's family kernel once per kind per row
+    range, on that range's whole batch, with every requested parameter set."""
+
+    def _spy(self, monkeypatch):
+        calls = []
+        for name, calc in list(CALCULATORS.items()):
+            def spy(X, params_list, _name=name, _family=calc.family):
+                calls.append((_name, X.copy(), list(params_list)))
+                return _family(X, params_list)
+
+            monkeypatch.setitem(CALCULATORS, name, dataclasses.replace(calc, family=spy))
+        return calls
+
+    def _kind_of(self, recording, window_list, X):
+        kinds = [
+            kind for kind, values in recording.channels.items()
+            if np.array_equal(
+                X, np.stack([values[w.start_index : w.start_index + w.length] for w in window_list])
+            )
+        ]
+        assert len(kinds) == 1
+        return kinds[0]
+
+    @pytest.mark.parametrize("n_ranges", [1, 2])
+    def test_once_per_kind_per_row_range(self, recording, windows, monkeypatch, n_ranges):
+        settings = default_settings(recording.channels)
+        want = extract(windows, recording, settings)
+        n = len(windows.windows)
+        ranges = [range(0, n)] if n_ranges == 1 else [range(0, 4), range(4, n)]
+        # Both ranges run in this process, so the spy sees them.
+        monkeypatch.setattr(
+            imufresh.extraction, "map_ranges",
+            lambda fn, shared, n_items, workers: [fn(*shared, r) for r in ranges],
+        )
+        calls = self._spy(monkeypatch)
+        got = extract(windows, recording, settings)
+        assert got.values.tobytes() == want.values.tobytes()
+
+        grid = Counter(f.calculator for f in settings.features)
+        seen = Counter()
+        for name, X, params_list in calls:
+            rows = next(r for r in ranges if len(r) == X.shape[0])
+            kind = self._kind_of(recording, windows.windows[rows.start : rows.stop], X)
+            seen[name, kind, rows.start] += 1
+            assert len(params_list) == grid[name] // len(settings.kinds)
+        assert seen == Counter(
+            {(name, kind, r.start): 1 for name in grid for kind in settings.kinds for r in ranges}
+        )
+
+    def test_restricted_settings_call_only_their_families(self, recording, windows, monkeypatch):
+        calls = self._spy(monkeypatch)
+        names = [
+            "accel_x_l__quantile__q_0.1",
+            "accel_x_l__quantile__q_0.9",
+            "gyro_y_l__median",
+            'gyro_y_l__change_quantiles__f_agg_"var"__isabs_True__qh_1.0__ql_0.0',
+        ]
+        extract(windows, recording, settings_from_feature_names(names))
+        assert sorted((name, len(p)) for name, _, p in calls) == [
+            ("change_quantiles", 1), ("median", 1), ("quantile", 2),
+        ]
+
+
+class TestRestriction:
+    """Criterion 7 feature by feature: extracting any part of the grid gives
+    the full grid's columns bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def tied(self):
+        rng = np.random.default_rng(321)
+        steady = rng.standard_normal(1200)
+        steady[150:460] = -0.25  # holds a whole window at each length below
+        return Recording(
+            sample_rate_hz=50.0,
+            channels={
+                "steady": steady,
+                "tied": np.round(rng.standard_normal(1200), 1),
+                "steps": np.round(np.cumsum(rng.standard_normal(1200))),
+            },
+        )
+
+    # 99 samples (odd, under 2 x chunk_len 50), 100 (even), 151 (odd)
+    @pytest.mark.parametrize("seconds", [1.98, 2.0, 3.02], ids=["w99", "w100", "w151"])
+    def test_any_subset_equals_the_full_grid(self, tied, seconds):
+        ws = segment_fixed(tied, seconds, None)
+        w = ws.windows[0].length
+        full = extract(ws, tied, default_settings(tied.channels))
+        constant = [
+            i for i, win in enumerate(ws.windows)
+            if np.ptp(tied.channels["steady"][win.start_index : win.start_index + w]) == 0.0
+        ]
+        assert constant
+        chunk_50 = [
+            c for c, f in enumerate(full.feature_names)
+            if f.calculator == "agg_linear_trend" and f.param_dict()["chunk_len"] == 50
+        ]
+        assert np.isnan(full.values[:, chunk_50]).all() == (w < 100)
+
+        for feature in full.feature_names:
+            alone = extract(ws, tied, ExtractionSettings(features=(feature,)))
+            assert alone.values.tobytes() == full.column(feature).tobytes(), feature.canonical()
+
+        rng = np.random.default_rng(int(seconds * 100))
+        for _ in range(20):
+            size = int(rng.integers(2, full.n_cols))
+            pick = rng.choice(full.n_cols, size=size, replace=False)
+            subset = ExtractionSettings(features=tuple(full.feature_names[i] for i in pick))
+            restricted = extract(ws, tied, subset)
+            want = full.subset(subset.features)
+            assert restricted.canonical_names() == want.canonical_names()
+            assert restricted.values.tobytes() == want.values.tobytes()
 
 
 class TestFeatureMatrix:

@@ -278,6 +278,22 @@ class TestWorkers:
         assert ranked[1] == ranked[0]
         assert ranked[2] == ranked[0]
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("step", ["cross_validate", "aggregate_importances"])
+    def test_worker_count_below_one_rejected_before_any_work(self, monkeypatch, step, workers):
+        matrix, labels = _separable(n=20, seed=43)
+
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(forest, "map_ranges", no_work)
+        monkeypatch.setattr(forest, "_stratified_folds", no_work)
+        with pytest.raises(BadParameters, match=f"workers must be >= 1, got {workers}"):
+            if step == "cross_validate":
+                cross_validate(matrix, labels, 2, ForestParams(seed=0), workers=workers)
+            else:
+                aggregate_importances(matrix, labels, 2, ForestParams(seed=0), workers=workers)
+
     def test_empty_fold_rejected_before_pool(self, monkeypatch):
         matrix, labels = _separable(n=20, seed=42)
 

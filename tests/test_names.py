@@ -1,5 +1,7 @@
 """Feature-name codec: canonical encoding, decoding, and settings grouping."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from imufresh.errors import (
     MalformedFeatureName,
     UnknownCalculator,
 )
+from imufresh.extraction import FeatureMatrix
 from imufresh.names import FeatureName, encode_feature_name
 
 from known_names import KNOWN_FEATURE_NAMES, KNOWN_KINDS
@@ -179,3 +182,35 @@ def test_fuzz_roundtrip_over_registry():
         g = decode_feature_name(s, known_kinds=set(kinds))
         assert g == f
         assert encode_feature_name(g) == s
+
+
+class TestRenderedOnce:
+    """FeatureName keeps the canonical string it renders at construction."""
+
+    @pytest.mark.parametrize("name", KNOWN_FEATURE_NAMES)
+    def test_built_and_decoded_names_compare_and_hash_equal(self, name):
+        decoded = decode_feature_name(name, KNOWN_KINDS)
+        built = make_feature_name(decoded.kind, decoded.calculator, dict(reversed(decoded.params)))
+        assert built == decoded
+        assert hash(built) == hash(decoded)
+        assert built.canonical() == decoded.canonical() == name
+        assert len({built, decoded}) == 1
+
+    def test_stored_string_is_not_part_of_repr(self):
+        f = make_feature_name("k", "quantile", {"q": 0.5})
+        assert repr(f) == "FeatureName(kind='k', calculator='quantile', params=(('q', 0.5),))"
+
+    def test_pickled_feature_matrix_keeps_its_names(self):
+        names = settings_from_feature_names(KNOWN_FEATURE_NAMES, KNOWN_KINDS).feature_names()
+        matrix = FeatureMatrix(
+            feature_names=names,
+            values=np.arange(2.0 * len(names)).reshape(2, len(names)),
+            window_ids=np.asarray([4, 7]),
+            labels=("a", "b"),
+        )
+        back = pickle.loads(pickle.dumps(matrix))
+        assert back.feature_names == matrix.feature_names
+        assert back.canonical_names() == matrix.canonical_names()
+        assert [f.canonical() for f in back.feature_names] == list(matrix.canonical_names())
+        assert back.column_index(names[-1]) == len(names) - 1
+        assert back.values.tobytes() == matrix.values.tobytes()
