@@ -288,24 +288,25 @@ def _uniform_bin_counts(X: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int
     """``np.histogram(x, bins, range=(x.min(), x.max()))`` counts of each row
     (``lo < hi``), bit for bit: numpy's uniform-bin rule, with its
     ``np.linspace`` edges and the decrement and increment that put values
-    within an ulp of an edge on the edge's side."""
+    within an ulp of an edge on the edge's side.  A row whose range spans
+    too few floats for ``bins`` bins of finite width, where ``np.histogram``
+    raises, counts nothing."""
     edges = np.linspace(lo, hi, bins + 1, axis=1)
-    if np.any(edges[:, :-1] >= edges[:, 1:]):
-        raise ValueError(
-            f"Too many bins for data range. Cannot create {bins} finite-sized bins."
-        )
-    idx = ((X - lo[:, None]) / (hi - lo)[:, None] * bins).astype(np.intp)
+    wide = np.flatnonzero(np.all(edges[:, :-1] < edges[:, 1:], axis=1))
+    V, lo, hi, edges = X[wide], lo[wide], hi[wide], edges[wide]
+    idx = ((V - lo[:, None]) / (hi - lo)[:, None] * bins).astype(np.intp)
     idx[idx == bins] -= 1
-    idx[X < np.take_along_axis(edges, idx, axis=1)] -= 1
-    idx[(X >= np.take_along_axis(edges, idx + 1, axis=1)) & (idx != bins - 1)] += 1
-    flat = idx + bins * np.arange(X.shape[0])[:, None]
+    idx[V < np.take_along_axis(edges, idx, axis=1)] -= 1
+    idx[(V >= np.take_along_axis(edges, idx + 1, axis=1)) & (idx != bins - 1)] += 1
+    flat = idx + bins * wide[:, None]
     return np.bincount(flat.ravel(), minlength=X.shape[0] * bins).reshape(-1, bins)
 
 
 def _binned_entropy(X: np.ndarray, params_list: Sequence[Params]) -> np.ndarray:
-    # Entropy of the row's histogram over [min, max]; 0.0 for a constant row.
-    # Each row sums its non-empty bins in bin order in one array of their
-    # number, as one np.sum per row would.
+    # Entropy of the row's histogram over [min, max]; 0.0 for a constant row;
+    # NaN for a row whose range is too narrow for its bins.  Each row sums
+    # its non-empty bins in bin order in one array of their number, as one
+    # np.sum per row would.
     lo, hi = X.min(axis=1), X.max(axis=1)
     rows = np.flatnonzero(lo != hi)
     V, lo, hi = X[rows], lo[rows], hi[rows]
@@ -316,6 +317,9 @@ def _binned_entropy(X: np.ndarray, params_list: Sequence[Params]) -> np.ndarray:
         n_filled = filled.sum(axis=1)
         for k in np.unique(n_filled):
             group = np.flatnonzero(n_filled == k)
+            if k == 0:  # only a row too narrow for its bins counts nothing
+                out[rows[group], j] = math.nan
+                continue
             p = counts[group][filled[group]].reshape(len(group), k) / X.shape[1]
             out[rows[group], j] = -np.sum(p * np.log(p), axis=1)
     return out

@@ -1,7 +1,8 @@
 """Random-forest classifier with Gini importances, built for reproducibility.
 
 Trees are grown on bootstrap samples with per-node feature subsampling;
-split thresholds are midpoints between consecutive distinct sorted values.
+split thresholds are midpoints between consecutive distinct sorted values
+(the lower value where the midpoint rounds to the upper one or overflows).
 Every random draw comes from a stream derived from (seed, tree index), so
 models are pure functions of (data, params) regardless of evaluation order.
 
@@ -11,6 +12,7 @@ per feature across the forest and normalized to 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence, TextIO
@@ -74,23 +76,6 @@ class Tree:
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
-    def leaf_probs(self) -> np.ndarray:
-        totals = self.counts.sum(axis=1, keepdims=True)
-        safe = np.where(totals > 0, totals, 1.0)
-        return self.counts / safe
-
-    def apply(self, rows: np.ndarray) -> np.ndarray:
-        """Leaf index for every row."""
-        idx = np.zeros(rows.shape[0], dtype=np.int32)
-        active = self.feature[idx] >= 0
-        while np.any(active):
-            sel = np.nonzero(active)[0]
-            node = idx[sel]
-            go_left = rows[sel, self.feature[node]] <= self.threshold[node]
-            idx[sel] = np.where(go_left, self.left[node], self.right[node])
-            active[sel] = self.feature[idx[sel]] >= 0
-        return idx
-
 
 @dataclass(eq=False)
 class ForestModel:
@@ -102,6 +87,8 @@ class ForestModel:
     importances: np.ndarray
 
     def __post_init__(self) -> None:
+        if not self.trees:
+            raise DataError("a model needs at least one tree")
         self.importances = np.asarray(self.importances, dtype=np.float64)
         if self.importances.shape != (len(self.feature_names),):
             raise DataError("importances must have one entry per feature")
@@ -118,8 +105,15 @@ class ForestModel:
 # Tree growing
 # ---------------------------------------------------------------------------
 
-def _gini(counts: np.ndarray, n: float) -> float:
-    return 1.0 - float(np.dot(counts, counts)) / (n * n)
+@functools.lru_cache(maxsize=256)
+def _boundary_sizes(n_node: int, min_leaf: int) -> tuple[np.ndarray, ...]:
+    """Read-only rows left and right of each boundary with ``min_leaf`` rows
+    on either side, and their squares."""
+    n_left = np.arange(min_leaf, n_node - min_leaf + 1)
+    sizes = (n_left, n_node - n_left, n_left * n_left, (n_node - n_left) ** 2)
+    for a in sizes:
+        a.flags.writeable = False
+    return sizes
 
 
 def _best_split(
@@ -131,44 +125,54 @@ def _best_split(
     min_leaf: int,
     n_classes: int,
 ):
-    """Best (gain, feature, threshold) over the sampled features, or None.
+    """Best (gain, feature, threshold, left rows, right rows) over the
+    sampled features, or None.
 
-    All sampled features are scored at once: one sort of the
-    ``(n_node, mtry)`` block, one class-count cumsum, and the Gini gain of
-    every boundary between distinct sorted values.  The pick is the first
-    maximum in sampled-feature order with thresholds ascending, taken only
-    if its gain is > 0, so the choice is deterministic.  The sort need not
-    be stable: rows tied on a value only reorder counts at boundaries inside
-    the tie, and those are never candidates.
+    All sampled features are scored at once: one argsort of the
+    ``(mtry, n_node)`` block (sorted in place for its values), running
+    counts of every class but the last (which is what the others leave),
+    and the Gini gain of every boundary between distinct sorted values with
+    ``min_leaf`` rows on either side.  The pick is the first maximum in
+    sampled-feature order with thresholds ascending, taken only if its gain
+    is > 0, so the choice is deterministic.  The sort need not be stable:
+    rows tied on a value only reorder counts at boundaries inside the tie,
+    and those are never candidates.  For the same reason the children, the
+    rows on either side of the winning boundary in its column's sort, are
+    exactly the rows at or below and above the threshold.
     """
     n_node = idx.size
-    order = np.argsort(x_cols[idx[:, None], feats], axis=0)
-    sorted_rows = idx[order]  # (n_node, mtry): the node's rows, by value per feature
-    vs = x_cols[sorted_rows, feats]
-    # Left-side class counts at every boundary: (n_node - 1, mtry, n_classes).
-    c_left = (y[sorted_rows][:, :, None] == np.arange(n_classes)).cumsum(axis=0)[:-1]
-    # Sums of squared class counts per side, in exact integer arithmetic;
-    # the right side expands sum((c - l)^2) so it needs no second count block.
-    c_node = counts.astype(np.int64)
-    sq_left = np.einsum("ijk,ijk->ij", c_left, c_left)
-    sq_right = c_node @ c_node - 2 * np.einsum("ijk,k->ij", c_left, c_node) + sq_left
-    n_left = np.arange(1, n_node)[:, None]
-    n_right = n_node - n_left
-    gini_left = 1.0 - sq_left / (n_left * n_left)
-    gini_right = 1.0 - sq_right / (n_right * n_right)
-    gain = _gini(counts, n_node) - (n_left * gini_left + n_right * gini_right) / n_node
-    valid = (vs[:-1] < vs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    gain[~valid] = -np.inf
-    # Feature-major argmax: the first maximum in sampled-feature order,
-    # thresholds ascending.
-    f_pos, b = np.unravel_index(int(np.argmax(gain.T)), gain.T.shape)
-    if gain[b, f_pos] <= 0.0:
+    if n_node < 2 * min_leaf:
         return None
-    lo, hi = vs[b, f_pos], vs[b + 1, f_pos]
+    block = x_cols[idx, feats[:, None]]  # (mtry, n_node): feature-major
+    order = block.argsort(axis=1)
+    block.sort(axis=1)
+    first, end = min_leaf - 1, n_node - min_leaf  # the candidate boundaries
+    n_left, n_right, n_left_sq, n_right_sq = _boundary_sizes(n_node, min_leaf)
+    # Sums of squared class counts per side, in exact integer arithmetic.
+    ys = y[idx][order[:, :end]]
+    c = (ys == np.arange(n_classes - 1)[:, None, None]).cumsum(axis=2)[:, :, first:]
+    c_node = counts.astype(np.int64)
+    rest = n_left - c.sum(axis=0)  # the last class
+    sq_left = (c * c).sum(axis=0) + rest * rest
+    c = c_node[:-1, None, None] - c  # right of each boundary
+    rest = c_node[-1] - rest
+    sq_right = (c * c).sum(axis=0) + rest * rest
+    gini_left = 1.0 - sq_left / n_left_sq
+    gini_right = 1.0 - sq_right / n_right_sq
+    gini = 1.0 - float(np.dot(counts, counts)) / (n_node * n_node)
+    gain = gini - (n_left * gini_left + n_right * gini_right) / n_node
+    gain[block[:, first:end] == block[:, first + 1 : end + 1]] = -np.inf
+    f_pos, b = divmod(int(gain.argmax()), end - first)
+    best = float(gain[f_pos, b])
+    if best <= 0.0:
+        return None
+    b += first
+    lo, hi = block[f_pos, b], block[f_pos, b + 1]
     thr = (lo + hi) / 2.0
-    if thr == hi:  # adjacent floats: keep the partition consistent
+    if thr >= hi:  # adjacent floats, or a sum that overflows: split at lo
         thr = lo
-    return float(gain[b, f_pos]), int(feats[f_pos]), float(thr)
+    rows = idx[order[f_pos]]
+    return best, int(feats[f_pos]), float(thr), rows[: b + 1], rows[b + 1 :]
 
 
 def _grow_tree(
@@ -183,26 +187,16 @@ def _grow_tree(
     mtry = params.resolve_mtry(p)
     boot = rng.integers(0, n, size=n)
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    counts_list: list[np.ndarray] = []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        counts_list.append(np.zeros(n_classes, dtype=np.float64))
-        return len(feature) - 1
-
-    root = new_node()
-    stack: list[tuple[np.ndarray, int, int]] = [(boot, 0, root)]
+    cap = 2 * n - 1  # a bootstrap of n rows makes at most this many nodes
+    feature, left, right = np.full((3, cap), -1, dtype=np.int32)
+    threshold = np.zeros(cap, dtype=np.float64)
+    counts = np.zeros((cap, n_classes), dtype=np.float64)
+    n_nodes = 1
+    stack: list[tuple[np.ndarray, int, int]] = [(boot, 0, 0)]
     while stack:
         idx, depth, nid = stack.pop()
-        node_counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
-        counts_list[nid] = node_counts
+        node_counts = counts[nid]
+        node_counts[:] = np.bincount(y[idx], minlength=n_classes)
         n_node = idx.size
         pure = int(np.count_nonzero(node_counts)) <= 1
         depth_capped = params.max_depth is not None and depth >= params.max_depth
@@ -212,25 +206,17 @@ def _grow_tree(
         split = _best_split(x, y, idx, node_counts, feats, params.min_leaf, n_classes)
         if split is None:
             continue
-        gain, f, thr = split
+        gain, f, thr, rows_left, rows_right = split
         importance_acc[f] += (n_node / n) * gain
-        go_left = x[idx, f] <= thr
-        lid = new_node()
-        rid = new_node()
         feature[nid] = f
         threshold[nid] = thr
-        left[nid] = lid
-        right[nid] = rid
-        stack.append((idx[~go_left], depth + 1, rid))
-        stack.append((idx[go_left], depth + 1, lid))
+        left[nid] = n_nodes
+        right[nid] = n_nodes + 1
+        stack.append((rows_right, depth + 1, n_nodes + 1))
+        stack.append((rows_left, depth + 1, n_nodes))
+        n_nodes += 2
 
-    return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        counts=np.asarray(counts_list, dtype=np.float64),
-    )
+    return Tree(*(a[:n_nodes].copy() for a in (feature, threshold, left, right, counts)))
 
 
 def train_forest(
@@ -267,7 +253,8 @@ def train_forest(
 
 
 def predict_proba(model: ForestModel, rows: np.ndarray) -> np.ndarray:
-    """(n_rows, n_classes) probabilities: tree-averaged leaf frequencies."""
+    """(n_rows, n_classes) probabilities: tree-averaged leaf frequencies,
+    summed in tree order after every row walks all trees at once."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows[None, :]
@@ -275,10 +262,29 @@ def predict_proba(model: ForestModel, rows: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(
             f"rows have width {rows.shape[1]}, model expects {model.n_features}"
         )
-    out = np.zeros((rows.shape[0], len(model.classes)), dtype=np.float64)
-    for tree in model.trees:
-        out += tree.leaf_probs()[tree.apply(rows)]
-    return out / len(model.trees)
+    trees = model.trees
+    n_rows = rows.shape[0]
+    offsets = np.cumsum([0] + [tree.n_nodes for tree in trees[:-1]])
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    left = np.concatenate([tree.left + off for tree, off in zip(trees, offsets)])
+    right = np.concatenate([tree.right + off for tree, off in zip(trees, offsets)])
+    counts = np.concatenate([tree.counts for tree in trees])
+    totals = counts.sum(axis=1, keepdims=True)
+    probs = counts / np.where(totals > 0, totals, 1.0)
+
+    node = np.repeat(offsets, n_rows)  # (n_trees, n_rows) node ids, flat
+    active = np.flatnonzero(feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        go_left = rows[active % n_rows, feature[at]] <= threshold[at]
+        at = np.where(go_left, left[at], right[at])
+        node[active] = at
+        active = active[feature[at] >= 0]
+    out = np.zeros((n_rows, len(model.classes)), dtype=np.float64)
+    for leaves in node.reshape(len(trees), n_rows):
+        out += probs[leaves]
+    return out / len(trees)
 
 
 def predict_labels(model: ForestModel, rows: np.ndarray) -> list[str]:
@@ -551,7 +557,7 @@ def load_model(stream: TextIO) -> ForestModel:
                 if not math.isfinite(thr):
                     raise DataError("model file: split threshold is not finite")
                 # Children are appended after their parent, so a child index
-                # at or before its node would make Tree.apply loop forever.
+                # at or before its node would make prediction loop forever.
                 if not (i < lo < n_nodes and i < hi < n_nodes):
                     raise DataError("model file: split child index out of range")
                 feature[i], threshold[i], left[i], right[i] = f, thr, lo, hi

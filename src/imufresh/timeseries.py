@@ -218,7 +218,9 @@ def load_recording_csv(stream: BinaryIO | TextIO) -> Recording:
     InconsistentChannels, NonUniformSampling, InvalidValue, InvalidKindName
     """
     raw = stream.read()
-    return _parse_recording(raw.encode("utf-8") if isinstance(raw, str) else raw)
+    if isinstance(raw, str):
+        raw = raw.encode("utf-8")  # rebinding lets go of the str
+    return _parse_recording(raw)
 
 
 def load_recording(path: str) -> Recording:
@@ -240,16 +242,20 @@ _SCAN_BYTES = 1 << 20
 
 def _parse_recording(source: str | bytes) -> Recording:
     """The reader behind both entry points: numpy's C text reader parses a
-    path by name, or the lines of the whole CSV given as bytes.  A path is
-    read whole only when a check fails and the first bad line is named."""
+    path by name, or the CSV given as bytes through a decoder that hands it
+    a block of lines at a time.  A path is read whole only when a check
+    fails and the first bad line is named."""
     with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
         width, clean = _scan(fh)
     if not clean:
         _check_lines(_whole(source))
     dtype = [("t", np.float64), ("k", f"S{width}"), ("v", np.float64)]
     try:
+        # Bytes reach numpy through a decoder with universal newlines, which
+        # shares them and hands numpy a block of lines at a time.
         rows = _loadtxt(
-            source if isinstance(source, str) else _whole(source).decode("utf-8").split("\n"),
+            source if isinstance(source, str)
+            else io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline=None),
             dtype, skiprows=1,
         )
     except ValueError:

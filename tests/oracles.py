@@ -7,6 +7,11 @@ must agree with it exactly:
 
 - ``best_split``: the per-feature numpy loop of the forest's split search,
   including which candidate wins a tie;
+- ``grow_tree``: the tree grower with per-node Python lists, which partitions
+  each node by comparing its rows with the threshold;
+- ``leaf_probs``, ``tree_apply`` and ``predict_proba``: prediction one tree
+  at a time, which the forest's walk over all trees at once must match bit
+  for bit;
 - ``load_recording_csv`` and ``save_recording_csv``: the line-at-a-time
   recording CSV reader and writer;
 - ``select_features``: selection's per-target-mode test dispatch (a binary
@@ -37,6 +42,7 @@ from imufresh.errors import (
     InvalidValue,
     NonUniformSampling,
 )
+from imufresh.forest import Tree
 from imufresh.selection import (
     TEST_CONSTANT,
     TEST_FISHER,
@@ -164,7 +170,11 @@ def binned_entropy_kernel(X, bins):
         lo, hi = float(x.min()), float(x.max())
         if lo == hi:
             continue
-        hist, _ = np.histogram(x, bins=bins, range=(lo, hi))
+        try:
+            hist, _ = np.histogram(x, bins=bins, range=(lo, hi))
+        except ValueError:  # too many bins for the range: undefined
+            out[i] = math.nan
+            continue
         p = hist[hist > 0] / x.size
         out[i] = -np.sum(p * np.log(p))
     return out
@@ -436,12 +446,98 @@ def best_split(x_cols, y, idx, counts, feats, min_leaf, n_classes):
             best_gain = float(gain[pick])
             b = int(boundaries[pick])
             thr = (vs[b] + vs[b + 1]) / 2.0
-            if thr == vs[b + 1]:  # adjacent floats: keep the partition consistent
+            if thr >= vs[b + 1]:  # adjacent floats, or an overflowing sum
                 thr = vs[b]
             best = (int(f), float(thr))
     if best is None:
         return None
     return best_gain, best[0], best[1]
+
+
+def grow_tree(x, y, n_classes, params, rng, importance_acc):
+    """The grower with per-node Python lists, calling ``best_split`` and
+    partitioning each node by comparing its rows with the threshold."""
+    n, p = x.shape
+    mtry = params.resolve_mtry(p)
+    boot = rng.integers(0, n, size=n)
+
+    feature, threshold, left, right, counts_list = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        counts_list.append(np.zeros(n_classes, dtype=np.float64))
+        return len(feature) - 1
+
+    root = new_node()
+    stack = [(boot, 0, root)]
+    while stack:
+        idx, depth, nid = stack.pop()
+        node_counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
+        counts_list[nid] = node_counts
+        n_node = idx.size
+        pure = int(np.count_nonzero(node_counts)) <= 1
+        depth_capped = params.max_depth is not None and depth >= params.max_depth
+        if pure or n_node < 2 * params.min_leaf or depth_capped:
+            continue
+        feats = rng.choice(p, size=mtry, replace=False)
+        split = best_split(x, y, idx, node_counts, feats, params.min_leaf, n_classes)
+        if split is None:
+            continue
+        gain, f, thr = split
+        importance_acc[f] += (n_node / n) * gain
+        go_left = x[idx, f] <= thr
+        lid = new_node()
+        rid = new_node()
+        feature[nid] = f
+        threshold[nid] = thr
+        left[nid] = lid
+        right[nid] = rid
+        stack.append((idx[~go_left], depth + 1, rid))
+        stack.append((idx[go_left], depth + 1, lid))
+
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        counts=np.asarray(counts_list, dtype=np.float64),
+    )
+
+
+# --- forest prediction ---------------------------------------------------------
+
+def leaf_probs(tree):
+    """Each node's class frequencies; an all-zero node gives all zeros."""
+    totals = tree.counts.sum(axis=1, keepdims=True)
+    safe = np.where(totals > 0, totals, 1.0)
+    return tree.counts / safe
+
+
+def tree_apply(tree, rows):
+    """Leaf index of every row in one tree, walked level by level."""
+    idx = np.zeros(rows.shape[0], dtype=np.int32)
+    active = tree.feature[idx] >= 0
+    while np.any(active):
+        sel = np.nonzero(active)[0]
+        node = idx[sel]
+        go_left = rows[sel, tree.feature[node]] <= tree.threshold[node]
+        idx[sel] = np.where(go_left, tree.left[node], tree.right[node])
+        active[sel] = tree.feature[idx[sel]] >= 0
+    return idx
+
+
+def predict_proba(model, rows):
+    """One walk per tree, leaf frequencies summed in tree order."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    out = np.zeros((rows.shape[0], len(model.classes)), dtype=np.float64)
+    for tree in model.trees:
+        out += leaf_probs(tree)[tree_apply(tree, rows)]
+    return out / len(model.trees)
 
 
 # --- recording CSV ------------------------------------------------------------

@@ -319,6 +319,31 @@ def test_nan_only_in_documented_cases():
             assert math.isnan(got) == expect_nan, (f.canonical(), n)
 
 
+def test_no_grid_calculator_raises_on_a_finite_window():
+    """Every family of the default grid gives one cell per parameter set on
+    any finite window of length >= 2, extreme magnitudes and adjacent
+    floats included, and raises nothing."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    grid: dict[str, list[dict]] = {}
+    for f in default_settings(["k"]).feature_names():
+        grid.setdefault(f.calculator, []).append(f.param_dict())
+    values = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), 5e-324, 1.7e308, -1.7e308]),
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(window=st.lists(values, min_size=2, max_size=60))
+    def no_raise(window):
+        X = np.asarray([window])
+        with np.errstate(all="ignore"):  # overflow to inf is a value, not a failure
+            for calc, params_list in grid.items():
+                assert CALCULATORS[calc].family(X, params_list).shape == (1, len(params_list))
+
+    no_raise()
+
+
 # Per-parameter reference kernel of each calculator whose family shares
 # intermediates between parameter sets.
 ORACLE_KERNELS = {
@@ -332,8 +357,9 @@ ORACLE_KERNELS = {
 
 def _family_batch(w: int) -> np.ndarray:
     """Rows of length *w* covering the families' edge cases: ties and signed
-    zeros, a constant row, a linear ramp, and rows that leave histogram bins
-    empty (two values; a cluster with one far outlier)."""
+    zeros, a constant row, a linear ramp, rows that leave histogram bins
+    empty (two values; a cluster with one far outlier) and a range too
+    narrow for more than one histogram bin (two adjacent floats)."""
     rng = np.random.default_rng(1000 + w)
     cluster = 0.01 * rng.standard_normal(w)
     cluster[w // 2] = 10.0
@@ -346,6 +372,7 @@ def _family_batch(w: int) -> np.ndarray:
         np.arange(w, dtype=np.float64),
         np.where(rng.random(w) < 0.5, -1.0, 2.0),
         cluster,
+        np.where(np.arange(w) % 3 == 1, np.nextafter(1.0, 2.0), 1.0),
     ])
 
 
@@ -385,13 +412,17 @@ class TestFamilies:
         assert got[:, 0].tobytes() == oracles.quantile_kernel(X, 1.0).tobytes()
         assert got[:, 1].tobytes() == oracles.quantile_kernel(X, 0.0).tobytes()
 
-    def test_binned_entropy_rejects_a_range_too_narrow_for_its_bins(self):
-        # np.histogram refuses bins narrower than the row's spacing of floats.
-        X = np.asarray([[1.0, np.nextafter(1.0, 2.0), 1.0]])
-        with pytest.raises(ValueError, match="Too many bins"):
-            oracles.binned_entropy_kernel(X, 10)
-        with pytest.raises(ValueError, match="Too many bins"):
-            CALCULATORS["binned_entropy"].family(X, [{"bins": 10}])
+    def test_binned_entropy_of_a_range_too_narrow_for_its_bins_is_nan(self):
+        # A range two floats wide holds no 10 bins of finite width: NaN, as
+        # in the oracle where np.histogram refuses.  One bin still exists.
+        narrow = [1.0, np.nextafter(1.0, 2.0), 1.0]
+        assert math.isnan(compute_feature(narrow, "binned_entropy", {"bins": 10}))
+        assert compute_feature(narrow, "binned_entropy", {"bins": 1}) == 0.0
+        X = np.asarray([narrow, [0.0, 0.0, 1.0]])
+        for bins in (1, 2, 10):
+            col = CALCULATORS["binned_entropy"].family(X, [{"bins": bins}])[:, 0]
+            assert col.tobytes() == oracles.binned_entropy_kernel(X, bins).tobytes()
+            assert math.isnan(col[0]) == (bins > 1) and not math.isnan(col[1])
 
     @pytest.mark.parametrize("calc", sorted(ORACLE_KERNELS))
     def test_each_column_alone_matches_the_sweep(self, calc):

@@ -109,16 +109,11 @@ class TestTrain:
         assert predict_labels(model, values) == labels
 
 
-def _split_problem(rng, case):
-    """A seeded node for the split search: ties, discrete, constant,
-    duplicated and adjacent-float columns, drawn with repeated rows."""
-    n_classes = 2 + case % 3
-    min_leaf = 1 + (case // 3) % 3
-    n_rows = int(rng.integers(2, 40))
-    n_node = 2 if case % 7 == 0 else int(rng.integers(2, 40))
-    p = int(rng.integers(1, 9))
+def _columns(rng, n_rows, p):
+    """Normal, discrete (tied), constant, duplicated and adjacent-float
+    columns."""
     columns = []
-    for j in range(p):
+    for _ in range(p):
         kind = int(rng.integers(0, 5))
         if kind == 0:
             col = rng.standard_normal(n_rows)
@@ -132,7 +127,17 @@ def _split_problem(rng, case):
             lo = np.nextafter(1.0, 2.0)
             col = np.where(rng.random(n_rows) < 0.5, lo, np.nextafter(lo, 2.0))
         columns.append(col)
-    x = np.column_stack(columns)
+    return np.column_stack(columns)
+
+
+def _split_problem(rng, case):
+    """A seeded node for the split search, drawn with repeated rows."""
+    n_classes = 2 + case % 4
+    min_leaf = 1 + (case // 4) % 3
+    n_rows = int(rng.integers(2, 40))
+    n_node = 2 if case % 7 == 0 else int(rng.integers(2, 40))
+    p = int(rng.integers(1, 9))
+    x = _columns(rng, n_rows, p)
     y = rng.integers(0, n_classes, size=n_rows)
     idx = rng.integers(0, n_rows, size=n_node)
     counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
@@ -140,16 +145,30 @@ def _split_problem(rng, case):
     return x, y, idx, counts, feats, min_leaf, n_classes
 
 
+def _search(x, y, idx, counts, feats, min_leaf, n_classes):
+    """``forest._best_split`` as (gain, feature, threshold), after checking
+    that its children are the node's rows at or below and above the
+    threshold."""
+    got = forest._best_split(x, y, idx, counts, feats, min_leaf, n_classes)
+    if got is None:
+        return None
+    gain, f, thr, rows_left, rows_right = got
+    go_left = x[idx, f] <= thr
+    assert np.array_equal(np.sort(rows_left), np.sort(idx[go_left]))
+    assert np.array_equal(np.sort(rows_right), np.sort(idx[~go_left]))
+    return gain, f, thr
+
+
 class TestSplitSearch:
     def test_matches_per_feature_loop(self):
         rng = np.random.default_rng(31)
         found = 0
-        for case in range(300):
+        for case in range(400):
             problem = _split_problem(rng, case)
             want = oracles.best_split(*problem)
-            assert forest._best_split(*problem) == want, case
+            assert _search(*problem) == want, case
             found += want is not None
-        assert 0 < found < 300
+        assert 0 < found < 400
 
     def test_tie_goes_to_first_sampled_feature(self):
         col = np.asarray([0.0, 1.0, 2.0, 3.0])
@@ -158,8 +177,82 @@ class TestSplitSearch:
         idx = np.arange(4)
         counts = np.asarray([2.0, 2.0])
         for feats in ([2, 0, 1], [1, 2, 0]):
-            got = forest._best_split(x, y, idx, counts, np.asarray(feats), 1, 2)
+            got = _search(x, y, idx, counts, np.asarray(feats), 1, 2)
             assert got == (0.5, feats[0], 1.5)
+
+
+def _tree_bits(tree):
+    return tuple(
+        (a.dtype.str, a.shape, a.tobytes())
+        for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.counts)
+    )
+
+
+def _grow_both(x, y, n_classes, params, n_trees=3):
+    """Trees and importance accumulators of forest._grow_tree and of the
+    list-based oracle grower, on the same per-tree streams."""
+    grown = []
+    for grower in (forest._grow_tree, oracles.grow_tree):
+        acc = np.zeros(x.shape[1])
+        trees = [
+            grower(x, y, n_classes, params, np.random.default_rng((params.seed, t)), acc)
+            for t in range(n_trees)
+        ]
+        grown.append(([_tree_bits(t) for t in trees], acc.tobytes(), trees))
+    return grown
+
+
+class TestGrower:
+    def test_matches_list_based_grower(self):
+        rng = np.random.default_rng(57)
+        depths = (None, 1, 3)
+        n_split = 0
+        for case in range(50):
+            n_classes = 2 + case % 4
+            n_rows = int(rng.integers(2, 40))
+            p = int(rng.integers(1, 9))
+            x = _columns(rng, n_rows, p)
+            y = rng.integers(0, n_classes, size=n_rows)
+            params = ForestParams(
+                mtry=int(rng.integers(1, p + 1)),
+                min_leaf=1 + (case // 4) % 3,
+                max_depth=depths[case % 3],
+                seed=case,
+            )
+            got, want = _grow_both(x, y, n_classes, params)
+            assert got[:2] == want[:2], case
+            n_split += sum(t.n_nodes > 1 for t in got[2])
+        assert n_split > 50
+
+    def test_tree_that_isolates_every_bootstrap_row(self):
+        # A permutation bootstrap of n distinct values whose labels alternate
+        # along the one feature: every row ends in its own leaf, so the tree
+        # has the 2n - 1 nodes its arrays are sized for.
+        n = 5
+        seed = next(
+            s for s in range(10_000)
+            if np.unique(np.random.default_rng((s, 0)).integers(0, n, size=n)).size == n
+        )
+        x = np.arange(n, dtype=np.float64)[:, None]
+        y = np.arange(n) % 2
+        got, want = _grow_both(x, y, 2, ForestParams(seed=seed), n_trees=1)
+        assert got[:2] == want[:2]
+        assert got[2][0].n_nodes == 2 * n - 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_split_between_values_whose_sum_overflows():
+    # (lo + hi) / 2 is inf here (numpy warns of the overflow): the split
+    # falls back to lo, so the rows still part at the threshold and the
+    # model file loads again.
+    values = np.asarray([[1.0e308], [1.5e308]] * 5)
+    labels = ["a", "b"] * 5
+    model = train_forest(_matrix(values), labels, ForestParams(n_trees=5, seed=0))
+    assert {float(t.threshold[0]) for t in model.trees if t.n_nodes > 1} == {1.0e308}
+    assert predict_labels(model, values) == labels
+    buf = io.StringIO()
+    save_model(model, buf)
+    assert predict_labels(load_model(io.StringIO(buf.getvalue())), values) == labels
 
 
 class TestPredictProba:
@@ -194,6 +287,63 @@ class TestPredictProba:
         model = train_forest(matrix, labels, ForestParams(n_trees=5, seed=0))
         with pytest.raises(ShapeMismatch):
             predict_proba(model, np.zeros((3, 5)))
+
+
+    @staticmethod
+    def _assert_oracle_bits(model, rows):
+        got = predict_proba(model, rows)
+        assert got.tobytes() == oracles.predict_proba(model, rows).tobytes()
+        return got
+
+    @pytest.mark.parametrize(
+        "params, noise, n_classes",
+        [
+            (ForestParams(n_trees=30, mtry=2, seed=1), 0.05, 2),  # stumps
+            (ForestParams(n_trees=30, min_leaf=1, seed=2), 3.0, 4),  # deep trees
+            (ForestParams(n_trees=30, min_leaf=2, max_depth=3, seed=3), 1.0, 3),
+        ],
+    )
+    def test_matches_per_tree_oracle(self, params, noise, n_classes):
+        rng = np.random.default_rng(60)
+        n = 60
+        y = np.arange(n) % n_classes
+        values = np.column_stack([y + noise * rng.standard_normal(n), rng.standard_normal(n)])
+        labels = [f"c{v}" for v in y]
+        model = train_forest(_matrix(values), labels, params)
+        probe = np.vstack([values, rng.standard_normal((40, 2)) * 2.0])
+        self._assert_oracle_bits(model, probe)
+        sizes = {t.n_nodes for t in model.trees}
+        assert sizes == {3} if noise < 0.1 else max(sizes) > 3
+
+    def test_single_leaf_trees(self):
+        # Three rows, two of one class: some bootstraps are pure, so their
+        # trees are a single leaf.
+        values = np.asarray([[0.0], [1.0], [2.0]])
+        model = train_forest(_matrix(values), ["a", "a", "b"], ForestParams(n_trees=40, seed=0))
+        assert min(t.n_nodes for t in model.trees) == 1
+        assert max(t.n_nodes for t in model.trees) > 1
+        self._assert_oracle_bits(model, np.linspace(-1.0, 3.0, 17)[:, None])
+
+    def test_all_zero_leaf(self):
+        lines = list(_MODEL_LINES)
+        lines[9] = "leaf 0.0 0.0"
+        model = load_model(io.StringIO("\n".join(lines) + "\n"))
+        got = self._assert_oracle_bits(model, np.asarray([[0.0], [1.0]]))
+        assert got.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+
+    def test_row_shapes(self):
+        matrix, labels = _separable(noise=0.6, seed=61)
+        model = train_forest(matrix, labels, ForestParams(n_trees=25, min_leaf=1, seed=8))
+        rng = np.random.default_rng(62)
+        many = rng.standard_normal((675, 2))
+        got = self._assert_oracle_bits(model, many)
+        assert got.shape == (675, 2)
+        one = self._assert_oracle_bits(model, many[:1])
+        assert one.tobytes() == got[:1].tobytes()
+        flat = self._assert_oracle_bits(model, many[0])
+        assert flat.tobytes() == one.tobytes()
+        none = self._assert_oracle_bits(model, np.zeros((0, 2)))
+        assert none.shape == (0, 2)
 
 
 class TestCrossValidate:
@@ -430,6 +580,12 @@ def test_corrupt_node_records_rejected(line, record):
     lines = list(_MODEL_LINES)
     lines[line] = record
     with pytest.raises(DataError):
+        load_model(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_model_without_trees_rejected():
+    lines = _MODEL_LINES[:6] + ["trees 0", "end"]
+    with pytest.raises(DataError, match="at least one tree"):
         load_model(io.StringIO("\n".join(lines) + "\n"))
 
 

@@ -287,36 +287,59 @@ class TestReaderMatchesLineLoop:
             load_recording_csv(io.BytesIO(text.encode()))
 
 
+def _memory_case(layout):
+    """A six-channel recording CSV of 100,000 rows, about 3.6 MB."""
+    rng = np.random.default_rng(3)
+    kinds = [f"{sensor}_{axis}_l" for sensor in ("accel", "gyro") for axis in "xyz"]
+    n = 100_000 // len(kinds)
+    times = [repr(t) for t in (np.arange(n) / 100.0).tolist()]
+    values = {kind: [repr(v) for v in rng.standard_normal(n).tolist()] for kind in kinds}
+    if layout == "blocks":
+        rows = [(i, kind) for kind in kinds for i in range(n)]
+    else:
+        rows = [(i, kind) for i in range(n) for kind in kinds]
+    text = "time,kind,value\n" + "".join(f"{times[i]},{k},{values[k][i]}\n" for i, k in rows)
+    return kinds, n, text
+
+
+def _traced_peak(read):
+    """(result, peak bytes traced while *read* runs)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = read()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestReaderMemory:
     """Reading a path holds no copy of the file and no per-byte array: the
-    traced peak is numpy's rows plus the channels, about 1.1x the file."""
+    traced peak is numpy's rows plus the channels, about 1.1x the file.  A
+    stream is read whole once (twice, briefly, to encode a text stream), and
+    numpy gets its lines a block at a time."""
 
     @pytest.mark.parametrize("layout", ["blocks", "interleaved"])
     def test_peak_at_most_one_and_a_half_times_the_file(self, layout, tmp_path):
-        rng = np.random.default_rng(3)
-        kinds = [f"{sensor}_{axis}_l" for sensor in ("accel", "gyro") for axis in "xyz"]
-        n = 100_000 // len(kinds)
-        times = [repr(t) for t in (np.arange(n) / 100.0).tolist()]
-        values = {kind: [repr(v) for v in rng.standard_normal(n).tolist()] for kind in kinds}
-        if layout == "blocks":
-            rows = [(i, kind) for kind in kinds for i in range(n)]
-        else:
-            rows = [(i, kind) for i in range(n) for kind in kinds]
+        kinds, n, text = _memory_case(layout)
         path = tmp_path / "rec.csv"
-        path.write_text(
-            "time,kind,value\n" + "".join(f"{times[i]},{k},{values[k][i]}\n" for i, k in rows)
-        )
-        del rows, values
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            rec = load_recording(str(path))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        path.write_text(text)
+        del text
+        rec, peak = _traced_peak(lambda: load_recording(str(path)))
         assert list(rec.channels) == kinds and rec.length == n
         assert peak <= 1.5 * path.stat().st_size
+
+    @pytest.mark.parametrize("text_stream", [False, True])
+    def test_stream_peak_at_most_two_and_a_half_times_the_file(self, text_stream):
+        kinds, n, text = _memory_case("blocks")
+        data = text.encode()
+        stream = io.StringIO(text) if text_stream else io.BytesIO(data)
+        del text
+        rec, peak = _traced_peak(lambda: load_recording_csv(stream))
+        assert list(rec.channels) == kinds and rec.length == n
+        assert peak <= 2.5 * len(data)
 
 
 class TestWriter:
