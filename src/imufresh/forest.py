@@ -33,6 +33,7 @@ from .timeseries import render_float
 
 _SEED_MASK = (1 << 64) - 1
 _CV_SALT = 0x5CF01D
+_BLOCK_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -106,104 +107,110 @@ class ForestModel:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=256)
-def _boundary_sizes(n_node: int, min_leaf: int) -> tuple[np.ndarray, ...]:
+def _boundary_sizes(n_node: int, min_leaf: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only rows left and right of each boundary with ``min_leaf`` rows
-    on either side, and their squares."""
+    on either side, shaped (2, 1, 1, bounds), and their squares."""
     n_left = np.arange(min_leaf, n_node - min_leaf + 1)
-    sizes = (n_left, n_node - n_left, n_left * n_left, (n_node - n_left) ** 2)
-    for a in sizes:
+    sizes = np.stack([n_left, n_node - n_left])[:, None, None, :]
+    squares = sizes * sizes
+    for a in (sizes, squares):
         a.flags.writeable = False
-    return sizes
+    return sizes, squares
 
 
 def _best_split(
-    x_cols: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
-    counts: np.ndarray,
-    feats: np.ndarray,
-    min_leaf: int,
-    n_classes: int,
-):
-    """Best (gain, feature, threshold, left rows, right rows) over the
-    sampled features, or None.
+    x_cols: np.ndarray, y: np.ndarray, idx: np.ndarray, counts: np.ndarray,
+    feats: np.ndarray, min_leaf: int, n_classes: int,
+) -> list:
+    """Best (gain, feature, threshold, left rows, right rows), or None, for
+    each of B nodes of n_node rows: ``idx`` (B, n_node), ``counts``
+    (B, n_classes) and sampled ``feats`` (B, mtry).
 
-    All sampled features are scored at once: one argsort of the
-    ``(mtry, n_node)`` block (sorted in place for its values), running
-    counts of every class but the last (which is what the others leave),
-    and the Gini gain of every boundary between distinct sorted values with
-    ``min_leaf`` rows on either side.  The pick is the first maximum in
-    sampled-feature order with thresholds ascending, taken only if its gain
-    is > 0, so the choice is deterministic.  The sort need not be stable:
-    rows tied on a value only reorder counts at boundaries inside the tie,
-    and those are never candidates.  For the same reason the children, the
-    rows on either side of the winning boundary in its column's sort, are
-    exactly the rows at or below and above the threshold.
+    One argsort of the ``(B, mtry, n_node)`` block (sorted in place for its
+    values) and running counts of every class but the last score every
+    boundary between distinct sorted values with ``min_leaf`` rows on either
+    side.  A node's pick is its first maximum in sampled-feature order with
+    thresholds ascending, taken only if its gain is > 0.  The sort need not
+    be stable: rows tied on a value only reorder counts at boundaries inside
+    the tie, which are never candidates, so the children (the winning
+    column's sort cut at the boundary) are exactly the rows at or below and
+    above the threshold.  ``_BLOCK_CELLS`` bounds the block of one pass.
     """
-    n_node = idx.size
+    n_nodes, n_node = idx.shape
     if n_node < 2 * min_leaf:
-        return None
-    block = x_cols[idx, feats[:, None]]  # (mtry, n_node): feature-major
-    order = block.argsort(axis=1)
-    block.sort(axis=1)
+        return [None] * n_nodes
     first, end = min_leaf - 1, n_node - min_leaf  # the candidate boundaries
-    n_left, n_right, n_left_sq, n_right_sq = _boundary_sizes(n_node, min_leaf)
-    # Sums of squared class counts per side, in exact integer arithmetic.
-    ys = y[idx][order[:, :end]]
-    c = (ys == np.arange(n_classes - 1)[:, None, None]).cumsum(axis=2)[:, :, first:]
-    c_node = counts.astype(np.int64)
-    rest = n_left - c.sum(axis=0)  # the last class
-    sq_left = (c * c).sum(axis=0) + rest * rest
-    c = c_node[:-1, None, None] - c  # right of each boundary
-    rest = c_node[-1] - rest
-    sq_right = (c * c).sum(axis=0) + rest * rest
-    gini_left = 1.0 - sq_left / n_left_sq
-    gini_right = 1.0 - sq_right / n_right_sq
-    gini = 1.0 - float(np.dot(counts, counts)) / (n_node * n_node)
-    gain = gini - (n_left * gini_left + n_right * gini_right) / n_node
-    gain[block[:, first:end] == block[:, first + 1 : end + 1]] = -np.inf
-    f_pos, b = divmod(int(gain.argmax()), end - first)
-    best = float(gain[f_pos, b])
-    if best <= 0.0:
-        return None
-    b += first
-    lo, hi = block[f_pos, b], block[f_pos, b + 1]
-    thr = (lo + hi) / 2.0
-    if thr >= hi:  # adjacent floats, or a sum that overflows: split at lo
-        thr = lo
-    rows = idx[order[f_pos]]
-    return best, int(feats[f_pos]), float(thr), rows[: b + 1], rows[b + 1 :]
+    sizes, sizes_sq = _boundary_sizes(n_node, min_leaf)
+    out = []
+    step = _BLOCK_CELLS // (feats.shape[1] * n_node) or 1
+    for lo in range(0, n_nodes, step):
+        ix, cnt, fs = idx[lo : lo + step], counts[lo : lo + step], feats[lo : lo + step]
+        block = x_cols[ix[:, None, :], fs[:, :, None]]  # (B, mtry, n_node)
+        order = block.argsort(axis=2)
+        block.sort(axis=2)
+        order += (n_node * np.arange(len(ix)))[:, None, None]  # into ix.ravel()
+        flat = ix.ravel()
+        # Class counts left (side 0) and right (side 1) of each boundary,
+        # and the sums of their squares, in exact integer arithmetic.
+        onehot = y[flat][order[:, :, :end]] == np.arange(n_classes - 1)[:, None, None, None]
+        c = np.empty((2, *onehot.shape), dtype=np.int64)
+        onehot.cumsum(axis=3, out=c[0])
+        np.subtract(cnt.T[:-1, :, None, None].astype(np.int64), c[0], out=c[1])
+        c = c[..., first:]
+        rest = sizes - c.sum(axis=1)  # the last class
+        side = sizes * (1.0 - ((c * c).sum(axis=1) + rest * rest) / sizes_sq)
+        gini = 1.0 - (cnt * cnt).sum(axis=1) / (n_node * n_node)
+        gain = gini[:, None, None] - (side[0] + side[1]) / n_node
+        np.putmask(gain, block[..., first:end] == block[..., first + 1 : end + 1], -np.inf)
+        picks = gain.reshape(len(ix), -1).argmax(axis=1)
+        for node, pick in enumerate(picks.tolist()):
+            f_pos, b = divmod(pick, end - first)
+            best = float(gain[node, f_pos, b])
+            if best <= 0.0:
+                out.append(None)
+                continue
+            b += first
+            v_lo, v_hi = block[node, f_pos, b], block[node, f_pos, b + 1]
+            thr = (v_lo + v_hi) / 2.0
+            if thr >= v_hi:  # adjacent floats, or a sum that overflows: split at lo
+                thr = v_lo
+            rows = flat[order[node, f_pos]]
+            out.append((best, int(fs[node, f_pos]), float(thr), rows[: b + 1], rows[b + 1 :]))
+    return out
 
 
 def _grow_tree(
-    x: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    params: ForestParams,
-    rng: np.random.Generator,
-    importance_acc: np.ndarray,
+    x: np.ndarray, y: np.ndarray, params: ForestParams, rng: np.random.Generator,
+    importance_acc: np.ndarray, boot: np.ndarray, root_counts: np.ndarray, root_split,
 ) -> Tree:
+    """One tree from its bootstrap, root class counts and root split (from
+    the forest's root search); each other node draws its features from the
+    tree's stream, in DFS order."""
     n, p = x.shape
+    n_classes = root_counts.size
     mtry = params.resolve_mtry(p)
-    boot = rng.integers(0, n, size=n)
-
     cap = 2 * n - 1  # a bootstrap of n rows makes at most this many nodes
     feature, left, right = np.full((3, cap), -1, dtype=np.int32)
     threshold = np.zeros(cap, dtype=np.float64)
     counts = np.zeros((cap, n_classes), dtype=np.float64)
+    counts[0] = root_counts
     n_nodes = 1
     stack: list[tuple[np.ndarray, int, int]] = [(boot, 0, 0)]
     while stack:
         idx, depth, nid = stack.pop()
-        node_counts = counts[nid]
-        node_counts[:] = np.bincount(y[idx], minlength=n_classes)
         n_node = idx.size
-        pure = int(np.count_nonzero(node_counts)) <= 1
-        depth_capped = params.max_depth is not None and depth >= params.max_depth
-        if pure or n_node < 2 * params.min_leaf or depth_capped:
-            continue
-        feats = rng.choice(p, size=mtry, replace=False)
-        split = _best_split(x, y, idx, node_counts, feats, params.min_leaf, n_classes)
+        if nid == 0:
+            split = root_split
+        else:
+            node_counts = counts[nid]
+            node_counts[:] = np.bincount(y[idx], minlength=n_classes)
+            pure = int(np.count_nonzero(node_counts)) <= 1
+            depth_capped = params.max_depth is not None and depth >= params.max_depth
+            if pure or n_node < 2 * params.min_leaf or depth_capped:
+                continue
+            feats = rng.choice(p, size=mtry, replace=False)
+            split = _best_split(x, y, idx[None], node_counts[None], feats[None],
+                                params.min_leaf, n_classes)[0]
         if split is None:
             continue
         gain, f, thr, rows_left, rows_right = split
@@ -222,10 +229,16 @@ def _grow_tree(
 def train_forest(
     matrix: FeatureMatrix, labels: Sequence[str], params: ForestParams
 ) -> ForestModel:
-    """Fit the ensemble; deterministic for a fixed params.seed."""
+    """Fit the ensemble; deterministic for a fixed params.seed.
+
+    Tree t draws its bootstrap, its root's features and then its other
+    nodes' features in DFS order from its own stream ``(seed, t)``.  All
+    splittable roots hold n rows, so one batched search scores them; the
+    trees then grow in tree order, which fixes the importance sums.
+    """
     x = matrix.values
-    if np.any(np.isnan(x)):
-        raise NaNInFeatures("feature matrix contains NaN cells; drop those columns first")
+    if not np.isfinite(x).all():
+        raise NaNInFeatures("feature matrix has NaN or infinite cells; drop those columns first")
     label_list = [str(v) for v in labels]
     if len(label_list) != matrix.n_rows:
         raise BadParameters("labels length must equal the number of rows")
@@ -234,13 +247,24 @@ def train_forest(
         raise DegenerateTarget("training requires at least 2 classes")
     class_index = {c: i for i, c in enumerate(classes)}
     y = np.asarray([class_index[v] for v in label_list], dtype=np.int64)
-    params.resolve_mtry(matrix.n_cols)
+    (n, p), n_classes, n_trees = x.shape, len(classes), params.n_trees
+    mtry = params.resolve_mtry(p)
 
     seed = params.seed & _SEED_MASK
-    importance_acc = np.zeros(matrix.n_cols, dtype=np.float64)
+    rngs = [np.random.default_rng((seed, t)) for t in range(n_trees)]
+    boots = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+    root_counts = (y[boots][:, :, None] == np.arange(n_classes)).sum(axis=1).astype(np.float64)
+    # Roots that are not pure and hold 2 * min_leaf rows; none is depth-capped.
+    splittable = (np.count_nonzero(root_counts, axis=1) > 1) & (n >= 2 * params.min_leaf)
+    roots = np.flatnonzero(splittable)
+    feats = np.array([rngs[t].choice(p, size=mtry, replace=False) for t in roots], dtype=np.int64)
+    found = _best_split(x, y, boots[roots], root_counts[roots], feats.reshape(-1, mtry),
+                        params.min_leaf, n_classes)
+    root_splits = dict(zip(roots.tolist(), found))
+    importance_acc = np.zeros(p, dtype=np.float64)
     trees = tuple(
-        _grow_tree(x, y, len(classes), params, np.random.default_rng((seed, t)), importance_acc)
-        for t in range(params.n_trees)
+        _grow_tree(x, y, params, rng, importance_acc, boots[t], root_counts[t], root_splits.get(t))
+        for t, rng in enumerate(rngs)
     )
     total = float(importance_acc.sum())
     importances = importance_acc / total if total > 0 else importance_acc

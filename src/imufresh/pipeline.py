@@ -341,14 +341,14 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
     # Step 4: importance ranking over the selected columns only.
     with _timed(timings, "rank"):
         selected_matrix = matrix.subset(report.selected)
-        has_nan = np.isnan(selected_matrix.values).any(axis=0)
-        nan_free = [f for f, bad in zip(selected_matrix.feature_names, has_nan) if not bad]
-        dropped = int(has_nan.sum())
+        finite = np.isfinite(selected_matrix.values).all(axis=0)
+        usable_names = [f for f, ok in zip(selected_matrix.feature_names, finite) if ok]
+        dropped = len(finite) - len(usable_names)
         if dropped:
-            logger.info("step 4: dropping %d selected columns containing NaN", dropped)
-        if not nan_free:
-            raise NothingSelected("every selected feature column contains NaN")
-        usable = selected_matrix.subset(nan_free)
+            logger.info("step 4: dropping %d selected columns with NaN or infinite cells", dropped)
+        if not usable_names:
+            raise NothingSelected("every selected feature column has NaN or infinite cells")
+        usable = selected_matrix.subset(usable_names)
         ranked = aggregate_importances(
             usable, labels, config.repeats, config.forest_params(), workers=config.workers
         )
@@ -396,7 +396,7 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
         ("n_kinds", str(len(engineered.channels))),
         ("n_features_full", str(matrix.n_cols)),
         ("n_selected", str(len(report.selected))),
-        ("n_selected_usable", str(len(nan_free))),
+        ("n_selected_usable", str(len(usable_names))),
         ("classes", ",".join(sorted(set(labels)))),
         ("specialized_cv_folds", str(cv_folds)),
         ("specialized_cv_accuracy", render_float(cv.mean_accuracy)),

@@ -454,35 +454,48 @@ def save_recording(recording: Recording, path: str) -> None:
 
 
 def load_labels_csv(stream: TextIO) -> list[tuple[float, float, str]]:
-    """Read a labels CSV with header ``start_s,end_s,label``."""
+    """Read a labels CSV with header ``start_s,end_s,label``.
+
+    A line the CSV reader cannot parse, a wrong header or a row without
+    three fields raises InconsistentChannels; a bad interval, or a label
+    with a line break (which a model file could not hold), raises
+    InvalidValue.
+    """
     reader = csv.reader(stream)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise InconsistentChannels("labels CSV is empty") from None
-    if header != ["start_s", "end_s", "label"]:
-        raise InconsistentChannels(
-            f"expected header 'start_s,end_s,label', got {','.join(header)!r}"
-        )
-    out: list[tuple[float, float, str]] = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise InconsistentChannels(f"labels CSV row has {len(row)} fields: {row!r}")
-        try:
-            start, end = float(row[0]), float(row[1])
-        except ValueError as exc:
-            raise InvalidValue(f"labels CSV: {exc}") from None
-        if not (math.isfinite(start) and math.isfinite(end)) or end <= start:
-            raise InvalidValue(f"labels CSV: bad interval ({row[0]}, {row[1]})")
-        out.append((start, end, row[2]))
+        header = next(reader, None)
+        if header is None:
+            raise InconsistentChannels("labels CSV is empty")
+        if header != ["start_s", "end_s", "label"]:
+            raise InconsistentChannels(
+                f"expected header 'start_s,end_s,label', got {','.join(header)!r}"
+            )
+        out: list[tuple[float, float, str]] = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise InconsistentChannels(f"labels CSV row has {len(row)} fields: {row!r}")
+            try:
+                start, end = float(row[0]), float(row[1])
+            except ValueError as exc:
+                raise InvalidValue(f"labels CSV: {exc}") from None
+            if not (math.isfinite(start) and math.isfinite(end)) or end <= start:
+                raise InvalidValue(f"labels CSV: bad interval ({row[0]}, {row[1]})")
+            if "\n" in row[2] or "\r" in row[2]:
+                raise InvalidValue(f"labels CSV: label with a line break in row {row!r}")
+            out.append((start, end, row[2]))
+    except csv.Error as exc:
+        raise InconsistentChannels(f"labels CSV line {reader.line_num}: {exc}") from None
     return out
 
 
 def load_labels(path: str) -> list[tuple[float, float, str]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return load_labels_csv(fh)
+        try:
+            return load_labels_csv(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidValue(f"labels CSV {path!r} is not UTF-8: {exc.reason}") from None
 
 
 def save_labels(intervals: Iterable[tuple[float, float, str]], path: str) -> None:

@@ -88,6 +88,13 @@ class TestTrain:
         with pytest.raises(NaNInFeatures):
             train_forest(_matrix(bad), labels, ForestParams(n_trees=2, seed=0))
 
+    @pytest.mark.parametrize("cell", [-np.inf, np.inf])
+    def test_infinite_cells_rejected(self, cell):
+        # A split between -inf and 1.0 would get the threshold -inf, which
+        # no model file may hold.
+        with pytest.raises(NaNInFeatures):
+            train_forest(_matrix(np.asarray([[cell], [1.0]])), ["a", "b"], ForestParams(seed=0))
+
     def test_single_class_rejected(self):
         matrix, _ = _separable()
         with pytest.raises(DegenerateTarget):
@@ -146,17 +153,22 @@ def _split_problem(rng, case):
 
 
 def _search(x, y, idx, counts, feats, min_leaf, n_classes):
-    """``forest._best_split`` as (gain, feature, threshold), after checking
-    that its children are the node's rows at or below and above the
-    threshold."""
-    got = forest._best_split(x, y, idx, counts, feats, min_leaf, n_classes)
-    if got is None:
-        return None
-    gain, f, thr, rows_left, rows_right = got
-    go_left = x[idx, f] <= thr
-    assert np.array_equal(np.sort(rows_left), np.sort(idx[go_left]))
-    assert np.array_equal(np.sort(rows_right), np.sort(idx[~go_left]))
-    return gain, f, thr
+    """``forest._best_split`` on B nodes, as (gain, feature, threshold) per
+    node, after checking that each node's children are its rows at or below
+    and above the threshold."""
+    found = forest._best_split(x, y, idx, counts, feats, min_leaf, n_classes)
+    assert len(found) == idx.shape[0]
+    out = []
+    for node_rows, got in zip(idx, found):
+        if got is None:
+            out.append(None)
+            continue
+        gain, f, thr, rows_left, rows_right = got
+        go_left = x[node_rows, f] <= thr
+        assert np.array_equal(np.sort(rows_left), np.sort(node_rows[go_left]))
+        assert np.array_equal(np.sort(rows_right), np.sort(node_rows[~go_left]))
+        out.append((gain, f, thr))
+    return out
 
 
 class TestSplitSearch:
@@ -164,21 +176,52 @@ class TestSplitSearch:
         rng = np.random.default_rng(31)
         found = 0
         for case in range(400):
-            problem = _split_problem(rng, case)
-            want = oracles.best_split(*problem)
-            assert _search(*problem) == want, case
+            x, y, idx, counts, feats, min_leaf, n_classes = _split_problem(rng, case)
+            want = oracles.best_split(x, y, idx, counts, feats, min_leaf, n_classes)
+            got = _search(x, y, idx[None], counts[None], feats[None], min_leaf, n_classes)
+            assert got == [want], case
             found += want is not None
         assert 0 < found < 400
+
+    @pytest.mark.parametrize("cells", [forest._BLOCK_CELLS, 64, 1])
+    def test_batch_matches_one_oracle_call_per_node(self, monkeypatch, cells):
+        # B nodes of one size on shared data, as a forest's roots are; the
+        # smaller block bounds score the batch in several passes.
+        monkeypatch.setattr(forest, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(43)
+        found = 0
+        for case in range(160):
+            n_classes = 2 + case % 4
+            min_leaf = 1 + (case // 4) % 3
+            n_nodes = 1 + case % 8
+            n_rows = int(rng.integers(2, 30))
+            n_node = int(rng.integers(2, 30))
+            p = int(rng.integers(1, 9))
+            mtry = int(rng.integers(1, p + 1))
+            x = _columns(rng, n_rows, p)
+            y = rng.integers(0, n_classes, size=n_rows)
+            idx = rng.integers(0, n_rows, size=(n_nodes, n_node))
+            if case % 5 == 0:
+                idx[-1] = idx[0]  # two nodes with the same rows
+            counts = np.stack([np.bincount(y[i], minlength=n_classes) for i in idx]) * 1.0
+            feats = np.stack([rng.choice(p, size=mtry, replace=False) for _ in idx])
+            want = [
+                oracles.best_split(x, y, i, c, f, min_leaf, n_classes)
+                for i, c, f in zip(idx, counts, feats)
+            ]
+            assert _search(x, y, idx, counts, feats, min_leaf, n_classes) == want, case
+            found += sum(w is not None for w in want)
+        assert found > 150
 
     def test_tie_goes_to_first_sampled_feature(self):
         col = np.asarray([0.0, 1.0, 2.0, 3.0])
         x = np.column_stack([col, col, col])
         y = np.asarray([0, 0, 1, 1])
-        idx = np.arange(4)
-        counts = np.asarray([2.0, 2.0])
+        idx = np.arange(4)[None]
+        counts = np.asarray([[2.0, 2.0]])
         for feats in ([2, 0, 1], [1, 2, 0]):
-            got = _search(x, y, idx, counts, np.asarray(feats), 1, 2)
-            assert got == (0.5, feats[0], 1.5)
+            got = _search(x, y, idx, counts, np.asarray([feats]), 1, 2)
+            assert got == [(0.5, feats[0], 1.5)]
 
 
 def _tree_bits(tree):
@@ -188,18 +231,22 @@ def _tree_bits(tree):
     )
 
 
-def _grow_both(x, y, n_classes, params, n_trees=3):
-    """Trees and importance accumulators of forest._grow_tree and of the
-    list-based oracle grower, on the same per-tree streams."""
-    grown = []
-    for grower in (forest._grow_tree, oracles.grow_tree):
-        acc = np.zeros(x.shape[1])
-        trees = [
-            grower(x, y, n_classes, params, np.random.default_rng((params.seed, t)), acc)
-            for t in range(n_trees)
-        ]
-        grown.append(([_tree_bits(t) for t in trees], acc.tobytes(), trees))
-    return grown
+def _forest_and_oracle(x, y, params):
+    """``train_forest``'s trees and importances as bytes; the same for the
+    list-based oracle grower run tree by tree on the streams ``(seed, t)``,
+    its importances summed in tree order; and the trained model."""
+    classes = np.unique(y)
+    y = np.searchsorted(classes, y)  # training indexes the classes present
+    model = train_forest(_matrix(x), [f"c{v}" for v in y], params)
+    acc = np.zeros(x.shape[1])
+    trees = [
+        oracles.grow_tree(x, y, classes.size, params, np.random.default_rng((params.seed, t)), acc)
+        for t in range(params.n_trees)
+    ]
+    total = float(acc.sum())
+    importances = acc / total if total > 0 else acc
+    got = ([_tree_bits(t) for t in model.trees], model.importances.tobytes())
+    return got, ([_tree_bits(t) for t in trees], importances.tobytes()), model
 
 
 class TestGrower:
@@ -213,15 +260,17 @@ class TestGrower:
             p = int(rng.integers(1, 9))
             x = _columns(rng, n_rows, p)
             y = rng.integers(0, n_classes, size=n_rows)
+            y[:2] = (0, 1)  # training needs two classes
             params = ForestParams(
+                n_trees=1 + case % 6,
                 mtry=int(rng.integers(1, p + 1)),
                 min_leaf=1 + (case // 4) % 3,
                 max_depth=depths[case % 3],
                 seed=case,
             )
-            got, want = _grow_both(x, y, n_classes, params)
-            assert got[:2] == want[:2], case
-            n_split += sum(t.n_nodes > 1 for t in got[2])
+            got, want, model = _forest_and_oracle(x, y, params)
+            assert got == want, case
+            n_split += sum(t.n_nodes > 1 for t in model.trees)
         assert n_split > 50
 
     def test_tree_that_isolates_every_bootstrap_row(self):
@@ -235,9 +284,74 @@ class TestGrower:
         )
         x = np.arange(n, dtype=np.float64)[:, None]
         y = np.arange(n) % 2
-        got, want = _grow_both(x, y, 2, ForestParams(seed=seed), n_trees=1)
-        assert got[:2] == want[:2]
-        assert got[2][0].n_nodes == 2 * n - 1
+        got, want, model = _forest_and_oracle(x, y, ForestParams(n_trees=1, seed=seed))
+        assert got == want
+        assert model.trees[0].n_nodes == 2 * n - 1
+
+    @pytest.mark.parametrize(
+        "y, min_leaf, max_depth, n_trees, seed, root_leaves",
+        [
+            ([0, 0, 0, 0, 1], 1, None, 30, 2, "some"),  # some bootstraps hold one class
+            ([0, 0, 0, 0, 1], 1, 1, 30, 2, "some"),
+            ([0, 1, 0, 1, 2, 2], 2, None, 1, 2, "none"),
+            ([0, 1], 1, None, 1, 0, "all"),  # the one bootstrap is row 1 twice
+            ([0, 1, 0], 2, None, 12, 2, "all"),  # 3 rows < 2 * min_leaf
+            ([0, 1], 2, 1, 5, 2, "all"),
+        ],
+    )
+    def test_unsplittable_roots(self, y, min_leaf, max_depth, n_trees, seed, root_leaves):
+        y = np.asarray(y)
+        x = np.column_stack([np.arange(y.size, dtype=np.float64), y * 0.5])
+        params = ForestParams(n_trees=n_trees, min_leaf=min_leaf, max_depth=max_depth, seed=seed)
+        got, want, model = _forest_and_oracle(x, y, params)
+        assert got == want
+        leaves = sum(t.n_nodes == 1 for t in model.trees)
+        assert root_leaves == ("none", "some", "all")[(leaves > 0) + (leaves == n_trees)]
+        assert model.importances.any() == (root_leaves != "all")
+
+    def test_first_trees_do_not_depend_on_forest_size(self):
+        rng = np.random.default_rng(5)
+        x = _columns(rng, 30, 6)
+        labels = [f"c{v % 3}" for v in range(30)]
+        big = train_forest(_matrix(x), labels, ForestParams(n_trees=12, seed=4))
+        for k in (1, 5, 12):
+            small = train_forest(_matrix(x), labels, ForestParams(n_trees=k, seed=4))
+            assert [_tree_bits(t) for t in small.trees] == [_tree_bits(t) for t in big.trees[:k]]
+
+
+class TestRootSearch:
+    """All splittable roots share one split search; inner nodes get one each."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        batch_sizes = []
+        real = forest._best_split
+
+        def spy(x_cols, y, idx, counts, feats, min_leaf, n_classes):
+            batch_sizes.append(idx.shape[0])
+            return real(x_cols, y, idx, counts, feats, min_leaf, n_classes)
+
+        monkeypatch.setattr(forest, "_best_split", spy)
+        return batch_sizes
+
+    def test_stump_forest_makes_one_call(self, monkeypatch):
+        batch_sizes = self._spy(monkeypatch)
+        matrix, labels = _separable(n=40, noise=0.8, seed=12)
+        model = train_forest(matrix, labels, ForestParams(n_trees=25, max_depth=1, seed=3))
+        assert batch_sizes == [25]
+        assert all(t.n_nodes == 3 for t in model.trees)
+
+    def test_inner_nodes_are_searched_one_at_a_time(self, monkeypatch):
+        batch_sizes = self._spy(monkeypatch)
+        matrix, labels = _separable(n=40, noise=0.8, seed=12)
+        params = ForestParams(n_trees=10, min_leaf=2, seed=3)
+        model = train_forest(matrix, labels, params)
+        searched = 0  # non-root nodes that hold two classes and 2 * min_leaf rows
+        for tree in model.trees:
+            mixed = np.count_nonzero(tree.counts[1:], axis=1) > 1
+            searched += int(np.sum(mixed & (tree.counts[1:].sum(axis=1) >= 2 * params.min_leaf)))
+        assert searched > params.n_trees
+        assert batch_sizes == [params.n_trees] + [1] * searched
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

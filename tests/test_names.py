@@ -214,3 +214,34 @@ class TestRenderedOnce:
         assert [f.canonical() for f in back.feature_names] == list(matrix.canonical_names())
         assert back.column_index(names[-1]) == len(names) - 1
         assert back.values.tobytes() == matrix.values.tobytes()
+
+
+def test_roundtrip_property():
+    """make_feature_name -> canonical() -> decode_feature_name gives an equal
+    name with the same canonical string, for every calculator."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    kinds = st.from_regex(r"[A-Za-z0-9]{1,6}(_[A-Za-z0-9]{1,6}){0,3}", fullmatch=True)
+    words = ["mean", "var", "max", "min", "slope", "intercept", "stderr", "rvalue"]
+    by_type = {
+        bool: st.booleans(),
+        int: st.integers(-5, 10**12),
+        float: st.floats(0.0, 1.0),
+        str: st.sampled_from(words),
+    }
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(kind=kinds, calc=st.sampled_from(sorted(CALCULATORS)), data=st.data())
+    def roundtrip(kind, calc, data):
+        specs = CALCULATORS[calc].params
+        params = {spec.name: data.draw(by_type[spec.value_type]) for spec in specs}
+        try:
+            name = make_feature_name(kind, calc, params)
+        except BadParameters:  # out of the calculator's domain
+            hypothesis.assume(False)
+        text = name.canonical()
+        back = decode_feature_name(text)
+        assert back == name
+        assert back.canonical() == text
+
+    roundtrip()

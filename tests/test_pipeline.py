@@ -1,9 +1,11 @@
+import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from imufresh import pipeline
-from imufresh.calculators import settings_from_feature_names
+from imufresh.calculators import settings_from_feature_names, write_settings_file
 from imufresh.errors import (
     ConfigError,
     FeatureSetMismatch,
@@ -11,6 +13,7 @@ from imufresh.errors import (
     OverlappingLabels,
 )
 from imufresh.extraction import extract
+from imufresh.forest import load_model_file
 from imufresh.pipeline import (
     PipelineConfig,
     benchmark,
@@ -21,6 +24,7 @@ from imufresh.pipeline import (
 )
 from imufresh.synth import synth_multi_activity, synth_walk_run
 from imufresh.timeseries import (
+    Recording,
     load_recording,
     save_labels,
     save_recording,
@@ -453,3 +457,34 @@ class TestExplicitVirtualSensors:
         monkeypatch.setattr(pipeline, "apply_virtual_sensors", spy)
         predict(result.model_path, result.settings_path, str(rec_path), result.manifest_path)
         assert applied == [[specs[0], specs[2]]]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_selected_column_with_infinite_cells_is_dropped_before_ranking(tmp_path, caplog):
+    # The walk windows' samples sum past -1.8e308, so their mean is -inf: a
+    # perfect separator that a forest would split at the threshold -inf,
+    # which no model file may hold.  Their minimum separates as well and
+    # stays finite.
+    walk = np.arange(12) % 2 == 0
+    rng = np.random.default_rng(3)
+    big = np.concatenate([np.full(200, -1e307) if w else rng.standard_normal(200) for w in walk])
+    rec_path, lab_path = tmp_path / "rec.csv", tmp_path / "labels.csv"
+    save_recording(Recording(50.0, {"big": big}), str(rec_path))
+    save_labels([(4.0 * i, 4.0 * i + 4.0, "walk" if w else "run") for i, w in enumerate(walk)],
+                str(lab_path))
+    settings_path = tmp_path / "settings.txt"
+    with open(settings_path, "w", encoding="utf-8") as fh:
+        write_settings_file(settings_from_feature_names(["big__mean", "big__minimum"]), fh)
+    config = PipelineConfig(
+        recording=str(rec_path), labels=str(lab_path), output_dir=str(tmp_path / "out"),
+        top_k=2, repeats=2, n_trees=20, cv_folds=3, settings_file=str(settings_path),
+    )
+    with caplog.at_level(logging.INFO, logger="imufresh.pipeline"):
+        result = run_full_pipeline(config)
+    manifest = read_manifest(result.manifest_path)
+    assert (manifest["n_selected"], manifest["n_selected_usable"]) == (["2"], ["1"])
+    assert "dropping 1 selected columns with NaN or infinite cells" in caplog.text
+    model = load_model_file(result.model_path)
+    assert [f.canonical() for f in model.feature_names] == ["big__minimum"]
+    paths = (result.model_path, result.settings_path, str(rec_path), result.manifest_path)
+    assert len(predict(*paths).rows) == 12

@@ -514,3 +514,48 @@ class TestLabelsCsv:
     def test_bad_interval(self):
         with pytest.raises(InvalidValue):
             load_labels_csv(io.StringIO("start_s,end_s,label\n4.0,4.0,walk\n"))
+
+    @pytest.mark.parametrize("body", ['0,1,"a\n', '0,1,"a\rb"\n', '0,1,"walk\r\n"\n'])
+    def test_label_with_line_break(self, body):
+        # The model file holds one class per line, so it could not hold this one.
+        with pytest.raises(InvalidValue, match="line break"):
+            load_labels_csv(io.StringIO("start_s,end_s,label\n" + body))
+
+    @pytest.mark.parametrize("body", ["0,1,a\rb\n", "0,1," + "x" * 200_000 + "\n"])
+    def test_line_the_csv_reader_refuses(self, body):
+        with pytest.raises(InconsistentChannels, match="line 2"):
+            load_labels_csv(io.StringIO("start_s,end_s,label\n" + body))
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"start_s,end_s,label\n0,1,w\xffalk\n")
+        with pytest.raises(InvalidValue, match="not UTF-8"):
+            timeseries.load_labels(str(path))
+
+
+def test_malformed_labels_raise_only_documented_errors():
+    """Any text either reads as finite intervals with one-line labels or
+    raises InconsistentChannels or InvalidValue, never a bare ValueError or
+    csv.Error."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pieces = st.sampled_from([
+        "start_s,end_s,label", "0", "1.5", "-2", "nan", "inf", "1e999", "walk", "x",
+        ",", "\n", "\r", "\r\n", '"', '""', " ", "\x00", "\u00e9",
+    ])
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        header=st.booleans(), parts=st.lists(st.one_of(pieces, st.text(max_size=4)), max_size=40)
+    )
+    def check(header, parts):
+        text = ("start_s,end_s,label\n" if header else "") + "".join(parts)
+        try:
+            rows = load_labels_csv(io.StringIO(text))
+        except (InconsistentChannels, InvalidValue):
+            return
+        for start, end, label in rows:
+            assert np.isfinite([start, end]).all() and start < end
+            assert "\n" not in label and "\r" not in label
+
+    check()
