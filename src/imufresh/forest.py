@@ -148,7 +148,8 @@ def _best_split(
         block = x_cols[ix[:, None, :], fs[:, :, None]]  # (B, mtry, n_node)
         order = block.argsort(axis=2)
         block.sort(axis=2)
-        order += (n_node * np.arange(len(ix)))[:, None, None]  # into ix.ravel()
+        if len(ix) > 1:  # each node's sort, offset into ix.ravel()
+            order += (n_node * np.arange(len(ix)))[:, None, None]
         flat = ix.ravel()
         # Class counts left (side 0) and right (side 1) of each boundary,
         # and the sums of their squares, in exact integer arithmetic.

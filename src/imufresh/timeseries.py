@@ -458,8 +458,8 @@ def load_labels_csv(stream: TextIO) -> list[tuple[float, float, str]]:
 
     A line the CSV reader cannot parse, a wrong header or a row without
     three fields raises InconsistentChannels; a bad interval, or a label
-    with a line break (which a model file could not hold), raises
-    InvalidValue.
+    with a line break of any kind ``str.splitlines`` knows (which the model
+    file and the manifest could not hold), raises InvalidValue.
     """
     reader = csv.reader(stream)
     try:
@@ -482,7 +482,7 @@ def load_labels_csv(stream: TextIO) -> list[tuple[float, float, str]]:
                 raise InvalidValue(f"labels CSV: {exc}") from None
             if not (math.isfinite(start) and math.isfinite(end)) or end <= start:
                 raise InvalidValue(f"labels CSV: bad interval ({row[0]}, {row[1]})")
-            if "\n" in row[2] or "\r" in row[2]:
+            if row[2].splitlines() not in ([], [row[2]]):  # any line boundary
                 raise InvalidValue(f"labels CSV: label with a line break in row {row!r}")
             out.append((start, end, row[2]))
     except csv.Error as exc:

@@ -515,9 +515,12 @@ class TestLabelsCsv:
         with pytest.raises(InvalidValue):
             load_labels_csv(io.StringIO("start_s,end_s,label\n4.0,4.0,walk\n"))
 
-    @pytest.mark.parametrize("body", ['0,1,"a\n', '0,1,"a\rb"\n', '0,1,"walk\r\n"\n'])
+    @pytest.mark.parametrize(
+        "body", ['0,1,"a\n', '0,1,"a\rb"\n', '0,1,"walk\r\n"\n', "0,1,a\x0cb\n", "0,1,a\x85b\n"]
+    )
     def test_label_with_line_break(self, body):
-        # The model file holds one class per line, so it could not hold this one.
+        # The model file holds one class per line and the manifest one key per
+        # line (split as str.splitlines does), so neither could hold this one.
         with pytest.raises(InvalidValue, match="line break"):
             load_labels_csv(io.StringIO("start_s,end_s,label\n" + body))
 
@@ -541,7 +544,7 @@ def test_malformed_labels_raise_only_documented_errors():
     st = hypothesis.strategies
     pieces = st.sampled_from([
         "start_s,end_s,label", "0", "1.5", "-2", "nan", "inf", "1e999", "walk", "x",
-        ",", "\n", "\r", "\r\n", '"', '""', " ", "\x00", "\u00e9",
+        ",", "\n", "\r", "\r\n", '"', '""', " ", "\x00", "\x0c", "\x85", "\u2028", "\u00e9",
     ])
 
     @hypothesis.settings(max_examples=300, deadline=None)
@@ -556,6 +559,6 @@ def test_malformed_labels_raise_only_documented_errors():
             return
         for start, end, label in rows:
             assert np.isfinite([start, end]).all() and start < end
-            assert "\n" not in label and "\r" not in label
+            assert label.splitlines() in ([], [label])
 
     check()
