@@ -17,7 +17,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -453,6 +453,16 @@ def save_recording(recording: Recording, path: str) -> None:
         save_recording_csv(recording, fh)
 
 
+def _csv_rows(stream: TextIO) -> Iterator[list[str]]:
+    """Rows of a CSV stream; a line the reader refuses raises
+    InconsistentChannels."""
+    reader = csv.reader(stream)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InconsistentChannels(f"labels CSV line {reader.line_num}: {exc}") from None
+
+
 def load_labels_csv(stream: TextIO) -> list[tuple[float, float, str]]:
     """Read a labels CSV with header ``start_s,end_s,label``.
 
@@ -461,32 +471,29 @@ def load_labels_csv(stream: TextIO) -> list[tuple[float, float, str]]:
     with a line break of any kind ``str.splitlines`` knows (which the model
     file and the manifest could not hold), raises InvalidValue.
     """
-    reader = csv.reader(stream)
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise InconsistentChannels("labels CSV is empty")
-        if header != ["start_s", "end_s", "label"]:
-            raise InconsistentChannels(
-                f"expected header 'start_s,end_s,label', got {','.join(header)!r}"
-            )
-        out: list[tuple[float, float, str]] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InconsistentChannels(f"labels CSV row has {len(row)} fields: {row!r}")
-            try:
-                start, end = float(row[0]), float(row[1])
-            except ValueError as exc:
-                raise InvalidValue(f"labels CSV: {exc}") from None
-            if not (math.isfinite(start) and math.isfinite(end)) or end <= start:
-                raise InvalidValue(f"labels CSV: bad interval ({row[0]}, {row[1]})")
-            if row[2].splitlines() not in ([], [row[2]]):  # any line boundary
-                raise InvalidValue(f"labels CSV: label with a line break in row {row!r}")
-            out.append((start, end, row[2]))
-    except csv.Error as exc:
-        raise InconsistentChannels(f"labels CSV line {reader.line_num}: {exc}") from None
+    reader = _csv_rows(stream)
+    header = next(reader, None)
+    if header is None:
+        raise InconsistentChannels("labels CSV is empty")
+    if header != ["start_s", "end_s", "label"]:
+        raise InconsistentChannels(
+            f"expected header 'start_s,end_s,label', got {','.join(header)!r}"
+        )
+    out: list[tuple[float, float, str]] = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 3:
+            raise InconsistentChannels(f"labels CSV row has {len(row)} fields: {row!r}")
+        try:
+            start, end = float(row[0]), float(row[1])
+        except ValueError as exc:
+            raise InvalidValue(f"labels CSV: {exc}") from None
+        if not (math.isfinite(start) and math.isfinite(end)) or end <= start:
+            raise InvalidValue(f"labels CSV: bad interval ({row[0]}, {row[1]})")
+        if row[2].splitlines() not in ([], [row[2]]):  # any line boundary
+            raise InvalidValue(f"labels CSV: label with a line break in row {row!r}")
+        out.append((start, end, row[2]))
     return out
 
 

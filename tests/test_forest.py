@@ -203,7 +203,7 @@ class TestSplitSearch:
             idx = rng.integers(0, n_rows, size=(n_nodes, n_node))
             if case % 5 == 0:
                 idx[-1] = idx[0]  # two nodes with the same rows
-            counts = np.stack([np.bincount(y[i], minlength=n_classes) for i in idx]) * 1.0
+            counts = np.stack([np.bincount(y[i], minlength=n_classes) for i in idx]).astype(float)
             feats = np.stack([rng.choice(p, size=mtry, replace=False) for _ in idx])
             want = [
                 oracles.best_split(x, y, i, c, f, min_leaf, n_classes)
