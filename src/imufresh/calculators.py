@@ -21,23 +21,24 @@ undefined cases:
 * ``agg_linear_trend``: fewer than 2 full chunks
 * ``c3`` / ``time_reversal_asymmetry_statistic``: n <= 2 * lag
 
-:func:`default_settings` enumerates the full parameter grid
-(:data:`GRID_FEATURES_PER_KIND` features per channel kind).
+:func:`default_settings` enumerates the full parameter grid, the product
+of each parameter's declared ``grid`` values that the calculator's cross
+check accepts (:data:`GRID_FEATURES_PER_KIND` features per channel kind).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .errors import BadParameters, MalformedFeatureName, UnknownCalculator
+from .errors import BadParameters, UnknownCalculator
 from .names import (
     FeatureName,
     ParamValue,
-    match_kind,
     split_param_token,
     split_tokens,
     validate_identifier,
@@ -331,12 +332,14 @@ def _binned_entropy(X: np.ndarray, params_list: Sequence[Params]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One declared parameter: name, value type, and optional domain check."""
+    """One declared parameter: name, value type, optional domain check, and
+    the values :func:`default_settings` sweeps."""
 
     name: str
     value_type: type
     check: Callable[[ParamValue], bool] | None = None
     describe: str = ""
+    grid: tuple[ParamValue, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -357,8 +360,9 @@ def _positive_int(v: ParamValue) -> bool:
     return isinstance(v, int) and v >= 1
 
 
-def _choice(*options: str) -> Callable[[ParamValue], bool]:
-    return lambda v: v in options
+def _one_of(name: str, options: tuple[str, ...], describe: str) -> ParamSpec:
+    """A string parameter whose domain and grid are both *options*."""
+    return ParamSpec(name, str, lambda v: v in options, describe, options)
 
 
 def _ql_below_qh(params: dict[str, ParamValue]) -> str | None:
@@ -370,9 +374,14 @@ def _ql_below_qh(params: dict[str, ParamValue]) -> str | None:
 CALCULATORS: dict[str, Calculator] = {}
 
 
-def _register(calc: Calculator) -> None:
-    validate_identifier(calc.name, "calculator name")
-    CALCULATORS[calc.name] = calc
+def _register(
+    name: str,
+    family: Family,
+    *params: ParamSpec,
+    cross_check: Callable[[dict[str, ParamValue]], str | None] | None = None,
+) -> None:
+    validate_identifier(name, "calculator name")
+    CALCULATORS[name] = Calculator(name, family, params, cross_check)
 
 
 for _name, _family in [
@@ -390,74 +399,44 @@ for _name, _family in [
     ("mean_change", _each(_mean_change)),
     ("partial_stationarity_gap", _each(_partial_stationarity_gap)),
 ]:
-    _register(Calculator(name=_name, family=_family))
+    _register(_name, _family)
 
 _register(
-    Calculator(
-        name="quantile",
-        family=_quantile,
-        params=(ParamSpec("q", float, _unit_interval, "0 <= q <= 1"),),
-    )
+    "quantile",
+    _quantile,
+    ParamSpec("q", float, _unit_interval, "0 <= q <= 1",
+              (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
 )
 _register(
-    Calculator(
-        name="change_quantiles",
-        family=_change_quantiles,
-        params=(
-            ParamSpec("f_agg", str, _choice("mean", "var"), "mean or var"),
-            ParamSpec("isabs", bool),
-            ParamSpec("qh", float, _unit_interval, "0 <= qh <= 1"),
-            ParamSpec("ql", float, _unit_interval, "0 <= ql <= 1"),
-        ),
-        cross_check=_ql_below_qh,
-    )
+    "change_quantiles",
+    _change_quantiles,
+    _one_of("f_agg", ("mean", "var"), "mean or var"),
+    ParamSpec("isabs", bool, grid=(False, True)),
+    ParamSpec("qh", float, _unit_interval, "0 <= qh <= 1", (0.2, 0.4, 0.6, 0.8, 1.0)),
+    ParamSpec("ql", float, _unit_interval, "0 <= ql <= 1", (0.0, 0.2, 0.4, 0.6, 0.8)),
+    cross_check=_ql_below_qh,
+)
+_register("linear_trend", _linear_trend, _one_of("attr", _TREND_ATTRS, "trend attribute"))
+_register(
+    "agg_linear_trend",
+    _agg_linear_trend,
+    _one_of("f_agg", ("max", "min", "mean"), "chunk aggregate"),
+    ParamSpec("chunk_len", int, _positive_int, "chunk_len >= 1", (5, 10, 50)),
+    _one_of("attr", _TREND_ATTRS, "trend attribute"),
 )
 _register(
-    Calculator(
-        name="linear_trend",
-        family=_linear_trend,
-        params=(ParamSpec("attr", str, _choice(*_TREND_ATTRS), "trend attribute"),),
-    )
+    "autocorrelation",
+    _each(_autocorrelation),
+    ParamSpec("lag", int, _positive_int, "lag >= 1", (1, 2, 3, 5, 10)),
 )
 _register(
-    Calculator(
-        name="agg_linear_trend",
-        family=_agg_linear_trend,
-        params=(
-            ParamSpec("f_agg", str, _choice("max", "min", "mean"), "chunk aggregate"),
-            ParamSpec("chunk_len", int, _positive_int, "chunk_len >= 1"),
-            ParamSpec("attr", str, _choice(*_TREND_ATTRS), "trend attribute"),
-        ),
-    )
+    "binned_entropy", _binned_entropy, ParamSpec("bins", int, _positive_int, "bins >= 1", (5, 10))
 )
-_register(
-    Calculator(
-        name="autocorrelation",
-        family=_each(_autocorrelation),
-        params=(ParamSpec("lag", int, _positive_int, "lag >= 1"),),
-    )
-)
-_register(
-    Calculator(
-        name="binned_entropy",
-        family=_binned_entropy,
-        params=(ParamSpec("bins", int, _positive_int, "bins >= 1"),),
-    )
-)
-_register(
-    Calculator(
-        name="c3",
-        family=_each(_c3),
-        params=(ParamSpec("lag", int, _positive_int, "lag >= 1"),),
-    )
-)
-_register(
-    Calculator(
-        name="time_reversal_asymmetry_statistic",
-        family=_each(_time_reversal_asymmetry_statistic),
-        params=(ParamSpec("lag", int, _positive_int, "lag >= 1"),),
-    )
-)
+for _name, _family in [
+    ("c3", _each(_c3)),
+    ("time_reversal_asymmetry_statistic", _each(_time_reversal_asymmetry_statistic)),
+]:
+    _register(_name, _family, ParamSpec("lag", int, _positive_int, "lag >= 1", (1, 2, 3)))
 
 
 def _validate_params(calc: Calculator, params: Mapping[str, ParamValue]) -> dict[str, ParamValue]:
@@ -537,26 +516,21 @@ def compute_feature(
 # Feature-name decoding
 # ---------------------------------------------------------------------------
 
-def decode_feature_name(s: str, known_kinds: set[str] | None = None) -> FeatureName:
+def decode_feature_name(s: str) -> FeatureName:
     """Parse a canonical feature-name string.
 
-    When *known_kinds* is given, the longest ``__``-joined token prefix
-    matching a known kind is taken as the kind; otherwise the first token is.
-    Parameters are re-ordered into the calculator's declared order, so the
-    result of decoding a canonical string re-encodes byte-identically.
+    The first ``__`` token is the kind (a kind cannot contain ``__``), the
+    second the calculator.  Parameters are re-ordered into the calculator's
+    declared order, so the result of decoding a canonical string re-encodes
+    byte-identically.
     """
-    tokens = split_tokens(s)
-    kind, consumed = match_kind(tokens, known_kinds)
+    kind, calc_name, *param_tokens = split_tokens(s)
     validate_kind(kind)
-    rest = tokens[consumed:]
-    if not rest:
-        raise MalformedFeatureName(f"feature name {s!r} has no calculator")
-    calc_name = rest[0]
     validate_identifier(calc_name, "calculator name")
     if calc_name not in CALCULATORS:
         raise UnknownCalculator(f"unknown calculator {calc_name!r} in {s!r}")
     params: dict[str, ParamValue] = {}
-    for token in rest[1:]:
+    for token in param_tokens:
         pname, pvalue = split_param_token(token)
         if pname in params:
             raise BadParameters(f"duplicate parameter {pname!r} in {s!r}")
@@ -595,67 +569,28 @@ class ExtractionSettings:
         return tuple(f.canonical() for f in self.features)
 
 
-def settings_from_feature_names(
-    names: Iterable[str], known_kinds: set[str] | None = None
-) -> ExtractionSettings:
+def settings_from_feature_names(names: Iterable[str]) -> ExtractionSettings:
     """Decode canonical names and group them into extraction settings."""
-    return ExtractionSettings(
-        features=tuple(decode_feature_name(n, known_kinds) for n in names)
-    )
+    return ExtractionSettings(features=tuple(decode_feature_name(n) for n in names))
 
 
-def _grid_entries() -> list[tuple[str, dict[str, ParamValue]]]:
-    entries: list[tuple[str, dict[str, ParamValue]]] = []
-    for name in (
-        "minimum",
-        "maximum",
-        "mean",
-        "median",
-        "variance",
-        "standard_deviation",
-        "skewness",
-        "kurtosis",
-        "abs_energy",
-        "root_mean_square",
-        "mean_abs_change",
-        "mean_change",
-        "partial_stationarity_gap",
-    ):
-        entries.append((name, {}))
-    for q in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-        entries.append(("quantile", {"q": q}))
-    for ql in (0.0, 0.2, 0.4, 0.6, 0.8):
-        for qh in (0.2, 0.4, 0.6, 0.8, 1.0):
-            if ql >= qh:
-                continue
-            for isabs in (False, True):
-                for f_agg in ("mean", "var"):
-                    entries.append(
-                        ("change_quantiles",
-                         {"f_agg": f_agg, "isabs": isabs, "qh": qh, "ql": ql})
-                    )
-    for attr in _TREND_ATTRS:
-        entries.append(("linear_trend", {"attr": attr}))
-    for chunk_len in (5, 10, 50):
-        for f_agg in ("max", "min", "mean"):
-            for attr in _TREND_ATTRS:
-                entries.append(
-                    ("agg_linear_trend",
-                     {"f_agg": f_agg, "chunk_len": chunk_len, "attr": attr})
-                )
-    for lag in (1, 2, 3, 5, 10):
-        entries.append(("autocorrelation", {"lag": lag}))
-    for bins in (5, 10):
-        entries.append(("binned_entropy", {"bins": bins}))
-    for lag in (1, 2, 3):
-        entries.append(("c3", {"lag": lag}))
-    for lag in (1, 2, 3):
-        entries.append(("time_reversal_asymmetry_statistic", {"lag": lag}))
-    return entries
+def _grid(calc: Calculator) -> list[tuple[str, dict[str, ParamValue]]]:
+    """Every combination of *calc*'s parameter grids that its cross check
+    accepts; ``{}`` alone for a calculator without parameters."""
+    names = [spec.name for spec in calc.params]
+    grids = [spec.grid for spec in calc.params]
+    combos = (dict(zip(names, values)) for values in product(*grids))
+    return [
+        (calc.name, params)
+        for params in combos
+        if calc.cross_check is None or calc.cross_check(params) is None
+    ]
 
 
-# Features per kind produced by default_settings; fixed by the grid above.
-GRID_FEATURES_PER_KIND = 135
+_GRID = tuple(entry for calc in CALCULATORS.values() for entry in _grid(calc))
+
+# Features per kind produced by default_settings.
+GRID_FEATURES_PER_KIND = len(_GRID)
 
 
 def default_settings(kinds: Iterable[str]) -> ExtractionSettings:
@@ -668,7 +603,7 @@ def default_settings(kinds: Iterable[str]) -> ExtractionSettings:
     features = [
         make_feature_name(kind, calc, params)
         for kind in kind_list
-        for calc, params in _grid_entries()
+        for calc, params in _GRID
     ]
     return ExtractionSettings(features=tuple(features))
 
@@ -690,7 +625,9 @@ def read_settings_file(
 
     Either one canonical feature name per line, or a single line
     ``DEFAULT kind1 kind2 ...`` requesting the full grid for those kinds.
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored.  *known_kinds* is ignored,
+    and accepted only for callers that still pass it: a name's kind is
+    always its first ``__`` token.
     """
     lines = [
         ln.strip()
@@ -702,4 +639,4 @@ def read_settings_file(
         if not kinds:
             raise BadParameters("DEFAULT settings line lists no kinds")
         return default_settings(kinds)
-    return settings_from_feature_names(lines, known_kinds)
+    return settings_from_feature_names(lines)

@@ -4,8 +4,9 @@ Subcommands: ``synth`` (generate a synthetic recording + labels), ``run``
 (full five-step pipeline), ``predict`` (restricted extraction + timeline),
 ``benchmark`` (timing report), ``inspect`` (pretty-print artifacts).
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 nothing
-selected at the configured FDR level.
+Exit codes: 0 success, 2 configuration error (a config file that is not
+UTF-8 included), 3 data error (any other input that is not UTF-8
+included), 4 nothing selected at the configured FDR level.
 """
 
 from __future__ import annotations
@@ -177,6 +178,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         raise DataError(f"no such file: {path}")
     if path.suffix == ".txt" and path.name.startswith("manifest"):
         manifest = read_manifest(str(path))
+        if not manifest:
+            raise DataError(f"manifest {path} is empty")
         width = max(len(k) for k in manifest)
         for key, values in manifest.items():
             for value in values:
@@ -234,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except UnicodeDecodeError as exc:
+        print(f"data error: input is not UTF-8: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

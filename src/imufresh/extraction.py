@@ -201,7 +201,7 @@ def save_matrix(matrix: FeatureMatrix, path: str) -> None:
         save_matrix_csv(matrix, fh)
 
 
-def load_matrix_csv(stream: TextIO, known_kinds: set[str] | None = None) -> FeatureMatrix:
+def load_matrix_csv(stream: TextIO) -> FeatureMatrix:
     header_line = stream.readline().rstrip("\n").rstrip("\r")
     if not header_line:
         raise DataError("feature matrix CSV is empty")
@@ -210,7 +210,7 @@ def load_matrix_csv(stream: TextIO, known_kinds: set[str] | None = None) -> Feat
         raise DataError("feature matrix CSV must start with a window_id column")
     has_labels = len(header) > 1 and header[1] == "label"
     name_start = 2 if has_labels else 1
-    names = tuple(decode_feature_name(c, known_kinds) for c in header[name_start:])
+    names = tuple(decode_feature_name(c) for c in header[name_start:])
 
     ids: list[int] = []
     labels: list[str] = []
@@ -240,6 +240,6 @@ def load_matrix_csv(stream: TextIO, known_kinds: set[str] | None = None) -> Feat
     )
 
 
-def load_matrix(path: str, known_kinds: set[str] | None = None) -> FeatureMatrix:
+def load_matrix(path: str) -> FeatureMatrix:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return load_matrix_csv(fh, known_kinds)
+        return load_matrix_csv(fh)

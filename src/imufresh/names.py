@@ -139,18 +139,3 @@ def split_tokens(s: str) -> list[str]:
     if len(tokens) < 2 or any(not t for t in tokens):
         raise MalformedFeatureName(f"feature name needs kind and calculator: {s!r}")
     return tokens
-
-
-def match_kind(tokens: list[str], known_kinds: set[str] | None) -> tuple[str, int]:
-    """Resolve the kind at the front of *tokens*.
-
-    With a known-kind set, the longest separator-joined prefix that matches a
-    known kind wins; otherwise (or when nothing matches) the first token is
-    the kind.  Returns (kind, number of tokens consumed).
-    """
-    if known_kinds:
-        for end in range(len(tokens) - 1, 0, -1):
-            candidate = SEPARATOR.join(tokens[:end])
-            if candidate in known_kinds:
-                return candidate, end
-    return tokens[0], 1

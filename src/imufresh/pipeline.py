@@ -142,7 +142,7 @@ def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
     specs: list[VirtualSensorSpec] = []
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -269,7 +269,7 @@ def _load_settings(settings_file: str | None, kinds: Iterable[str]) -> Extractio
     if settings_file is None:
         return default_settings(kinds)
     with open(settings_file, "r", encoding="utf-8") as fh:
-        return read_settings_file(fh, set(kinds))
+        return read_settings_file(fh)
 
 
 def _referenced_specs(
@@ -494,9 +494,8 @@ def predict(
 
     model = load_model_file(model_path)
     recording = load_recording(recording_path)
-    settings = _load_settings(
-        settings_path, set(recording.channels).union(spec.output for spec in specs)
-    )
+    with open(settings_path, "r", encoding="utf-8") as fh:
+        settings = read_settings_file(fh)
     if settings.canonical_names() != tuple(f.canonical() for f in model.feature_names):
         raise FeatureSetMismatch(
             "restricted settings do not match the model's feature list"

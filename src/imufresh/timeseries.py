@@ -469,7 +469,8 @@ def load_labels_csv(stream: TextIO) -> list[tuple[float, float, str]]:
     A line the CSV reader cannot parse, a wrong header or a row without
     three fields raises InconsistentChannels; a bad interval, or a label
     with a line break of any kind ``str.splitlines`` knows (which the model
-    file and the manifest could not hold), raises InvalidValue.
+    file and the manifest could not hold) or with ``,`` or ``"`` (which the
+    CSV artifacts write unquoted), raises InvalidValue.
     """
     reader = _csv_rows(stream)
     header = next(reader, None)
@@ -493,6 +494,8 @@ def load_labels_csv(stream: TextIO) -> list[tuple[float, float, str]]:
             raise InvalidValue(f"labels CSV: bad interval ({row[0]}, {row[1]})")
         if row[2].splitlines() not in ([], [row[2]]):  # any line boundary
             raise InvalidValue(f"labels CSV: label with a line break in row {row!r}")
+        if "," in row[2] or '"' in row[2]:
+            raise InvalidValue(f"labels CSV: label with ',' or '\"' in row {row!r}")
         out.append((start, end, row[2]))
     return out
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -220,6 +222,25 @@ class TestDefaultGrid:
         settings = default_settings(["a"])
         alt = [f for f in settings.feature_names() if f.calculator == "agg_linear_trend"]
         assert len(alt) == 36  # 3 chunk lengths x 3 aggregates x 4 attributes
+
+    def test_grid_is_pinned(self):
+        # GRID_FEATURES_PER_KIND is derived from the grid, so the tests above
+        # cannot see an entry move; this one fails if any does.
+        names = default_settings(["a"]).canonical_names()
+        expected = dict.fromkeys(
+            ("minimum", "maximum", "mean", "median", "variance", "standard_deviation",
+             "skewness", "kurtosis", "abs_energy", "root_mean_square", "mean_abs_change",
+             "mean_change", "partial_stationarity_gap"),
+            1,
+        )
+        expected.update(quantile=9, change_quantiles=60, linear_trend=4, agg_linear_trend=36,
+                        autocorrelation=5, binned_entropy=2, c3=3,
+                        time_reversal_asymmetry_statistic=3)
+        assert len(names) == 135
+        assert Counter(n.split("__")[1] for n in names) == expected
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest() == (
+            "f1801dcfb3f5cd6a6d3291447a41216800136751653a9dd9c6c81bff8d6ab35b"
+        )
 
 
 class TestOracleEquivalence:

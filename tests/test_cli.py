@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,3 +175,45 @@ def test_inspect_model(workspace, capsys):
 
 def test_inspect_missing_file(tmp_path):
     assert main(["inspect", str(tmp_path / "nope.txt")]) == 3
+
+
+def _cli_process(cwd, *args):
+    """Exit code and standard error of the command line run as a program."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "imufresh.cli", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["run", "--config", "bad.cfg"], 2),
+        (["inspect", "manifest.txt"], 3),
+        (["inspect", "model.txt"], 3),
+        (["inspect", "table.csv"], 3),
+        (["predict", "--manifest", "manifest.txt", "--model", "model.txt",
+          "--settings", "s.txt", "--recording", "rec.csv", "--out", "t.csv"], 3),
+        (["predict", "--manifest", "good_manifest.txt", "--model", "model.txt",
+          "--settings", "s.txt", "--recording", "rec.csv", "--out", "t.csv"], 3),
+    ],
+)
+def test_input_that_is_not_utf8_exit_code(tmp_path, args, code):
+    for name in ("bad.cfg", "manifest.txt", "model.txt", "table.csv"):
+        (tmp_path / name).write_bytes(b"key = caf\xe9\n")
+    (tmp_path / "good_manifest.txt").write_text("window_seconds = 4.0\n")
+    rc, err = _cli_process(tmp_path, *args)
+    assert rc == code, err
+    assert "can't decode" in err
+    assert "Traceback" not in err
+
+
+def test_inspect_empty_manifest_exit_code(tmp_path):
+    (tmp_path / "manifest.txt").write_text("")
+    rc, err = _cli_process(tmp_path, "inspect", "manifest.txt")
+    assert rc == 3, err
+    assert "empty" in err
+    assert "Traceback" not in err

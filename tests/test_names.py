@@ -102,13 +102,10 @@ class TestDecode:
         assert f.param_dict() == {"q": 1.0}
         assert f.canonical() == "k__quantile__q_1.0"
 
-    def test_known_kinds_longest_match(self):
-        f = decode_feature_name("accel_y_r__minimum", known_kinds={"accel_y_r", "other"})
-        assert f.kind == "accel_y_r"
-
-    def test_unknown_kind_falls_back_to_first_token(self):
-        f = decode_feature_name("mystery__minimum", known_kinds={"other"})
-        assert f.kind == "mystery"
+    def test_kind_is_the_first_token(self):
+        assert decode_feature_name("accel_y_r__minimum").kind == "accel_y_r"
+        with pytest.raises(UnknownCalculator):  # kind "a", calculator "b"
+            decode_feature_name("a__b__minimum")
 
     def test_non_canonical_param_order_recanonicalizes(self):
         s = 'k__change_quantiles__ql_0.0__qh_1.0__isabs_True__f_agg_"mean"'
@@ -179,7 +176,7 @@ def test_fuzz_roundtrip_over_registry():
         except BadParameters:
             continue
         s = encode_feature_name(f)
-        g = decode_feature_name(s, known_kinds=set(kinds))
+        g = decode_feature_name(s)
         assert g == f
         assert encode_feature_name(g) == s
 
@@ -189,7 +186,7 @@ class TestRenderedOnce:
 
     @pytest.mark.parametrize("name", KNOWN_FEATURE_NAMES)
     def test_built_and_decoded_names_compare_and_hash_equal(self, name):
-        decoded = decode_feature_name(name, KNOWN_KINDS)
+        decoded = decode_feature_name(name)
         built = make_feature_name(decoded.kind, decoded.calculator, dict(reversed(decoded.params)))
         assert built == decoded
         assert hash(built) == hash(decoded)
@@ -201,7 +198,7 @@ class TestRenderedOnce:
         assert repr(f) == "FeatureName(kind='k', calculator='quantile', params=(('q', 0.5),))"
 
     def test_pickled_feature_matrix_keeps_its_names(self):
-        names = settings_from_feature_names(KNOWN_FEATURE_NAMES, KNOWN_KINDS).feature_names()
+        names = settings_from_feature_names(KNOWN_FEATURE_NAMES).feature_names()
         matrix = FeatureMatrix(
             feature_names=names,
             values=np.arange(2.0 * len(names)).reshape(2, len(names)),

@@ -524,6 +524,13 @@ class TestLabelsCsv:
         with pytest.raises(InvalidValue, match="line break"):
             load_labels_csv(io.StringIO("start_s,end_s,label\n" + body))
 
+    @pytest.mark.parametrize("body", ['0,1,"wa,lk"\n', '0,1,"wa""lk"\n', '0,1,wa"lk\n'])
+    def test_label_with_comma_or_quote(self, body):
+        # save_labels, the timeline and the manifest's classes write labels
+        # unquoted between commas.
+        with pytest.raises(InvalidValue, match="label with ','"):
+            load_labels_csv(io.StringIO("start_s,end_s,label\n" + body))
+
     @pytest.mark.parametrize("body", ["0,1,a\rb\n", "0,1," + "x" * 200_000 + "\n"])
     def test_line_the_csv_reader_refuses(self, body):
         with pytest.raises(InconsistentChannels, match="line 2"):
@@ -536,10 +543,11 @@ class TestLabelsCsv:
             timeseries.load_labels(str(path))
 
 
-def test_malformed_labels_raise_only_documented_errors():
-    """Any text either reads as finite intervals with one-line labels or
-    raises InconsistentChannels or InvalidValue, never a bare ValueError or
-    csv.Error."""
+def test_malformed_labels_raise_only_documented_errors(tmp_path):
+    """Any text either reads as finite intervals with one-line labels, which
+    ``save_labels`` writes so that ``load_labels`` reads them back unchanged,
+    or raises InconsistentChannels or InvalidValue, never a bare ValueError
+    or csv.Error."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     pieces = st.sampled_from([
@@ -551,6 +559,7 @@ def test_malformed_labels_raise_only_documented_errors():
     @hypothesis.given(
         header=st.booleans(), parts=st.lists(st.one_of(pieces, st.text(max_size=4)), max_size=40)
     )
+    @hypothesis.example(header=True, parts=['0,1,"wa,lk"\n'])
     def check(header, parts):
         text = ("start_s,end_s,label\n" if header else "") + "".join(parts)
         try:
@@ -560,5 +569,8 @@ def test_malformed_labels_raise_only_documented_errors():
         for start, end, label in rows:
             assert np.isfinite([start, end]).all() and start < end
             assert label.splitlines() in ([], [label])
+        path = str(tmp_path / "labels.csv")
+        timeseries.save_labels(rows, path)
+        assert timeseries.load_labels(path) == rows
 
     check()

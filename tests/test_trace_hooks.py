@@ -4,7 +4,9 @@
 and ``imufresh.forest``, plus two ``FeatureMatrix`` methods and
 ``FeatureName.canonical``.  Renaming or no longer importing one of them
 breaks traced benchmark runs, so check here that the tracer can install
-every wrapper and put every original back.
+every wrapper and put every original back.  ``perfbench/bench.py`` is
+imported too, so that a library name it imports cannot go unnoticed, and
+the calls it makes of its own into the library are run.
 """
 
 import importlib.util
@@ -15,7 +17,11 @@ from imufresh import pipeline
 from imufresh.synth import synth_walk_run
 from imufresh.timeseries import save_labels, save_recording
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+sys.path.insert(0, str(PERFBENCH))
+
+import bench  # noqa: E402
 
 
 def _load_spans():
@@ -43,15 +49,17 @@ def test_traced_run_and_predict_span_every_stage_call(tmp_path):
     """A traced run and predict record each call the harness times, and the
     rank step's anchors keep their order: ``save_report`` ends before
     ``aggregate_importances`` starts, ``write_settings_file`` before
-    ``cross_validate``."""
+    ``cross_validate``.  The files are laid out as a benchmark work
+    directory, with the training recording as the hold-out, so that the
+    deploy workload's per-family timing can read them too."""
     spans = _load_spans()
     data = synth_walk_run(duration_s=120.0, sample_rate_hz=50.0, seed=7)
-    save_recording(data.recording, str(tmp_path / "rec.csv"))
+    save_recording(data.recording, str(tmp_path / "holdout.csv"))
     save_labels(data.labels, str(tmp_path / "labels.csv"))
     config = pipeline.PipelineConfig(
-        recording=str(tmp_path / "rec.csv"),
+        recording=str(tmp_path / "holdout.csv"),
         labels=str(tmp_path / "labels.csv"),
-        output_dir=str(tmp_path / "out"),
+        output_dir=str(tmp_path / "model"),
         repeats=1,
         n_trees=10,
         top_k=5,
@@ -77,3 +85,9 @@ def test_traced_run_and_predict_span_every_stage_call(tmp_path):
 
     assert ends("save_report") <= starts("aggregate_importances")
     assert ends("write_settings_file") <= starts("cross_validate")
+
+    deploy = bench.WORKLOADS["deploy"]
+    assert deploy.primary == "predict"
+    seconds = bench.family_seconds(deploy, tmp_path)
+    assert set(seconds) == {f"calculators.{family}.s" for family in bench.CALCULATOR_FAMILIES}
+    assert sum(seconds.values()) > 0
