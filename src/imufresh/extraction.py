@@ -21,7 +21,7 @@ from .calculators import (
 from .errors import DataError, UnknownKind, WindowOutOfRange
 from .names import FeatureName
 from .parallel import check_workers, map_ranges
-from .timeseries import Recording, WindowSet, render_float
+from .timeseries import Recording, WindowSet, open_utf8, render_float
 
 # Below this much work (window samples x features) ``extract`` runs
 # in-process at any worker count.  Measured at workers=2 against workers=1 on
@@ -241,5 +241,5 @@ def load_matrix_csv(stream: TextIO) -> FeatureMatrix:
 
 
 def load_matrix(path: str) -> FeatureMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_utf8(path, "feature matrix", newline="") as fh:
         return load_matrix_csv(fh)

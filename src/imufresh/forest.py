@@ -4,7 +4,9 @@ Trees are grown on bootstrap samples with per-node feature subsampling;
 split thresholds are midpoints between consecutive distinct sorted values
 (the lower value where the midpoint rounds to the upper one or overflows).
 Every random draw comes from a stream derived from (seed, tree index), so
-models are pure functions of (data, params) regardless of evaluation order.
+models are pure functions of (data, params) regardless of evaluation order:
+the trees grow in lockstep, sharing split searches across trees, yet each
+tree equals the one grown alone.
 
 Importances are impurity decreases weighted by node sample fraction, summed
 per feature across the forest and normalized to 1.
@@ -29,7 +31,7 @@ from .errors import (
 from .extraction import FeatureMatrix
 from .names import FeatureName
 from .parallel import check_workers, map_ranges
-from .timeseries import render_float
+from .timeseries import open_utf8, render_float
 
 _SEED_MASK = (1 << 64) - 1
 _CV_SALT = 0x5CF01D
@@ -180,53 +182,6 @@ def _best_split(
     return out
 
 
-def _grow_tree(
-    x: np.ndarray, y: np.ndarray, params: ForestParams, rng: np.random.Generator,
-    importance_acc: np.ndarray, boot: np.ndarray, root_counts: np.ndarray, root_split,
-) -> Tree:
-    """One tree from its bootstrap, root class counts and root split (from
-    the forest's root search); each other node draws its features from the
-    tree's stream, in DFS order."""
-    n, p = x.shape
-    n_classes = root_counts.size
-    mtry = params.resolve_mtry(p)
-    cap = 2 * n - 1  # a bootstrap of n rows makes at most this many nodes
-    feature, left, right = np.full((3, cap), -1, dtype=np.int32)
-    threshold = np.zeros(cap, dtype=np.float64)
-    counts = np.zeros((cap, n_classes), dtype=np.float64)
-    counts[0] = root_counts
-    n_nodes = 1
-    stack: list[tuple[np.ndarray, int, int]] = [(boot, 0, 0)]
-    while stack:
-        idx, depth, nid = stack.pop()
-        n_node = idx.size
-        if nid == 0:
-            split = root_split
-        else:
-            node_counts = counts[nid]
-            node_counts[:] = np.bincount(y[idx], minlength=n_classes)
-            pure = int(np.count_nonzero(node_counts)) <= 1
-            depth_capped = params.max_depth is not None and depth >= params.max_depth
-            if pure or n_node < 2 * params.min_leaf or depth_capped:
-                continue
-            feats = rng.choice(p, size=mtry, replace=False)
-            split = _best_split(x, y, idx[None], node_counts[None], feats[None],
-                                params.min_leaf, n_classes)[0]
-        if split is None:
-            continue
-        gain, f, thr, rows_left, rows_right = split
-        importance_acc[f] += (n_node / n) * gain
-        feature[nid] = f
-        threshold[nid] = thr
-        left[nid] = n_nodes
-        right[nid] = n_nodes + 1
-        stack.append((rows_right, depth + 1, n_nodes + 1))
-        stack.append((rows_left, depth + 1, n_nodes))
-        n_nodes += 2
-
-    return Tree(*(a[:n_nodes].copy() for a in (feature, threshold, left, right, counts)))
-
-
 def train_forest(
     matrix: FeatureMatrix, labels: Sequence[str], params: ForestParams
 ) -> ForestModel:
@@ -234,8 +189,11 @@ def train_forest(
 
     Tree t draws its bootstrap, its root's features and then its other
     nodes' features in DFS order from its own stream ``(seed, t)``.  All
-    splittable roots hold n rows, so one batched search scores them; the
-    trees then grow in tree order, which fixes the importance sums.
+    splittable roots hold n rows, so one batched search scores them.  The
+    trees then grow in lockstep: in each step every tree with work pops its
+    stack to its next node that needs a search and draws that node's
+    features, and one search per node size scores these nodes.  Importances
+    are summed in tree order and each tree's DFS order.
     """
     x = matrix.values
     if not np.isfinite(x).all():
@@ -249,26 +207,67 @@ def train_forest(
     class_index = {c: i for i, c in enumerate(classes)}
     y = np.asarray([class_index[v] for v in label_list], dtype=np.int64)
     (n, p), n_classes, n_trees = x.shape, len(classes), params.n_trees
-    mtry = params.resolve_mtry(p)
+    mtry, min_leaf = params.resolve_mtry(p), params.min_leaf
 
     seed = params.seed & _SEED_MASK
     rngs = [np.random.default_rng((seed, t)) for t in range(n_trees)]
     boots = np.stack([rng.integers(0, n, size=n) for rng in rngs])
     root_counts = (y[boots][:, :, None] == np.arange(n_classes)).sum(axis=1).astype(np.float64)
     # Roots that are not pure and hold 2 * min_leaf rows; none is depth-capped.
-    splittable = (np.count_nonzero(root_counts, axis=1) > 1) & (n >= 2 * params.min_leaf)
+    splittable = (np.count_nonzero(root_counts, axis=1) > 1) & (n >= 2 * min_leaf)
     roots = np.flatnonzero(splittable)
     feats = np.array([rngs[t].choice(p, size=mtry, replace=False) for t in roots], dtype=np.int64)
     found = _best_split(x, y, boots[roots], root_counts[roots], feats.reshape(-1, mtry),
-                        params.min_leaf, n_classes)
-    root_splits = dict(zip(roots.tolist(), found))
+                        min_leaf, n_classes)
+
+    cap = 2 * n - 1  # a bootstrap of n rows makes at most this many nodes, none this deep
+    max_depth = params.max_depth or cap
+    feature, left, right = np.full((3, n_trees, cap), -1, dtype=np.int32)
+    threshold = np.zeros((n_trees, cap), dtype=np.float64)
+    counts = np.zeros((n_trees, cap, n_classes), dtype=np.float64)
+    counts[:, 0] = root_counts
+    n_nodes = [1] * n_trees
+    stacks: list[list] = [[] for _ in range(n_trees)]
+    gains: list[list] = [[] for _ in range(n_trees)]  # (feature, weighted gain) in DFS order
+    searched = [(t, boots[t], 0, 0) for t in roots.tolist()]  # (tree, rows, depth, node id)
+    while searched:
+        for (t, idx, depth, nid), split in zip(searched, found):
+            if split is None:
+                continue
+            gain, f, thr, rows_left, rows_right = split
+            gains[t].append((f, (idx.size / n) * gain))
+            i = n_nodes[t]
+            feature[t, nid], threshold[t, nid], left[t, nid], right[t, nid] = f, thr, i, i + 1
+            stacks[t] += [(rows_right, depth + 1, i + 1), (rows_left, depth + 1, i)]
+            n_nodes[t] = i + 2
+        by_size: dict[int, list] = {}  # each tree's next node to search, with its features
+        for t, *_ in searched:
+            stack = stacks[t]
+            while stack:
+                idx, depth, nid = stack.pop()
+                node_counts = counts[t, nid]
+                node_counts[:] = np.bincount(y[idx], minlength=n_classes)
+                mixed = np.count_nonzero(node_counts) > 1
+                if mixed and idx.size >= 2 * min_leaf and depth < max_depth:
+                    node = (t, idx, depth, nid, rngs[t].choice(p, size=mtry, replace=False))
+                    by_size.setdefault(idx.size, []).append(node)
+                    break
+        searched, found = [], []
+        for group in by_size.values():
+            t, idx, depth, nid, feats = zip(*group)
+            found += _best_split(x, y, np.stack(idx), counts[t, nid], np.stack(feats),
+                                 min_leaf, n_classes)
+            searched += zip(t, idx, depth, nid)
+
     importance_acc = np.zeros(p, dtype=np.float64)
-    trees = tuple(
-        _grow_tree(x, y, params, rng, importance_acc, boots[t], root_counts[t], root_splits.get(t))
-        for t, rng in enumerate(rngs)
-    )
+    for f, weighted in (g for tree_gains in gains for g in tree_gains):
+        importance_acc[f] += weighted
     total = float(importance_acc.sum())
     importances = importance_acc / total if total > 0 else importance_acc
+    trees = tuple(
+        Tree(*(a[t, :n_nodes[t]].copy() for a in (feature, threshold, left, right, counts)))
+        for t in range(n_trees)
+    )
     return ForestModel(
         trees=trees,
         classes=classes,
@@ -607,5 +606,5 @@ def load_model(stream: TextIO) -> ForestModel:
 
 
 def load_model_file(path: str) -> ForestModel:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_utf8(path, "model file", newline="") as fh:
         return load_model(fh)

@@ -62,6 +62,7 @@ from .timeseries import (
     check_intervals,
     load_labels,
     load_recording,
+    open_utf8,
     render_float,
     resolve_label,
     save_recording,
@@ -201,7 +202,8 @@ def write_manifest(entries: Sequence[tuple[str, str]], stream: TextIO) -> None:
 def read_manifest(path: str) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with open_utf8(path, "manifest") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from None
     for line in lines:
@@ -268,7 +270,7 @@ def _load_settings(settings_file: str | None, kinds: Iterable[str]) -> Extractio
     without one."""
     if settings_file is None:
         return default_settings(kinds)
-    with open(settings_file, "r", encoding="utf-8") as fh:
+    with open_utf8(settings_file, "settings file") as fh:
         return read_settings_file(fh)
 
 
@@ -494,7 +496,7 @@ def predict(
 
     model = load_model_file(model_path)
     recording = load_recording(recording_path)
-    with open(settings_path, "r", encoding="utf-8") as fh:
+    with open_utf8(settings_path, "settings file") as fh:
         settings = read_settings_file(fh)
     if settings.canonical_names() != tuple(f.canonical() for f in model.feature_names):
         raise FeatureSetMismatch(

@@ -16,12 +16,14 @@ import io
 import math
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .errors import (
+    DataError,
     InconsistentChannels,
     InvalidKindName,
     InvalidValue,
@@ -498,6 +500,17 @@ def load_labels_csv(stream: TextIO) -> list[tuple[float, float, str]]:
             raise InvalidValue(f"labels CSV: label with ',' or '\"' in row {row!r}")
         out.append((start, end, row[2]))
     return out
+
+
+@contextmanager
+def open_utf8(path: str, what: str, newline: str | None = None) -> Iterator[TextIO]:
+    """*path* opened as UTF-8 text; a byte that does not decode while the
+    ``with`` block reads raises DataError naming the *what* at *path*."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{what} {path!r} is not UTF-8: {exc}") from None
 
 
 def load_labels(path: str) -> list[tuple[float, float, str]]:

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,43 @@ class TestGrower:
             n_split += sum(t.n_nodes > 1 for t in model.trees)
         assert n_split > 50
 
+    @pytest.mark.parametrize("cells", [forest._BLOCK_CELLS, 64, 1])
+    def test_lockstep_forests_match_list_based_grower(self, monkeypatch, cells):
+        # 20-60 trees, so that inner nodes of one size from several trees
+        # share a search; the smaller block bounds split those searches.
+        monkeypatch.setattr(forest, "_BLOCK_CELLS", cells)
+        batch_sizes = []
+        real = forest._best_split
+
+        def spy(*args):
+            batch_sizes.append(args[2].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(forest, "_best_split", spy)
+        rng = np.random.default_rng(61)
+        depths = (None, 1, 3)
+        shared = 0  # searches of several inner nodes
+        for case in range(12):
+            n_classes = 2 + case % 4
+            n_rows = int(rng.integers(12, 40))
+            p = int(rng.integers(1, 9))
+            x = _columns(rng, n_rows, p)
+            y = rng.integers(0, n_classes, size=n_rows)
+            y[:2] = (0, 1)  # training needs two classes
+            params = ForestParams(
+                n_trees=int(rng.integers(20, 61)),
+                mtry=int(rng.integers(1, p + 1)),
+                min_leaf=1 + case % 3,
+                max_depth=depths[case // 4],
+                seed=100 + case,
+            )
+            del batch_sizes[:]
+            got, want, model = _forest_and_oracle(x, y, params)
+            assert got == want, case
+            shared += sum(b > 1 for b in batch_sizes[1:])
+            assert len(batch_sizes) == 1 or params.max_depth != 1, case
+        assert shared > 20
+
     def test_tree_that_isolates_every_bootstrap_row(self):
         # A permutation bootstrap of n distinct values whose labels alternate
         # along the one feature: every row ends in its own leaf, so the tree
@@ -319,8 +357,31 @@ class TestGrower:
             assert [_tree_bits(t) for t in small.trees] == [_tree_bits(t) for t in big.trees[:k]]
 
 
+@pytest.mark.parametrize("n_rows, p, n_classes", [(30, 306, 2), (40, 25, 4)])
+def test_training_peak_memory_is_bounded(n_rows, p, n_classes):
+    # Desk- and hard-shaped forests of 100 trees.  No column separates the
+    # labels, so trees grow deep and every tree's stack and node arrays are
+    # alive at once; the root search's passes are bounded by _BLOCK_CELLS.
+    rng = np.random.default_rng(0)
+    matrix = _matrix(rng.standard_normal((n_rows, p)))
+    labels = [f"c{i % n_classes}" for i in range(n_rows)]
+    params = ForestParams(seed=0)
+    train_forest(matrix, labels, params)  # numpy's first-call set-up is not the forest's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model = train_forest(matrix, labels, params)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(t.n_nodes > 3 for t in model.trees) > 90
+    assert peak < 1_000_000
+
+
 class TestRootSearch:
-    """All splittable roots share one split search; inner nodes get one each."""
+    """All splittable roots share one split search; the inner nodes that
+    trees reach in the same lockstep step share one search per node size."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -328,6 +389,9 @@ class TestRootSearch:
         real = forest._best_split
 
         def spy(x_cols, y, idx, counts, feats, min_leaf, n_classes):
+            # Each node's class counts are those of its own rows.
+            want = [np.bincount(y[rows], minlength=n_classes) for rows in idx]
+            assert np.array_equal(counts, np.reshape(want, counts.shape))
             batch_sizes.append(idx.shape[0])
             return real(x_cols, y, idx, counts, feats, min_leaf, n_classes)
 
@@ -341,17 +405,21 @@ class TestRootSearch:
         assert batch_sizes == [25]
         assert all(t.n_nodes == 3 for t in model.trees)
 
-    def test_inner_nodes_are_searched_one_at_a_time(self, monkeypatch):
+    def test_inner_nodes_share_searches_across_trees(self, monkeypatch):
         batch_sizes = self._spy(monkeypatch)
         matrix, labels = _separable(n=40, noise=0.8, seed=12)
-        params = ForestParams(n_trees=10, min_leaf=2, seed=3)
+        params = ForestParams(n_trees=30, min_leaf=2, seed=3)
         model = train_forest(matrix, labels, params)
-        searched = 0  # non-root nodes that hold two classes and 2 * min_leaf rows
+        roots = searched = 0  # nodes that hold two classes and 2 * min_leaf rows
         for tree in model.trees:
-            mixed = np.count_nonzero(tree.counts[1:], axis=1) > 1
-            searched += int(np.sum(mixed & (tree.counts[1:].sum(axis=1) >= 2 * params.min_leaf)))
+            mixed = np.count_nonzero(tree.counts, axis=1) > 1
+            found = mixed & (tree.counts.sum(axis=1) >= 2 * params.min_leaf)
+            roots += int(found[0])
+            searched += int(found[1:].sum())
         assert searched > params.n_trees
-        assert batch_sizes == [params.n_trees] + [1] * searched
+        assert batch_sizes[0] == roots
+        assert sum(batch_sizes) == roots + searched
+        assert len(batch_sizes) - 1 < searched
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -8,11 +8,12 @@ from imufresh import pipeline
 from imufresh.calculators import settings_from_feature_names, write_settings_file
 from imufresh.errors import (
     ConfigError,
+    DataError,
     FeatureSetMismatch,
     NothingSelected,
     OverlappingLabels,
 )
-from imufresh.extraction import extract
+from imufresh.extraction import extract, load_matrix
 from imufresh.forest import load_model_file
 from imufresh.pipeline import (
     PipelineConfig,
@@ -333,6 +334,35 @@ class TestPredict:
         args = (run_result.model_path, run_result.settings_path, str(rec_path))
         timeline = predict(*args, str(manifest))
         assert timeline == predict(*args, run_result.manifest_path)
+
+
+class TestInputThatIsNotUtf8:
+    """Every reader of a text artifact raises DataError, an ImufreshError,
+    for a file holding a byte that is not UTF-8, and keeps the codec's
+    message."""
+
+    @staticmethod
+    def _not_utf8(tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"key = caf\xe9\n")
+        return str(path)
+
+    @pytest.mark.parametrize("read", [read_manifest, load_model_file, load_matrix])
+    def test_artifact_readers(self, tmp_path, read):
+        with pytest.raises(DataError, match="not UTF-8: 'utf-8' codec can't decode"):
+            read(self._not_utf8(tmp_path, "artifact.txt"))
+
+    def test_training_settings_file(self, train_data, tmp_path):
+        config = _config(train_data, tmp_path / "out",
+                         settings_file=self._not_utf8(tmp_path, "settings.txt"))
+        with pytest.raises(DataError, match="settings file .* can't decode"):
+            run_full_pipeline(config)
+
+    def test_predict_settings_file(self, run_result, train_data, tmp_path):
+        rec_path, _ = train_data
+        with pytest.raises(DataError, match="settings file .* can't decode"):
+            predict(run_result.model_path, self._not_utf8(tmp_path, "settings.txt"),
+                    str(rec_path), run_result.manifest_path)
 
 
 class TestDeterminism:
