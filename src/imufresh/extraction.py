@@ -21,7 +21,14 @@ from .calculators import (
 from .errors import DataError, UnknownKind, WindowOutOfRange
 from .names import FeatureName
 from .parallel import check_workers, map_ranges
-from .timeseries import Recording, WindowSet, open_utf8, render_float
+from .timeseries import (
+    _BLOCK_VALUES,
+    Recording,
+    WindowSet,
+    _join_columns,
+    open_utf8,
+    render_floats,
+)
 
 # Below this much work (window samples x features) ``extract`` runs
 # in-process at any worker count.  Measured at workers=2 against workers=1 on
@@ -182,18 +189,30 @@ def extract(
 # ---------------------------------------------------------------------------
 
 def save_matrix_csv(matrix: FeatureMatrix, stream: TextIO) -> None:
-    """``window_id[,label],<canonical names...>`` with round-trip floats."""
+    """``window_id[,label],<canonical names...>`` with round-trip floats,
+    the bytes ``repr`` gives, rendered by :func:`render_floats` a block of
+    rows at a time."""
     header = ["window_id"]
     if matrix.labels is not None:
         header.append("label")
     header.extend(matrix.canonical_names())
     stream.write(",".join(header) + "\n")
-    for r in range(matrix.n_rows):
-        cells = [str(int(matrix.window_ids[r]))]
-        if matrix.labels is not None:
-            cells.append(matrix.labels[r])
-        cells.extend(render_float(v) for v in matrix.values[r])
-        stream.write(",".join(cells) + "\n")
+    prefixes = [str(i) for i in matrix.window_ids.tolist()]
+    if matrix.labels is not None:
+        prefixes = [f"{i},{label}" for i, label in zip(prefixes, matrix.labels)]
+    n_cols = matrix.n_cols
+    block_rows = max(1, _BLOCK_VALUES // max(n_cols, 1))
+    for lo in range(0, matrix.n_rows, block_rows):
+        values = matrix.values[lo : lo + block_rows]
+        text = render_floats(values)
+        # Each cell after its comma.  A label may hold any character, a zero
+        # byte too, so ids and labels are joined to the lines as text.
+        cells = np.empty((len(values), n_cols, 1 + text.shape[1]), dtype=np.uint8)
+        cells[:, :, 0] = ord(",")
+        cells[:, :, 1:] = text.reshape(len(values), n_cols, text.shape[1])
+        lines = _join_columns([cells.reshape(len(values), -1), b"\n"]).decode("ascii")
+        rows = zip(prefixes[lo : lo + block_rows], lines.split("\n"))
+        stream.write("".join(f"{prefix}{line}\n" for prefix, line in rows))
 
 
 def save_matrix(matrix: FeatureMatrix, path: str) -> None:
@@ -215,17 +234,20 @@ def load_matrix_csv(stream: TextIO) -> FeatureMatrix:
     ids: list[int] = []
     labels: list[str] = []
     rows: list[list[float]] = []
-    for line in stream:
+    columns = header[name_start:]
+    for lineno, line in enumerate(stream, start=2):
         line = line.rstrip("\n").rstrip("\r")
         if not line:
             continue
         cells = line.split(",")
         if len(cells) != len(header):
             raise DataError(f"feature matrix row has {len(cells)} cells, expected {len(header)}")
-        ids.append(int(cells[0]))
+        ids.append(_parse_cell(int, cells[0], lineno, "window_id"))
         if has_labels:
             labels.append(cells[1])
-        rows.append([float(c) for c in cells[name_start:]])
+        rows.append(
+            [_parse_cell(float, c, lineno, n) for c, n in zip(cells[name_start:], columns)]
+        )
 
     values = (
         np.asarray(rows, dtype=np.float64)
@@ -238,6 +260,17 @@ def load_matrix_csv(stream: TextIO) -> FeatureMatrix:
         window_ids=np.asarray(ids, dtype=np.int64),
         labels=tuple(labels) if has_labels else None,
     )
+
+
+def _parse_cell(parse, cell: str, lineno: int, column: str):
+    """``parse(cell)``; a cell that does not parse raises DataError naming
+    its line (the header is line 1) and column."""
+    try:
+        return parse(cell)
+    except ValueError:
+        raise DataError(
+            f"feature matrix line {lineno}, column {column!r}: cannot parse {cell!r}"
+        ) from None
 
 
 def load_matrix(path: str) -> FeatureMatrix:

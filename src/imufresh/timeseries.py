@@ -59,10 +59,205 @@ def validate_kind(name: str) -> str:
 def render_float(v: float) -> str:
     """Shortest decimal string that round-trips to the same 64-bit float.
 
-    This is ``repr`` of a Python float, which the recording writer applies
-    to whole columns directly.
+    This is ``repr`` of a Python float.  The CSV writers render whole
+    columns with :func:`render_floats`, which gives the same bytes.
     """
     return repr(float(v))
+
+
+# Every integer constant of the float kernel is an explicit uint64, so the
+# result does not depend on numpy's scalar promotion rules.
+_U = np.uint64
+_M32 = _U(0xFFFF_FFFF)
+_POW5 = np.array([5**i for i in range(28)], dtype=np.uint64)
+_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+# Biased exponents of Ryu's e2 < 0 branch whose multiplier 5**i fits 64 bits:
+# magnitudes in [2**-32, 2**54).  Other nonzero values are rendered by repr.
+_EXP_MIN, _EXP_MAX = 991, 1076
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact 128-bit product of a < 2**56 and b < 2**64 as (high, low)
+    64-bit halves, built from 32-bit limbs."""
+    a1, a0 = a >> _U(32), a & _M32
+    b1, b0 = b >> _U(32), b & _M32
+    low = a0 * b0
+    mid = a1 * b0 + (low >> _U(32))
+    mid2 = a0 * b1 + (mid & _M32)
+    high = a1 * b1 + (mid >> _U(32)) + (mid2 >> _U(32))
+    return high, (mid2 << _U(32)) | (low & _M32)
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest round-trip digits of positive floats whose biased exponents
+    lie in [_EXP_MIN, _EXP_MAX], given as their bits: (digits, exponent),
+    the value being ``digits * 10**exponent`` as ``repr`` prints it.
+
+    This is the e2 < 0 branch of Ryu (Adams, PLDI 2018).  The float is
+    ``mv * 2**e2``, and the reals that round to it lie between ``mm`` and
+    ``mp`` (times ``2**e2``).  Scaled by ``10**-(q + e2)``, the three are
+    ``x * 5**i // 2**q``, exact 128-bit products ``vm < vr < vp``, and
+    ``vp - vm >= 10``.  Digits are removed from all three while the interval
+    still holds a shorter number, and ``vr`` is rounded to nearest, a tie
+    (only an exact ``vr`` has one) to even.
+
+    Ryu's handling of the bounds themselves, taken when the mantissa is
+    even, is left out, as it changes no digit in this range.  A bound is
+    exact only for q <= 1, from 2**50 up, where ``vp`` and ``vm`` end in 5,
+    are ``100 * f +- 50`` for an integer ``f``, or ``10 * (f +- 1)`` for an
+    even integer ``f``: ``vp - 1`` decides no test ``vp // 10**r > vm //
+    10**r`` otherwise, and ``vm`` keeps a trailing zero, which Ryu would
+    strip or take as the result, only in the last case and only until the
+    first removal leaves ``vr = f > vm = f - 1``.
+    """
+    mant = bits & _U((1 << 52) - 1)
+    mm_shift = mant != _U(0)  # a power of two has a lower gap of half the upper
+    mv = (mant | _U(1 << 52)) << _U(2)
+    minus_e2 = _U(1077) - (bits >> _U(52))
+    q = ((minus_e2 * _U(732923)) >> _U(20)) - (minus_e2 > _U(1))  # log10(5**-e2) - 1
+    pow5 = _POW5[minus_e2 - q]
+    # mp and mm are mv + 2 and mv - 1 - mm_shift: their products differ from
+    # mv's by 2 * 5**i and (1 + mm_shift) * 5**i, both below 2**64.
+    high, low = _product(mv, pow5)
+    low_p = low + (pow5 << _U(1))
+    low_m = low - (pow5 << mm_shift.astype(np.uint64))
+    back = _U(63) - q  # high << (64 - q) in two steps, so no shift reaches 64
+    vr = (low >> q) | ((high << _U(1)) << back)
+    vp = (low_p >> q) | (((high + (low_p < low)) << _U(1)) << back)
+    vm = (low_m >> q) | (((high - (low_m > low)) << _U(1)) << back)
+    # The digits to remove: the largest r with vp // 10**r > vm // 10**r,
+    # which holds for every smaller r too, found 16, 8, 4, 2, 1 at a time.
+    removed = np.zeros(bits.shape, dtype=np.int64)
+    for step in (16, 8, 4, 2, 1):
+        vp_s, vm_s = vp // _POW10[step], vm // _POW10[step]
+        take = vp_s > vm_s
+        if take.any():
+            vp = np.where(take, vp_s, vp)
+            vm = np.where(take, vm_s, vm)
+            removed += take * step
+    # vr less r - 1 digits (r >= 1, as vp - vm >= 10): its last digit is
+    # the last one removed.  A last 5 is a tie when vr is exact, which it is
+    # when 2**q divides mv: vr is then a multiple of 5**i, and with
+    # vp - vm <= 401 the digits removed before such a 5 are all zeros.
+    head = vr // _POW10[removed - 1]
+    exact = (mv & ((_U(1) << q) - _U(1))) == _U(0)
+    vr = head // _U(10)
+    last = head - vr * _U(10)
+    tie_to_even = exact & (last == _U(5)) & ((vr & _U(1)) == _U(0))
+    round_up = (last >= _U(5)) & ~tie_to_even
+    digits = vr + (round_up | (vr == vm))  # vr == vm lies at or below mm
+    return digits, removed + q.astype(np.int64) - minus_e2.astype(np.int64)
+
+
+def _words(texts: list[bytes]) -> np.ndarray:
+    """Each text of at most 4 bytes, padded with zero bytes, as one uint32."""
+    return np.frombuffer(b"".join(t.ljust(4, b"\0") for t in texts), dtype=np.uint32)
+
+
+def _group_words() -> np.ndarray:
+    """Four-digit groups as uint32 words: rows [0, 1e4) hold every digit,
+    [1e4, 2e4) drop trailing zeros and [2e4, 3e4) leading zeros (a zero
+    byte in place of each), then a lone units zero and a lone first
+    fraction zero."""
+    k = np.arange(10_000)
+    digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
+    text = (digits + ord("0")).astype(np.uint8)
+    nonzero = digits != 0
+    trailing = np.cumsum(nonzero[:, ::-1], axis=1)[:, ::-1] == 0
+    leading = np.cumsum(nonzero, axis=1) == 0
+    table = np.concatenate([text, np.where(trailing, 0, text), np.where(leading, 0, text)])
+    return np.concatenate([table.view(np.uint32).ravel(), _words([b"\0\0\x000", b"0"])])
+
+
+_GROUPS = _group_words()
+_TRAILING, _LEADING, _UNITS_ZERO, _FRACTION_ZERO = 10_000, 20_000, 30_000, 30_001
+_SIGNS = _words([b"", b"-"])
+_POINTS = _words([b"", b"."])
+_EXPONENTS = _words([b""] + [b"e%+03d" % e for e in range(-10, 17)])  # at decpt + 10
+
+
+def render_floats(values: np.ndarray) -> np.ndarray:
+    """``repr`` of every element of a float array, as a byte matrix.
+
+    Row ``j`` holds the bytes of ``repr(float(values.flat[j]))`` in order,
+    with zero bytes between and after them as padding, so dropping a row's
+    zero bytes gives the text.  Zero and magnitudes in ``[2**-32, 2**54)``
+    go through the array kernel (:func:`_shortest`); each other element, a
+    subnormal, a huge or tiny value or one that is not finite, is rendered
+    by ``repr`` itself.
+
+    The text is laid out in 32-bit words: the sign, up to four groups of
+    four integer places, the point, up to five groups of four fraction
+    places and the exponent.  Each group is one lookup of its value in a
+    table that keeps or drops its leading or trailing zeros.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    bits = values.view(np.uint64)
+    mag = bits & _U((1 << 63) - 1)
+    kernel = ((mag >> _U(52)) - _U(_EXP_MIN)) <= _U(_EXP_MAX - _EXP_MIN)
+    digits, exponent = _shortest(np.where(kernel, mag, np.float64(1.0).view(np.uint64)))
+    zero = mag == _U(0)
+    digits[zero] = 0
+    exponent[zero] = 0
+    n_digits = np.searchsorted(_POW10[1:18], digits, side="right") + 1
+    decpt = exponent + n_digits  # value = 0.<digits> * 10**decpt
+    sci = (decpt < -3) | (decpt > 16)
+    # Split digits at the point: ``whole`` and ``fraction`` of n_frac places.
+    n_frac = np.where(sci, n_digits - 1, np.maximum(-exponent, 0))
+    scale = _POW10[np.minimum(n_frac, 19)]
+    whole = digits // scale
+    fraction = digits - whole * scale
+    whole *= _POW10[np.where(sci, 0, np.maximum(exponent, 0))]
+    # The 20 fraction places as two integers of 8 and 12 places.
+    scale = _POW10[np.maximum(n_frac - 8, 0)]
+    frac_hi = fraction // scale
+    frac_lo = (fraction - frac_hi * scale) * _POW10[20 - np.maximum(n_frac, 8)]
+    frac_hi *= _POW10[np.maximum(8 - n_frac, 0)]
+
+    # Words, each a column of the result: the sign, as many groups as the
+    # widest whole part needs, the point, as many groups as the longest
+    # fraction needs, and the exponent.
+    columns = []
+    negative = bits >> _U(63)
+    if negative.any():
+        columns.append(_SIGNS[negative])
+    n_whole = (len(str(whole.max(initial=0))) + 3) // 4
+    for j, group in enumerate(_groups(whole, 4 * n_whole)):
+        leading = whole < _POW10[4 * (n_whole - j)]  # no digit before this group
+        columns.append(_GROUPS[np.where(leading, group + _U(_LEADING), group)])
+    columns[-1] = np.where(whole == _U(0), _GROUPS[_UNITS_ZERO], columns[-1])
+    columns.append(_POINTS[(~sci | (fraction != _U(0))).view(np.uint8)])
+    n_fraction = max(1, -(-int(n_frac.max(initial=0)) // 4))
+    groups = _groups(frac_hi, 8) + (_groups(frac_lo, 12) if n_fraction > 2 else [])
+    fraction_words = []
+    trailing = np.ones(values.size, dtype=bool)  # no digit after this group
+    for group in reversed(groups[:n_fraction]):
+        fraction_words.append(_GROUPS[np.where(trailing, group + _U(_TRAILING), group)])
+        trailing &= group == _U(0)
+    fraction_words[-1] = np.where(trailing & ~sci, _GROUPS[_FRACTION_ZERO], fraction_words[-1])
+    columns.extend(reversed(fraction_words))
+    if sci.any():
+        columns.append(_EXPONENTS[np.where(sci, decpt + 10, 0)])
+
+    fallback = np.flatnonzero(~kernel & ~zero).tolist()
+    if fallback:  # repr's text takes at most 24 bytes
+        columns.extend([np.zeros(values.size, dtype=np.uint32)] * (6 - len(columns)))
+    text = np.stack(columns, axis=1)
+    for j in fallback:
+        text[j] = 0
+        text[j, :6] = np.frombuffer(repr(float(values[j])).encode().ljust(24, b"\0"), np.uint32)
+    return text.view(np.uint8)
+
+
+def _groups(x: np.ndarray, places: int) -> list[np.ndarray]:
+    """The ``places // 4`` four-digit groups of ``x < 10**places``, most
+    significant first."""
+    out = []
+    for k in range(places - 4, -1, -4):
+        group = x // _POW10[k]
+        x = x - group * _POW10[k]
+        out.append(group)
+    return out
 
 
 class _OwnChannels(dict):
@@ -427,27 +622,48 @@ def _check_lines(data: bytes) -> None:
         raise InconsistentChannels("CSV contains no data rows")
 
 
-# Rows the writer renders per write call: one join per block keeps the
-# per-row cost low, and the block keeps its buffers to a few hundred kB.
-_WRITE_ROWS = 4096
+# Values the CSV writers render per call.  Every temporary of a writer
+# scales with it, not with the data: the recording writer's traced peak is
+# about 1.1 MB at any length.
+_BLOCK_VALUES = 4096
+
+
+def _join_columns(parts: Sequence[np.ndarray | bytes]) -> bytes:
+    """Rows made of *parts* side by side, with every zero byte dropped.
+
+    A part is a byte matrix with one row per output row, such as
+    :func:`render_floats` returns, or bytes that every row shares.
+    """
+    n_rows = next(p.shape[0] for p in parts if isinstance(p, np.ndarray))
+    widths = [p.shape[1] if isinstance(p, np.ndarray) else len(p) for p in parts]
+    rows = np.empty((n_rows, sum(widths)), dtype=np.uint8)
+    at = 0
+    for part, width in zip(parts, widths):
+        rows[:, at : at + width] = (
+            part if isinstance(part, np.ndarray) else np.frombuffer(part, dtype=np.uint8)
+        )
+        at += width
+    return rows.tobytes().translate(None, b"\0")
 
 
 def save_recording_csv(recording: Recording, stream: TextIO) -> None:
     """Serialize a recording back to long-format CSV, one block per kind.
 
-    Values and times are rendered by ``repr`` of a Python float, the
-    shortest round-trip decimal (:func:`render_float`), so ingesting the
-    output reproduces the channel values exactly.  Every kind shares the
-    time column, so it is rendered once.
+    Times and values are written as ``repr`` writes a Python float, the
+    shortest round-trip decimal, so ingesting the output reproduces the
+    channel values exactly.  :func:`render_floats` renders them a block of
+    rows at a time, the time column with each kind's block, so no temporary
+    grows with the recording.
     """
     stream.write("time,kind,value\n")
-    grid = recording.t0 + np.arange(recording.length) / recording.sample_rate_hz
-    times = [repr(t) for t in grid.tolist()]
     for kind in recording.kinds:
         values = recording.channels[kind]
-        for lo in range(0, len(times), _WRITE_ROWS):
-            rows = zip(times[lo : lo + _WRITE_ROWS], values[lo : lo + _WRITE_ROWS].tolist())
-            stream.write("".join([f"{t},{kind},{v!r}\n" for t, v in rows]))
+        middle = f",{kind},".encode()
+        for lo in range(0, recording.length, _BLOCK_VALUES):
+            hi = min(lo + _BLOCK_VALUES, recording.length)
+            times = recording.t0 + np.arange(lo, hi) / recording.sample_rate_hz
+            rows = [render_floats(times), middle, render_floats(values[lo:hi]), b"\n"]
+            stream.write(_join_columns(rows).decode("ascii"))
 
 
 def save_recording(recording: Recording, path: str) -> None:

@@ -14,6 +14,7 @@ must agree with it exactly:
   for bit;
 - ``load_recording_csv`` and ``save_recording_csv``: the line-at-a-time
   recording CSV reader and writer;
+- ``save_matrix_csv``: the feature-matrix writer one cell at a time;
 - ``select_features``: selection's per-target-mode test dispatch (a binary
   branch, a multiclass branch and a real branch), which must give the same
   report as the library's single per-column loop;
@@ -623,3 +624,15 @@ def save_recording_csv(recording, stream):
         values = recording.channels[kind]
         for i in range(recording.length):
             stream.write(f"{render_float(t0 + i / rate)},{kind},{render_float(values[i])}\n")
+
+
+def save_matrix_csv(matrix, stream):
+    """The feature-matrix writer with one ``render_float`` per cell."""
+    header = ["window_id"] + (["label"] if matrix.labels is not None else [])
+    stream.write(",".join(header + list(matrix.canonical_names())) + "\n")
+    for r in range(matrix.n_rows):
+        cells = [str(int(matrix.window_ids[r]))]
+        if matrix.labels is not None:
+            cells.append(matrix.labels[r])
+        cells.extend(render_float(v) for v in matrix.values[r])
+        stream.write(",".join(cells) + "\n")

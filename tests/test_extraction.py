@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from imufresh.calculators import (
 )
 import imufresh.extraction
 import imufresh.parallel
+import oracles
 from imufresh.errors import BadParameters, DataError, UnknownKind, WindowOutOfRange
 from imufresh.extraction import (
     POOL_MIN_WORK,
@@ -397,6 +399,42 @@ class TestFeatureMatrix:
         buf = io.StringIO()
         save_matrix_csv(m, buf)
         assert buf.getvalue().splitlines()[0] == f"window_id,{name}"
+
+
+class TestMatrixCsv:
+    @staticmethod
+    def _matrix(n_rows, n_cols, labels):
+        rng = np.random.default_rng(n_rows * 100 + n_cols)
+        special = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, -1e300, 2.0**60, 0.5]
+        values = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-12, 12, (n_rows, n_cols))
+        values.ravel()[: len(special)] = special[: values.size]
+        names = tuple(FeatureName(f"k{j:04d}", "minimum") for j in range(n_cols))
+        ids = np.arange(n_rows) * 3 + 1
+        return FeatureMatrix(names, values, ids, tuple(f"l{r % 3}" for r in range(n_rows)) if labels else None)
+
+    # Blocks of one row, of two rows with a shorter last one, and the default.
+    @pytest.mark.parametrize("block", [1, 12, imufresh.extraction._BLOCK_VALUES])
+    @pytest.mark.parametrize("shape", [(11, 5), (3, 0), (0, 4), (4, 700)])
+    @pytest.mark.parametrize("labels", [True, False])
+    def test_bytes_match_the_cell_loop(self, monkeypatch, block, shape, labels):
+        monkeypatch.setattr(imufresh.extraction, "_BLOCK_VALUES", block)
+        m = self._matrix(*shape, labels)
+        new, old = io.StringIO(), io.StringIO()
+        save_matrix_csv(m, new)
+        oracles.save_matrix_csv(m, old)
+        assert new.getvalue() == old.getvalue()
+        back = load_matrix_csv(io.StringIO(new.getvalue()))
+        assert back.values.tobytes() == m.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "row, column",
+        [("0,abc", "a__minimum"), ("zz,1.0", "window_id"), ("1.5,1.0", "window_id")],
+    )
+    def test_unparseable_cell_names_line_and_column(self, row, column):
+        text = f"window_id,a__minimum\n2,0.5\n\n{row}\n"
+        cell = row.split(",")[0 if column == "window_id" else 1]
+        with pytest.raises(DataError, match=f"line 4, column '{column}': cannot parse '{cell}'"):
+            load_matrix_csv(io.StringIO(text))
 
 
 class TestSettingsFile:

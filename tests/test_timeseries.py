@@ -1,4 +1,7 @@
 import io
+import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -343,19 +346,123 @@ class TestReaderMemory:
 
 
 class TestWriter:
-    def test_bytes_match_the_row_loop(self):
-        # more rows than one write block, and not a multiple of it
-        n = 10_001
+    # Blocks of one and of 7 rows, and the default with more rows than one
+    # block and not a multiple of it.
+    @pytest.mark.parametrize("block, n", [(1, 23), (7, 101), (timeseries._BLOCK_VALUES, 10_001)])
+    def test_bytes_match_the_row_loop(self, monkeypatch, block, n):
+        monkeypatch.setattr(timeseries, "_BLOCK_VALUES", block)
         rng = np.random.default_rng(5)
+        edges = [v for v in _edge_values() if math.isfinite(v)]
         rec = Recording(
             sample_rate_hz=97.3,
-            channels={"b": rng.standard_normal(n), "a_1": rng.standard_normal(n) * 1e-300},
+            channels={
+                "b": rng.standard_normal(n),
+                "a_1": rng.standard_normal(n) * 1e-300,
+                "c": np.resize(edges + [-v for v in edges], n),
+                "d": np.round(rng.standard_normal(n) * 100, 2),
+            },
             t0=-12.345,
         )
         new, old = io.StringIO(), io.StringIO()
         save_recording_csv(rec, new)
         oracles.save_recording_csv(rec, old)
         assert new.getvalue() == old.getvalue()
+
+
+class TestWriterMemory:
+    """The writer renders a block of rows at a time and holds nothing that
+    grows with the recording."""
+
+    @staticmethod
+    def _peak(n):
+        rng = np.random.default_rng(777)
+        kinds = [f"accel_{axis}_{side}" for axis in "xyz" for side in "lr"]
+        rec = Recording(100.0, {kind: rng.standard_normal(n) for kind in kinds})
+        with open(os.devnull, "w", encoding="utf-8") as fh:
+            _, peak = _traced_peak(lambda: save_recording_csv(rec, fh))
+        return peak
+
+    def test_peak_does_not_grow_with_the_recording(self):
+        short, long = self._peak(6_000), self._peak(60_000)
+        # at most what the longer recording's float64 time column takes
+        assert long - short <= 8 * 60_000
+        # The shape of the deploy workload's hold-out; the row-loop writer,
+        # which held the repr of every time at once, peaked at 6.18 MB on it.
+        assert long <= 6.18e6
+
+
+def _edge_values():
+    """Powers of two and their neighbours, the kernel's range ends, ties and
+    the ends of the float range."""
+    powers = [2.0**k for k in range(-40, 61)]
+    return (
+        powers
+        + [math.nextafter(p, 0.0) for p in powers]
+        + [math.nextafter(p, math.inf) for p in powers]
+        + [1e-4, 9.999999999999999e-05, 1e16, 2.0**53 - 1, 2.0**53 + 2, float(2**53 + 1)]
+        + [1125899906842624.25, 1125899906842624.75, 5e-324, sys.float_info.max]
+        + [0.0, -0.0, math.nan, math.inf, -math.inf]
+    )
+
+
+class TestRenderFloats:
+    """``render_floats`` against ``repr`` itself, element by element."""
+
+    @staticmethod
+    def assert_matches_repr(values):
+        values = np.asarray(values, dtype=np.float64)
+        text = timeseries._join_columns([timeseries.render_floats(values), b"\n"]).decode()
+        got = text.split("\n")[:-1]
+        want = [repr(v) for v in values.tolist()]
+        assert len(got) == len(want)
+        wrong = [(w, g) for w, g in zip(want, got) if w != g]
+        assert not wrong, wrong[:5]
+
+    def test_edge_values(self):
+        edges = _edge_values()
+        self.assert_matches_repr(edges + [-v for v in edges])
+
+    def test_seeded_bit_patterns(self):
+        rng = np.random.default_rng(2024)
+        n = 500_000
+        bits = rng.integers(0, 2**64, size=2 * n, dtype=np.uint64)  # every exponent
+        # and as many with an exponent at or near the kernel's range
+        exponents = rng.integers(timeseries._EXP_MIN - 2, timeseries._EXP_MAX + 3, size=n)
+        bits[n:] &= np.uint64(~(0x7FF << 52) % 2**64)
+        bits[n:] |= exponents.astype(np.uint64) << np.uint64(52)
+        for chunk in np.array_split(bits.view(np.float64), 10):
+            self.assert_matches_repr(chunk)
+
+    def test_exact_dyadic_values(self):
+        # Few fraction bits: the scaled value is exact and may end in a tie.
+        rng = np.random.default_rng(7)
+        n = 200_000
+        values = rng.integers(1, 2**53, n) / 2.0 ** rng.integers(0, 60, n)
+        self.assert_matches_repr(np.concatenate([values, -values]))
+
+    def test_matrix_rows_are_the_flattened_values(self):
+        values = (np.arange(12.0) / 7).reshape(3, 4)[:, ::2]  # not contiguous
+        self.assert_matches_repr(values.ravel())
+        text = timeseries.render_floats(values)
+        assert text.shape[0] == 6
+
+    def test_empty(self):
+        assert timeseries.render_floats(np.empty(0)).shape[0] == 0
+
+
+def test_render_floats_property():
+    """Any float, subnormals, signed zeros, NaN and infinities included."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324])), max_size=40)
+    )
+    def check(values):
+        TestRenderFloats.assert_matches_repr(values)
+
+    check()
 
 
 def test_roundtrip_property():
