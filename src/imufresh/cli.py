@@ -2,7 +2,9 @@
 
 Subcommands: ``synth`` (generate a synthetic recording + labels), ``run``
 (full five-step pipeline), ``predict`` (restricted extraction + timeline),
-``benchmark`` (timing report), ``inspect`` (pretty-print artifacts).
+``benchmark`` (a training run into a temporary directory plus ``predict``
+on its recording; prints their stage times as one JSON object),
+``inspect`` (pretty-print artifacts).
 
 Exit codes: 0 success, 2 configuration error (a config file that is not
 UTF-8 included), 3 data error (any other input that is not UTF-8
@@ -12,6 +14,7 @@ included), 4 nothing selected at the configured FDR level.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 from pathlib import Path
@@ -78,12 +81,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--workers", type=int, default=1)
     p_pred.add_argument("--out", required=True, help="timeline CSV path")
 
-    p_bench = sub.add_parser("benchmark", help="time the data path")
+    p_bench = sub.add_parser(
+        "benchmark",
+        help="time a training run (labels required, no artifacts kept) and predict "
+             "on its recording; print the stage times as JSON",
+    )
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--workers", type=int, default=None,
                          help="worker count to time at (overrides the config's workers)")
-    p_bench.add_argument("--artifacts", default=None,
-                         help="completed run directory; also time restricted predict")
 
     p_inspect = sub.add_parser("inspect", help="pretty-print a manifest or report")
     p_inspect.add_argument("path")
@@ -167,8 +172,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     config = load_config(args.config, {"workers": args.workers})
-    report = benchmark(config, artifacts_dir=args.artifacts)
-    print(report.to_text())
+    print(json.dumps(benchmark(config)))
     return EXIT_OK
 
 

@@ -40,7 +40,7 @@ class InvalidKindName(DataError):
 
 
 class WindowTooShort(ConfigError):
-    """Requested window length rounds to fewer than 2 samples."""
+    """Requested window length rounds to fewer than 2 samples, or is not finite."""
 
 
 class OverlappingLabels(DataError):

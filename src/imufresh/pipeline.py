@@ -14,14 +14,18 @@ artifact after each one:
 The manifest records seeds, counts, the virtual-sensor specs, and per-step
 wall times; :func:`predict` replays the manifest's virtual sensors so a
 deployed model regenerates exactly the channels its features reference.
+Both time their stages with :func:`_timed` into ``step_seconds``, and
+:func:`benchmark` returns the two sets of stage times.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -29,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .calculators import (
-    ExtractionSettings,
     default_settings,
     read_settings_file,
     settings_from_feature_names,
@@ -58,7 +61,6 @@ from .names import FeatureName
 from .parallel import check_workers
 from .selection import SelectionReport, save_report, select_features
 from .timeseries import (
-    Recording,
     check_intervals,
     load_labels,
     load_recording,
@@ -102,8 +104,10 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
             raise ConfigError(f"q must be in (0, 1), got {self.q}")
-        if self.window_seconds <= 0:
-            raise ConfigError(f"window_seconds must be positive, got {self.window_seconds}")
+        if not (math.isfinite(self.window_seconds) and self.window_seconds > 0):
+            raise ConfigError(
+                f"window_seconds must be positive and finite, got {self.window_seconds}"
+            )
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.repeats < 1:
@@ -257,23 +261,6 @@ def _timed(timings: dict[str, float], name: str) -> Iterator[None]:
     timings[name] = time.perf_counter() - started
 
 
-def _resolve_specs(config: PipelineConfig, recording: Recording) -> list[VirtualSensorSpec]:
-    specs: list[VirtualSensorSpec] = []
-    if config.auto_pair is not None:
-        specs.extend(default_pairing(recording, config.auto_pair[0], config.auto_pair[1]))
-    specs.extend(config.virtual_sensors)
-    return specs
-
-
-def _load_settings(settings_file: str | None, kinds: Iterable[str]) -> ExtractionSettings:
-    """The settings file's features, or the full default grid over *kinds*
-    without one."""
-    if settings_file is None:
-        return default_settings(kinds)
-    with open_utf8(settings_file, "settings file") as fh:
-        return read_settings_file(fh)
-
-
 def _referenced_specs(
     specs: Sequence[VirtualSensorSpec], kinds: Iterable[str]
 ) -> list[VirtualSensorSpec]:
@@ -298,13 +285,18 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
         raise ConfigError("a labels file is required for a training run")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest_path = out / "manifest.txt"
+    # The manifest is written last, so a rerun that fails leaves none behind
+    # to pair with the earlier run's model.
+    manifest_path.unlink(missing_ok=True)
     timings: dict[str, float] = {}
 
     # Step 1: ingest + virtual sensors.
     with _timed(timings, "engineer"):
         recording = load_recording(config.recording)
         intervals = load_labels(config.labels)
-        specs = _resolve_specs(config, recording)
+        paired = default_pairing(recording, *config.auto_pair) if config.auto_pair else []
+        specs = [*paired, *config.virtual_sensors]
         engineered = apply_virtual_sensors(recording, specs)
         engineered_path = str(out / "engineered.csv")
         save_recording(engineered, engineered_path)
@@ -317,7 +309,11 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
         windows = segment_fixed(engineered, config.window_seconds, intervals)
         if not windows.windows:
             raise DataError("no labeled windows; check the label intervals")
-        settings = _load_settings(config.settings_file, engineered.channels)
+        if config.settings_file is None:
+            settings = default_settings(engineered.channels)
+        else:
+            with open_utf8(config.settings_file, "settings file") as fh:
+                settings = read_settings_file(fh)
         matrix = extract(windows, engineered, settings, workers=config.workers)
         matrix_path = str(out / "features_full.csv")
         save_matrix(matrix, matrix_path)
@@ -382,7 +378,6 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
         save_model_file(model, model_path)
     logger.info("step 5: specialized %d-fold CV accuracy %.4f", cv_folds, cv.mean_accuracy)
 
-    manifest_path = str(out / "manifest.txt")
     entries: list[tuple[str, str]] = [
         ("tool_version", __version__),
         ("seed", str(config.seed)),
@@ -417,7 +412,7 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
         importance_path=importance_path,
         settings_path=settings_path,
         model_path=model_path,
-        manifest_path=manifest_path,
+        manifest_path=str(manifest_path),
         matrix=matrix,
         report=report,
         ranked=ranked,
@@ -446,6 +441,7 @@ class TimelineRow:
 class PredictionTimeline:
     classes: tuple[str, ...]
     rows: tuple[TimelineRow, ...]
+    step_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
     def accuracy(self) -> float | None:
         """Accuracy over rows with a known true label; None if there are none."""
@@ -487,47 +483,57 @@ def predict(
     exactly the model's features, and predicts per window.  When a labels
     file is supplied (overlaps raise OverlappingLabels), true labels and
     misclassification flags are attached to every window whose span lies
-    in a label interval.
+    in a label interval.  The timeline's ``step_seconds`` holds the wall
+    time of each stage: load, ingest, virtual_sensors, segment, extract,
+    predict, timeline.
     """
     check_workers(workers)
-    manifest = read_manifest(manifest_path)
-    window_seconds = float(manifest_value(manifest, "window_seconds"))
-    specs = [VirtualSensorSpec.from_line(line) for line in manifest.get("virtual_sensor", [])]
-
-    model = load_model_file(model_path)
-    recording = load_recording(recording_path)
-    with open_utf8(settings_path, "settings file") as fh:
-        settings = read_settings_file(fh)
-    if settings.canonical_names() != tuple(f.canonical() for f in model.feature_names):
-        raise FeatureSetMismatch(
-            "restricted settings do not match the model's feature list"
-        )
-    engineered = apply_virtual_sensors(recording, _referenced_specs(specs, settings.kinds))
-
-    windows = segment_fixed(engineered, window_seconds, labels=None)
-    matrix = extract(windows, engineered, settings, workers=workers)
-    probs = predict_proba(model, matrix.values)
-    predicted = [model.classes[i] for i in np.argmax(probs, axis=1)]
-
-    intervals = check_intervals(load_labels(labels_path)) if labels_path else []
-    rows = []
-    for i, window in enumerate(windows.windows):
-        start_s, end_s = windows.window_times(window)
-        true = resolve_label(start_s, end_s, intervals) if intervals else None
-        rows.append(
-            TimelineRow(
-                window_id=window.window_id,
-                start_s=start_s,
-                end_s=end_s,
-                probabilities=tuple(float(p) for p in probs[i]),
-                predicted=predicted[i],
-                true_label=true,
+    timings: dict[str, float] = {}
+    with _timed(timings, "load"):
+        manifest = read_manifest(manifest_path)
+        window_seconds = float(manifest_value(manifest, "window_seconds"))
+        specs = [VirtualSensorSpec.from_line(line) for line in manifest.get("virtual_sensor", [])]
+        model = load_model_file(model_path)
+        with open_utf8(settings_path, "settings file") as fh:
+            settings = read_settings_file(fh)
+        if settings.canonical_names() != tuple(f.canonical() for f in model.feature_names):
+            raise FeatureSetMismatch(
+                "restricted settings do not match the model's feature list"
             )
-        )
-    timeline = PredictionTimeline(classes=model.classes, rows=tuple(rows))
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            save_timeline(timeline, fh)
+    with _timed(timings, "ingest"):
+        recording = load_recording(recording_path)
+    with _timed(timings, "virtual_sensors"):
+        engineered = apply_virtual_sensors(recording, _referenced_specs(specs, settings.kinds))
+    with _timed(timings, "segment"):
+        windows = segment_fixed(engineered, window_seconds, labels=None)
+    with _timed(timings, "extract"):
+        matrix = extract(windows, engineered, settings, workers=workers)
+    with _timed(timings, "predict"):
+        probs = predict_proba(model, matrix.values)
+        predicted = [model.classes[i] for i in np.argmax(probs, axis=1)]
+
+    # The timeline holds *timings* itself, so it gains the "timeline"
+    # entry when this block ends.
+    with _timed(timings, "timeline"):
+        intervals = check_intervals(load_labels(labels_path)) if labels_path else []
+        rows = []
+        for i, window in enumerate(windows.windows):
+            start_s, end_s = windows.window_times(window)
+            true = resolve_label(start_s, end_s, intervals) if intervals else None
+            rows.append(
+                TimelineRow(
+                    window_id=window.window_id,
+                    start_s=start_s,
+                    end_s=end_s,
+                    probabilities=tuple(float(p) for p in probs[i]),
+                    predicted=predicted[i],
+                    true_label=true,
+                )
+            )
+        timeline = PredictionTimeline(model.classes, tuple(rows), step_seconds=timings)
+        if out_path is not None:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                save_timeline(timeline, fh)
     return timeline
 
 
@@ -535,42 +541,17 @@ def predict(
 # Benchmark
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BenchmarkReport:
-    stage_seconds: tuple[tuple[str, float], ...]
-    rows: int  # rows of the extracted feature matrix
+def benchmark(config: PipelineConfig) -> dict[str, dict[str, float]]:
+    """Stage times of a training run of *config* and of ``predict`` on the
+    run's own recording with the artifacts it wrote.
 
-    def to_text(self) -> str:
-        lines = ["stage timings:"]
-        lines.extend(f"  {name:<24} {seconds:9.3f} s" for name, seconds in self.stage_seconds)
-        seconds = dict(self.stage_seconds)["extract"]
-        rate = self.rows / seconds if seconds > 0 else float("inf")
-        lines.append(f"extraction throughput: {rate:.1f} rows/s")
-        return "\n".join(lines)
-
-
-def benchmark(config: PipelineConfig, artifacts_dir: str | None = None) -> BenchmarkReport:
-    """Time ingest, virtual sensors, segment and extract once at
-    ``config.workers``, and restricted predict on the run in *artifacts_dir*."""
-    stages: dict[str, float] = {}
-    with _timed(stages, "ingest"):
-        recording = load_recording(config.recording)
-    with _timed(stages, "virtual_sensors"):
-        engineered = apply_virtual_sensors(recording, _resolve_specs(config, recording))
-    with _timed(stages, "segment"):
-        intervals = load_labels(config.labels) if config.labels else None
-        windows = segment_fixed(engineered, config.window_seconds, intervals)
-    settings = _load_settings(config.settings_file, engineered.channels)
-    with _timed(stages, "extract"):
-        matrix = extract(windows, engineered, settings, workers=config.workers)
-    if artifacts_dir is not None:
-        art = Path(artifacts_dir)
-        with _timed(stages, "predict"):
-            predict(
-                model_path=str(art / "model.txt"),
-                settings_path=str(art / "settings_topk.txt"),
-                recording_path=config.recording,
-                manifest_path=str(art / "manifest.txt"),
-                workers=config.workers,
-            )
-    return BenchmarkReport(stage_seconds=tuple(stages.items()), rows=matrix.n_rows)
+    The run writes into a temporary directory, removed on return, so
+    nothing lands in ``config.output_dir``.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        result = run_full_pipeline(replace(config, output_dir=tmp))
+        timeline = predict(
+            result.model_path, result.settings_path, config.recording,
+            result.manifest_path, workers=config.workers,
+        )
+    return {"run": result.step_seconds, "predict": timeline.step_seconds}

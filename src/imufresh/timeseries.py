@@ -780,7 +780,12 @@ def segment_fixed(
     to the ``unlabeled`` list.  With ``labels=None`` every window is returned
     unlabeled (prediction mode).
     """
-    w = int(round(window_seconds * recording.sample_rate_hz))
+    samples = window_seconds * recording.sample_rate_hz
+    if not math.isfinite(samples):
+        raise WindowTooShort(
+            f"{window_seconds} s at {recording.sample_rate_hz} Hz is not a finite number of samples"
+        )
+    w = int(round(samples))
     if w < 2:
         raise WindowTooShort(
             f"{window_seconds} s at {recording.sample_rate_hz} Hz is {w} samples"

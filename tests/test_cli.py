@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -62,6 +63,20 @@ def test_nothing_selected_exit_code(workspace):
         "--q", "1e-12", "--out", str(workspace / "strict"),
     ])
     assert rc == 4
+
+
+def test_failed_rerun_leaves_no_manifest_to_predict_with(workspace, tmp_path):
+    run = ["run", "--config", str(workspace / "pipe.cfg"), "--out", str(tmp_path / "art")]
+    assert main(run) == 0
+    assert main([*run, "--q", "1e-12"]) == 4
+    assert (tmp_path / "art" / "model.txt").exists()  # the first run's
+    rc = main([
+        "predict",
+        "--artifacts", str(tmp_path / "art"),
+        "--recording", str(workspace / "rec.csv"),
+        "--out", str(tmp_path / "timeline.csv"),
+    ])
+    assert rc == 3
 
 
 def test_config_error_exit_code(tmp_path):
@@ -129,17 +144,16 @@ def test_non_numeric_model_token_exit_code(workspace, tmp_path):
     assert rc == 3
 
 
-def test_benchmark_command(workspace, capsys):
+def test_benchmark_prints_stage_times_as_json(workspace, capsys):
     rc = main(["benchmark", "--config", str(workspace / "pipe.cfg"), "--workers", "2"])
     assert rc == 0
-    assert "rows/s" in capsys.readouterr().out
-
-
-def test_benchmark_times_predict_on_artifacts(workspace, capsys):
-    rc = main(["benchmark", "--config", str(workspace / "pipe.cfg"),
-               "--artifacts", str(workspace / "artifacts")])
-    assert rc == 0
-    assert re.search(r"^ +predict +\d", capsys.readouterr().out, flags=re.M)
+    seconds = json.loads(capsys.readouterr().out)
+    assert list(seconds) == ["run", "predict"]
+    assert list(seconds["run"]) == ["engineer", "extract", "select", "rank", "fit"]
+    assert list(seconds["predict"]) == [
+        "load", "ingest", "virtual_sensors", "segment", "extract", "predict", "timeline"
+    ]
+    assert all(s >= 0 for stages in seconds.values() for s in stages.values())
 
 
 def test_benchmark_workers_zero_is_a_config_error(workspace):

@@ -1,4 +1,5 @@
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,9 @@ from imufresh.virtual import VirtualSensorSpec, apply_virtual_sensors
 
 # The step timings, in run order, that the manifest and benchmark harness read.
 STEPS = ("engineer", "extract", "select", "rank", "fit")
+# The stage timings of ``predict``, in order.
+PREDICT_STAGES = ("load", "ingest", "virtual_sensors", "segment", "extract", "predict",
+                  "timeline")
 
 
 @pytest.fixture(scope="module")
@@ -148,9 +152,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(cfg_path))
 
-    def test_invalid_q(self):
+    @pytest.mark.parametrize(
+        "key, value",
+        [("q", 1.5), ("window_seconds", math.nan), ("window_seconds", math.inf),
+         ("window_seconds", -math.inf)],
+    )
+    def test_invalid_q_or_window_seconds(self, key, value):
         with pytest.raises(ConfigError):
-            PipelineConfig(recording="r", output_dir="o", q=1.5)
+            PipelineConfig(recording="r", output_dir="o", **{key: value})
 
     def test_top_k_zero_rejected(self, tmp_path):
         cfg_path = tmp_path / "pipe.cfg"
@@ -397,45 +406,16 @@ class TestDeterminism:
             assert one == two, name
 
 
-class TestBenchmark:
-    def test_report_structure(self, train_data, tmp_path):
-        rec_path, lab_path = train_data
-        settings_path = tmp_path / "tiny_settings.txt"
-        settings_path.write_text("accel_x_l__minimum\naccel_x_r__variance\n")
-        config = PipelineConfig(
-            recording=str(rec_path),
-            labels=str(lab_path),
-            output_dir=str(tmp_path / "bench"),
-            settings_file=str(settings_path),
-            workers=2,
-        )
-        report = benchmark(config)
-        stages = dict(report.stage_seconds)
-        assert {"ingest", "virtual_sensors", "segment"} <= set(stages)
-        assert list(stages) == ["ingest", "virtual_sensors", "segment", "extract"]
-        text = report.to_text()
-        assert "rows/s" in text
-
-    def test_empty_settings_near_zero_extraction(self, train_data, tmp_path):
-        rec_path, lab_path = train_data
-        settings_path = tmp_path / "empty_settings.txt"
-        settings_path.write_text("")
-        config = PipelineConfig(
-            recording=str(rec_path),
-            labels=str(lab_path),
-            output_dir=str(tmp_path / "bench0"),
-            settings_file=str(settings_path),
-        )
-        report = benchmark(config)
-        assert dict(report.stage_seconds)["extract"] < 0.5
-
-    def test_times_predict_on_a_completed_run(self, run_result):
-        config = run_result.config
-        report = benchmark(config, artifacts_dir=config.output_dir)
-        assert [name for name, _ in report.stage_seconds] == [
-            "ingest", "virtual_sensors", "segment", "extract", "predict"
-        ]
-        assert report.rows == run_result.matrix.n_rows
+def test_benchmark_times_a_run_and_predict_and_keeps_no_artifacts(train_data, tmp_path):
+    settings_path = tmp_path / "tiny_settings.txt"
+    settings_path.write_text("accel_x_l__minimum\naccel_x_r__variance\n")
+    out = tmp_path / "bench"
+    out.mkdir()
+    seconds = benchmark(_config(train_data, out, settings_file=str(settings_path), workers=2))
+    assert list(seconds) == ["run", "predict"]
+    assert tuple(seconds["run"]) == STEPS
+    assert tuple(seconds["predict"]) == PREDICT_STAGES
+    assert list(out.iterdir()) == []
 
 
 class TestExplicitVirtualSensors:

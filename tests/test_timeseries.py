@@ -555,9 +555,10 @@ class TestSegmentation:
         assert ws.labels is None
         assert ws.label_domain == frozenset()
 
-    def test_window_too_short(self):
+    @pytest.mark.parametrize("seconds", [0.001, math.nan, math.inf, -math.inf, 1e307])
+    def test_window_too_short(self, seconds):
         with pytest.raises(WindowTooShort):
-            segment_fixed(_recording(100, rate=100.0), 0.001, None)
+            segment_fixed(_recording(100, rate=100.0), seconds, None)
 
     def test_overlapping_labels(self):
         rec = _recording(8 * 500)

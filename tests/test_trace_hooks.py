@@ -66,10 +66,13 @@ def test_traced_run_and_predict_span_every_stage_call(tmp_path):
     )
     with spans.Tracer("hooks") as tracer:
         result = tracer.call("pipeline.run_full_pipeline", pipeline.run_full_pipeline, config)
-        tracer.call(
+        timeline = tracer.call(
             "pipeline.predict", pipeline.predict, result.model_path, result.settings_path,
             config.recording, result.manifest_path,
         )
+    assert list(timeline.step_seconds) == [
+        "load", "ingest", "virtual_sensors", "segment", "extract", "predict", "timeline"
+    ]
     layer = {attr: f"{module}.{attr}" for module, attr in spans._PIPELINE_CALLS}
     for attr in ("load_recording", "load_labels", "apply_virtual_sensors", "segment_fixed",
                  "extract", "save_matrix", "select_features", "save_report",
