@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--manifest", default=None)
     p_pred.add_argument("--recording", required=True)
     p_pred.add_argument("--labels", default=None, help="optional truth for flags")
-    p_pred.add_argument("--workers", type=int, default=1)
     p_pred.add_argument("--out", required=True, help="timeline CSV path")
 
     p_bench = sub.add_parser(
@@ -160,7 +159,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         manifest_path=manifest,
         labels_path=args.labels,
         out_path=args.out,
-        workers=args.workers,
     )
     msg = f"wrote {args.out} ({len(timeline.rows)} windows)"
     accuracy = timeline.accuracy()

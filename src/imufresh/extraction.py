@@ -1,9 +1,8 @@
 """Batch feature extraction into a windows-by-features matrix.
 
-Each channel is cut once per row range into an ``(n_windows, w)`` batch and
-each configured calculator's family kernel runs once on it, with every
-parameter set requested for that channel.  Calculators never mix rows, so
-the result is bitwise identical no matter how many workers compute it.
+Each channel is cut once into an ``(n_windows, w)`` batch and each
+configured calculator's family kernel runs once on it, with every parameter
+set requested for that channel, all in the calling process.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .calculators import (
 )
 from .errors import DataError, UnknownKind, WindowOutOfRange
 from .names import FeatureName
-from .parallel import check_workers, map_ranges
+from .parallel import check_workers
 from .timeseries import (
     _BLOCK_VALUES,
     Recording,
@@ -29,16 +28,6 @@ from .timeseries import (
     open_utf8,
     render_floats,
 )
-
-# Below this much work (window samples x features) ``extract`` runs
-# in-process at any worker count.  Measured at workers=2 against workers=1 on
-# a 2-vCPU VM, 9 alternating pairs per size, on the hard benchmark
-# workload's generator (405 features, windows of 200 samples), with one
-# family kernel call per calculator and kind: the pool won 0 of 9 pairs at
-# 3.2M, 4.5M and 6.5M (in-process medians 20-33 ms against 36-42 ms), 1-4 of
-# 9 from 7.8M to 11.7M, 3 and 9 of 9 in two runs at 13.0M, and 9 of 9 from
-# 15.6M up (100 ms against 78 ms at 15.6M).
-POOL_MIN_WORK = 15_000_000
 
 
 @dataclass(eq=False)
@@ -115,20 +104,6 @@ class FeatureMatrix:
 # Extraction
 # ---------------------------------------------------------------------------
 
-def _compute_rows(
-    recording: Recording, index: np.ndarray, plan: dict, n_cols: int, rows: range
-) -> np.ndarray:
-    """Feature rows for the windows whose sample indices are ``index[rows]``;
-    plan maps each kind to its calculators' (params list, columns), so each
-    channel is cut into one batch and each family kernel runs once on it."""
-    out = np.empty((len(rows), n_cols), dtype=np.float64)
-    for kind, families in plan.items():
-        batch = recording.channels[kind][index[rows.start : rows.stop]]
-        for calc_name, (params_list, cols) in families.items():
-            out[:, cols] = CALCULATORS[calc_name].family(batch, params_list)
-    return out
-
-
 def extract(
     windows: WindowSet,
     recording: Recording,
@@ -138,12 +113,11 @@ def extract(
     """Compute every configured feature for every window.
 
     One row per window in ``windows.windows``, one column per settings entry,
-    columns in canonical-name order.  The output is independent of
-    ``workers``, which is ignored below ``POOL_MIN_WORK``; parameters
-    are validated once up front so worker processes only run the numeric
-    kernels.  Raises BadParameters for ``workers < 1``, UnknownKind for a
-    kind the recording lacks, WindowOutOfRange for a window past its end,
-    and DataError when the windows differ in length.
+    columns in canonical-name order, computed in the calling process.
+    ``workers`` is unused and stays only because ``perfbench/bench.py``
+    passes it; a count below 1 still raises BadParameters.  Raises
+    UnknownKind for a kind the recording lacks, WindowOutOfRange for a
+    window past its end, and DataError when the windows differ in length.
     """
     check_workers(workers)
     for kind in settings.kinds:
@@ -171,14 +145,15 @@ def extract(
         )
         params_list.append(feature.param_dict())
         cols.append(col)
-    if index.size * len(features) < POOL_MIN_WORK:
-        workers = 1
-    blocks = map_ranges(
-        _compute_rows, (recording, index, plan, len(features)), len(window_list), workers
-    )
+    # Each channel is cut into one batch and each family kernel runs once on it.
+    values = np.empty((len(window_list), len(features)), dtype=np.float64)
+    for kind, families in plan.items():
+        batch = recording.channels[kind][index]
+        for calc_name, (params_list, cols) in families.items():
+            values[:, cols] = CALCULATORS[calc_name].family(batch, params_list)
     return FeatureMatrix(
         feature_names=features,
-        values=np.concatenate(blocks),
+        values=values,
         window_ids=np.asarray([w.window_id for w in window_list], dtype=np.int64),
         labels=windows.labels,
     )

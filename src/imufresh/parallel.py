@@ -1,9 +1,9 @@
-"""The one process-pool fan-out shared by extraction and the forests.
+"""The one process-pool fan-out, shared by the forests.
 
-Each step splits its work into independent index ranges (windows for
-extraction, folds for cross-validation, repeats for importance ranking) and
-stitches the blocks back in range order, so results never depend on the
-worker count.
+Cross-validation splits its folds, and importance ranking its repeats, into
+independent index ranges and stitches the blocks back in range order, so
+results never depend on the worker count.  Feature extraction and selection
+run in the calling process.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ def map_ranges(
     With ``workers <= 1`` (or ``n <= 1``) this is one in-process call on
     ``range(n)``.  Otherwise ``range(n)`` is cut into at most ``workers``
     ranges of ``ceil(n / workers)`` items (the last may be shorter), one per
-    pool process: each call of *fn* has a fixed cost (one batched kernel
-    call per feature in extraction) that smaller ranges would pay again.
-    *fn* and *shared* must pickle.
+    pool process: each fold or repeat trains one forest of about the same
+    cost, so equal ranges keep the workers equally busy, and more ranges
+    would only add result round trips.  *fn* and *shared* must pickle.
     """
     if workers <= 1 or n <= 1:
         return [fn(*shared, range(n))]

@@ -39,9 +39,11 @@ from .calculators import (
     write_settings_file,
 )
 from .errors import (
+    BadParameters,
     ConfigError,
     DataError,
     FeatureSetMismatch,
+    InvalidKindName,
     NothingSelected,
 )
 from .extraction import FeatureMatrix, extract, save_matrix
@@ -112,8 +114,7 @@ class PipelineConfig:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        check_workers(self.workers)
         if self.cv_folds < 2:
             raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
         self.forest_params()  # raises BadParameters, a ConfigError, before any step runs
@@ -228,6 +229,23 @@ def manifest_value(manifest: dict[str, list[str]], key: str) -> str:
     return values[0]
 
 
+def _deployment_keys(manifest: dict[str, list[str]]) -> tuple[float, list[VirtualSensorSpec]]:
+    """The manifest's ``window_seconds`` and ``virtual_sensor`` specs; a
+    DataError names the key unless the first is a finite number > 0 and
+    every spec line parses."""
+    value = manifest_value(manifest, "window_seconds")
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise DataError(f"manifest key 'window_seconds' must be a finite number > 0, got {value!r}")
+    try:
+        return seconds, [VirtualSensorSpec.from_line(v) for v in manifest.get("virtual_sensor", [])]
+    except (BadParameters, InvalidKindName) as exc:
+        raise DataError(f"manifest key 'virtual_sensor': {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Full pipeline
 # ---------------------------------------------------------------------------
@@ -314,7 +332,7 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
         else:
             with open_utf8(config.settings_file, "settings file") as fh:
                 settings = read_settings_file(fh)
-        matrix = extract(windows, engineered, settings, workers=config.workers)
+        matrix = extract(windows, engineered, settings)
         matrix_path = str(out / "features_full.csv")
         save_matrix(matrix, matrix_path)
     logger.info(
@@ -485,14 +503,17 @@ def predict(
     misclassification flags are attached to every window whose span lies
     in a label interval.  The timeline's ``step_seconds`` holds the wall
     time of each stage: load, ingest, virtual_sensors, segment, extract,
-    predict, timeline.
+    predict, timeline.  A manifest ``window_seconds`` that is not a finite
+    number > 0, or a ``virtual_sensor`` line that does not parse, raises
+    DataError before the recording is read.  ``workers`` is unused and
+    stays only because ``perfbench/workloads.py`` passes it; a count below
+    1 still raises BadParameters before any file is read.
     """
     check_workers(workers)
     timings: dict[str, float] = {}
     with _timed(timings, "load"):
         manifest = read_manifest(manifest_path)
-        window_seconds = float(manifest_value(manifest, "window_seconds"))
-        specs = [VirtualSensorSpec.from_line(line) for line in manifest.get("virtual_sensor", [])]
+        window_seconds, specs = _deployment_keys(manifest)
         model = load_model_file(model_path)
         with open_utf8(settings_path, "settings file") as fh:
             settings = read_settings_file(fh)
@@ -507,7 +528,7 @@ def predict(
     with _timed(timings, "segment"):
         windows = segment_fixed(engineered, window_seconds, labels=None)
     with _timed(timings, "extract"):
-        matrix = extract(windows, engineered, settings, workers=workers)
+        matrix = extract(windows, engineered, settings)
     with _timed(timings, "predict"):
         probs = predict_proba(model, matrix.values)
         predicted = [model.classes[i] for i in np.argmax(probs, axis=1)]
@@ -552,6 +573,6 @@ def benchmark(config: PipelineConfig) -> dict[str, dict[str, float]]:
         result = run_full_pipeline(replace(config, output_dir=tmp))
         timeline = predict(
             result.model_path, result.settings_path, config.recording,
-            result.manifest_path, workers=config.workers,
+            result.manifest_path,
         )
     return {"run": result.step_seconds, "predict": timeline.step_seconds}

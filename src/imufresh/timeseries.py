@@ -371,7 +371,6 @@ class WindowSet:
     recording: Recording
     windows: tuple[Window, ...]
     unlabeled: tuple[Window, ...] = ()
-    label_domain: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         ids = [w.window_id for w in self.windows] + [w.window_id for w in self.unlabeled]
@@ -380,9 +379,11 @@ class WindowSet:
         for group in (self.windows, self.unlabeled):
             if any(a.window_id >= b.window_id for a, b in zip(group, group[1:])):
                 raise ValueError("window_id values must be ascending")
-        present = {w.label for w in self.windows if w.label is not None}
-        if present != set(self.label_domain):
-            raise ValueError("label_domain must equal the set of labels present")
+
+    @property
+    def label_domain(self) -> frozenset[str]:
+        """The labels of the labeled windows."""
+        return frozenset(w.label for w in self.windows if w.label is not None)
 
     @property
     def labels(self) -> tuple[str, ...] | None:
@@ -808,10 +809,4 @@ def segment_fixed(
                 labeled.append(Window(wid, start, w, label))
         wid += 1
 
-    domain = frozenset(w_.label for w_ in labeled if w_.label is not None)
-    return WindowSet(
-        recording=recording,
-        windows=tuple(labeled),
-        unlabeled=tuple(unlabeled),
-        label_domain=domain,
-    )
+    return WindowSet(recording=recording, windows=tuple(labeled), unlabeled=tuple(unlabeled))

@@ -160,18 +160,29 @@ def test_benchmark_workers_zero_is_a_config_error(workspace):
     assert main(["benchmark", "--config", str(workspace / "pipe.cfg"), "--workers", "0"]) == 2
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_predict_bad_workers_is_a_config_error(workspace, tmp_path, workers):
-    out = tmp_path / "timeline.csv"
+@pytest.mark.parametrize(
+    "key, value",
+    [("window_seconds", "abc"), ("window_seconds", "nan"), ("window_seconds", "inf"),
+     ("window_seconds", "-1"), ("virtual_sensor", "bogus")],
+)
+def test_bad_manifest_value_is_a_data_error(workspace, tmp_path, capsys, key, value):
+    artifacts = workspace / "artifacts"
+    lines = [
+        line for line in (artifacts / "manifest.txt").read_text().splitlines()
+        if not line.startswith(f"{key} =")
+    ]
+    (tmp_path / "manifest.txt").write_text("\n".join([*lines, f"{key} = {value}", ""]))
     rc = main([
         "predict",
-        "--artifacts", str(workspace / "artifacts"),
-        "--recording", str(workspace / "rec.csv"),
-        "--out", str(out),
-        "--workers", workers,
+        "--model", str(artifacts / "model.txt"),
+        "--settings", str(artifacts / "settings_topk.txt"),
+        "--manifest", str(tmp_path / "manifest.txt"),
+        # Missing, so reading it first would fail with another message.
+        "--recording", str(tmp_path / "missing.csv"),
+        "--out", str(tmp_path / "timeline.csv"),
     ])
-    assert rc == 2
-    assert not out.exists()
+    assert rc == 3
+    assert f"data error: manifest key '{key}'" in capsys.readouterr().err
 
 
 def test_inspect_manifest(workspace, capsys):

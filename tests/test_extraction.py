@@ -18,7 +18,6 @@ import imufresh.parallel
 import oracles
 from imufresh.errors import BadParameters, DataError, UnknownKind, WindowOutOfRange
 from imufresh.extraction import (
-    POOL_MIN_WORK,
     FeatureMatrix,
     extract,
     load_matrix_csv,
@@ -151,11 +150,13 @@ class TestExtract:
         assert list(matrix.window_ids) == [w.window_id for w in ws.windows]
 
 
-class TestPoolThreshold:
-    """The pool starts only for POOL_MIN_WORK window samples x features or
-    more; below, a multi-worker call runs in-process and gives the same bits."""
+class TestInProcess:
+    """``extract`` computes every window in the calling process at any worker
+    count and size, and still rejects a worker count below 1."""
 
-    def _spy(self, monkeypatch):
+    def test_no_pool_at_any_size(self, recording, windows, monkeypatch):
+        # A zero size threshold would send any multi-worker call to a pool.
+        monkeypatch.setattr(imufresh.extraction, "POOL_MIN_WORK", 0, raising=False)
         started = []
         real = imufresh.parallel.ProcessPoolExecutor
 
@@ -164,52 +165,25 @@ class TestPoolThreshold:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(imufresh.parallel, "ProcessPoolExecutor", spy)
-        return started
-
-    def _same_bits(self, ws, recording, settings):
-        two = extract(ws, recording, settings, workers=2)
-        one = extract(ws, recording, settings, workers=1)
-        assert one.values.tobytes() == two.values.tobytes()
-        assert one.canonical_names() == two.canonical_names()
-
-    def test_full_grid_on_a_small_recording_runs_in_process(self, recording, monkeypatch):
-        ws = segment_fixed(recording, 0.4, [(0.0, 20.0, "walk")])
         settings = default_settings(recording.channels)
-        assert recording.length * len(settings.features) < POOL_MIN_WORK
-        started = self._spy(monkeypatch)
-        self._same_bits(ws, recording, settings)
+        two = extract(windows, recording, settings, workers=2)
         assert started == []
-
-    @pytest.mark.parametrize("extra, pooled", [(-1, False), (0, True)])
-    def test_pool_starts_only_at_threshold(self, recording, monkeypatch, extra, pooled):
-        # 50 windows of 20 samples; a threshold of 40 features' work
-        ws = segment_fixed(recording, 0.4, [(0.0, 20.0, "walk")])
-        samples = len(ws.windows) * ws.windows[0].length
-        monkeypatch.setattr(imufresh.extraction, "POOL_MIN_WORK", samples * 40)
-        grid = default_settings(recording.channels).features
-        settings = ExtractionSettings(features=grid[: 40 + extra])
-        started = self._spy(monkeypatch)
-        self._same_bits(ws, recording, settings)
-        assert started == ([2] if pooled else [])
-
+        assert two.values.tobytes() == extract(windows, recording, settings).values.tobytes()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected_before_any_work(
         self, recording, windows, monkeypatch, workers
     ):
-        # Checked before small extractions are sent in-process at any count.
-        def no_work(*args):
-            raise AssertionError("work started")
-
-        monkeypatch.setattr(imufresh.extraction, "map_ranges", no_work)
+        # With no calculators registered, any kernel lookup would raise KeyError.
+        monkeypatch.setattr(imufresh.extraction, "CALCULATORS", {})
         settings = settings_from_feature_names(["accel_x_l__minimum"])
         with pytest.raises(BadParameters, match=f"workers must be >= 1, got {workers}"):
             extract(windows, recording, settings, workers=workers)
 
 
 class TestFamilyCalls:
-    """``extract`` runs each calculator's family kernel once per kind per row
-    range, on that range's whole batch, with every requested parameter set."""
+    """``extract`` runs each calculator's family kernel once per kind, on the
+    whole batch of windows, with every requested parameter set."""
 
     def _spy(self, monkeypatch):
         calls = []
@@ -231,17 +205,9 @@ class TestFamilyCalls:
         assert len(kinds) == 1
         return kinds[0]
 
-    @pytest.mark.parametrize("n_ranges", [1, 2])
-    def test_once_per_kind_per_row_range(self, recording, windows, monkeypatch, n_ranges):
+    def test_once_per_kind(self, recording, windows, monkeypatch):
         settings = default_settings(recording.channels)
         want = extract(windows, recording, settings)
-        n = len(windows.windows)
-        ranges = [range(0, n)] if n_ranges == 1 else [range(0, 4), range(4, n)]
-        # Both ranges run in this process, so the spy sees them.
-        monkeypatch.setattr(
-            imufresh.extraction, "map_ranges",
-            lambda fn, shared, n_items, workers: [fn(*shared, r) for r in ranges],
-        )
         calls = self._spy(monkeypatch)
         got = extract(windows, recording, settings)
         assert got.values.tobytes() == want.values.tobytes()
@@ -249,13 +215,9 @@ class TestFamilyCalls:
         grid = Counter(f.calculator for f in settings.features)
         seen = Counter()
         for name, X, params_list in calls:
-            rows = next(r for r in ranges if len(r) == X.shape[0])
-            kind = self._kind_of(recording, windows.windows[rows.start : rows.stop], X)
-            seen[name, kind, rows.start] += 1
+            seen[name, self._kind_of(recording, windows.windows, X)] += 1
             assert len(params_list) == grid[name] // len(settings.kinds)
-        assert seen == Counter(
-            {(name, kind, r.start): 1 for name in grid for kind in settings.kinds for r in ranges}
-        )
+        assert seen == Counter({(name, kind): 1 for name in grid for kind in settings.kinds})
 
     def test_restricted_settings_call_only_their_families(self, recording, windows, monkeypatch):
         calls = self._spy(monkeypatch)

@@ -8,6 +8,7 @@ import pytest
 from imufresh import pipeline
 from imufresh.calculators import settings_from_feature_names, write_settings_file
 from imufresh.errors import (
+    BadParameters,
     ConfigError,
     DataError,
     FeatureSetMismatch,
@@ -343,6 +344,13 @@ class TestPredict:
         args = (run_result.model_path, run_result.settings_path, str(rec_path))
         timeline = predict(*args, str(manifest))
         assert timeline == predict(*args, run_result.manifest_path)
+
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_bad_worker_count_rejected_before_any_file_is_read(self, tmp_path, workers):
+        missing = str(tmp_path / "missing")
+        with pytest.raises(BadParameters, match=f"workers must be >= 1, got {workers}"):
+            predict(missing, missing, missing, missing, workers=workers)
 
 
 class TestInputThatIsNotUtf8:
