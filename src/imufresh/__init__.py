@@ -63,7 +63,6 @@ from .selection import (
 from .synth import synth_multi_activity, synth_walk_run
 from .timeseries import (
     Recording,
-    Window,
     WindowSet,
     load_recording,
     load_recording_csv,
@@ -122,7 +121,6 @@ __all__ = [
     "synth_multi_activity",
     "synth_walk_run",
     "Recording",
-    "Window",
     "WindowSet",
     "load_recording",
     "load_recording_csv",

@@ -1,6 +1,6 @@
 """Batch feature extraction into a windows-by-features matrix.
 
-Each channel is cut once into an ``(n_windows, w)`` batch and each
+Each channel is cut by one reshape into an ``(n_windows, w)`` batch and each
 configured calculator's family kernel runs once on it, with every parameter
 set requested for that channel, all in the calling process.
 """
@@ -112,29 +112,24 @@ def extract(
 ) -> FeatureMatrix:
     """Compute every configured feature for every window.
 
-    One row per window in ``windows.windows``, one column per settings entry,
-    columns in canonical-name order, computed in the calling process.
-    ``workers`` is unused and stays only because ``perfbench/bench.py``
-    passes it; a count below 1 still raises BadParameters.  Raises
-    UnknownKind for a kind the recording lacks, WindowOutOfRange for a
-    window past its end, and DataError when the windows differ in length.
+    One row per window in ``windows.window_ids``, one column per settings
+    entry, columns in canonical-name order, computed in the calling process.
+    Channels are read from *recording*.  ``workers`` is unused and stays
+    only because ``perfbench/bench.py`` passes it; a count below 1 still
+    raises BadParameters.  Raises UnknownKind for a kind the recording
+    lacks, and WindowOutOfRange when the windows reach past its end.
     """
     check_workers(workers)
     for kind in settings.kinds:
         if kind not in recording.channels:
             raise UnknownKind(f"settings reference kind {kind!r} not in recording")
-    window_list = windows.windows
-    # An empty window set still needs a batch width; 2 is the shortest window.
-    lengths = {w.length for w in window_list} or {2}
-    if len(lengths) > 1:
-        raise DataError(f"windows must share one length, got lengths {sorted(lengths)}")
-    starts = np.asarray([w.start_index for w in window_list], dtype=np.int64)
-    index = starts[:, None] + np.arange(lengths.pop())
-    if np.any(index >= recording.length):
+    w = windows.length
+    covered = windows.n_windows * w
+    if covered > recording.length:
         raise WindowOutOfRange(
-            f"windows reach sample {int(index.max()) + 1}, "
-            f"past the recording's {recording.length} samples"
+            f"windows reach sample {covered}, past the recording's {recording.length} samples"
         )
+    window_ids = windows.window_ids
 
     features = settings.feature_names()
     # kind -> calculator -> (validated params list, column indices), in column order
@@ -146,15 +141,15 @@ def extract(
         params_list.append(feature.param_dict())
         cols.append(col)
     # Each channel is cut into one batch and each family kernel runs once on it.
-    values = np.empty((len(window_list), len(features)), dtype=np.float64)
+    values = np.empty((len(window_ids), len(features)), dtype=np.float64)
     for kind, families in plan.items():
-        batch = recording.channels[kind][index]
+        batch = recording.channels[kind][:covered].reshape(-1, w)[window_ids]
         for calc_name, (params_list, cols) in families.items():
             values[:, cols] = CALCULATORS[calc_name].family(batch, params_list)
     return FeatureMatrix(
         feature_names=features,
         values=values,
-        window_ids=np.asarray([w.window_id for w in window_list], dtype=np.int64),
+        window_ids=window_ids,
         labels=windows.labels,
     )
 

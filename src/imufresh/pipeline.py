@@ -325,7 +325,7 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
     # Step 2: segmentation + exhaustive extraction.
     with _timed(timings, "extract"):
         windows = segment_fixed(engineered, config.window_seconds, intervals)
-        if not windows.windows:
+        if windows.labels is None:
             raise DataError("no labeled windows; check the label intervals")
         if config.settings_file is None:
             settings = default_settings(engineered.channels)
@@ -337,7 +337,7 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
         save_matrix(matrix, matrix_path)
     logger.info(
         "step 2: %d labeled windows x %d features (%d dropped as unlabeled)",
-        matrix.n_rows, matrix.n_cols, len(windows.unlabeled),
+        matrix.n_rows, matrix.n_cols, windows.n_windows - matrix.n_rows,
     )
 
     # Step 3: FRESH selection at FDR q.
@@ -406,7 +406,7 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
         ("repeats", str(config.repeats)),
         ("top_k", str(config.top_k)),
         ("top_k_effective", str(top_k)),
-        ("n_windows", str(len(windows.windows) + len(windows.unlabeled))),
+        ("n_windows", str(windows.n_windows)),
         ("n_labeled_windows", str(matrix.n_rows)),
         ("n_kinds", str(len(engineered.channels))),
         ("n_features_full", str(matrix.n_cols)),
@@ -538,12 +538,14 @@ def predict(
     with _timed(timings, "timeline"):
         intervals = check_intervals(load_labels(labels_path)) if labels_path else []
         rows = []
-        for i, window in enumerate(windows.windows):
-            start_s, end_s = windows.window_times(window)
+        starts, ends = windows.times()
+        for i, (window_id, start_s, end_s) in enumerate(
+            zip(windows.window_ids.tolist(), starts.tolist(), ends.tolist())
+        ):
             true = resolve_label(start_s, end_s, intervals) if intervals else None
             rows.append(
                 TimelineRow(
-                    window_id=window.window_id,
+                    window_id=window_id,
                     start_s=start_s,
                     end_s=end_s,
                     probabilities=tuple(float(p) for p in probs[i]),

@@ -29,7 +29,6 @@ from .errors import (
     InvalidValue,
     NonUniformSampling,
     OverlappingLabels,
-    WindowOutOfRange,
     WindowTooShort,
 )
 
@@ -343,59 +342,56 @@ class Recording:
 
 
 @dataclass(frozen=True)
-class Window:
-    """One fixed-length segment of a recording."""
-
-    window_id: int
-    start_index: int
-    length: int
-    label: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.start_index < 0:
-            raise WindowOutOfRange(f"start_index must be >= 0, got {self.start_index}")
-        if self.length < 2:
-            raise WindowTooShort(f"window length must be >= 2 samples, got {self.length}")
-
-
-@dataclass(frozen=True)
 class WindowSet:
-    """Ordered windows over one recording.
+    """Consecutive non-overlapping windows of ``length`` samples tiling a
+    recording from sample 0; tile ``i`` covers samples ``[i * length,
+    (i + 1) * length)`` and a trailing partial tile is dropped.
 
-    ``windows`` holds the labeled windows when label intervals were supplied
-    (all windows otherwise); windows that straddle a label boundary or cover
-    unlabeled time are kept separately in ``unlabeled`` so prediction can
-    still run on them.
+    ``window_labels`` holds each tile's label, ``None`` for a tile that
+    straddles a label boundary or covers unlabeled time; ``None`` as a whole
+    marks prediction mode, in which every tile is a row.
     """
 
     recording: Recording
-    windows: tuple[Window, ...]
-    unlabeled: tuple[Window, ...] = ()
+    length: int
+    window_labels: tuple[str | None, ...] | None = None
 
     def __post_init__(self) -> None:
-        ids = [w.window_id for w in self.windows] + [w.window_id for w in self.unlabeled]
-        if len(set(ids)) != len(ids):
-            raise ValueError("window_id values must be unique")
-        for group in (self.windows, self.unlabeled):
-            if any(a.window_id >= b.window_id for a, b in zip(group, group[1:])):
-                raise ValueError("window_id values must be ascending")
+        if self.length < 2:
+            raise WindowTooShort(f"window length must be >= 2 samples, got {self.length}")
+        if self.window_labels is not None and len(self.window_labels) != self.n_windows:
+            raise ValueError(
+                f"{len(self.window_labels)} window labels for {self.n_windows} windows"
+            )
+
+    @property
+    def n_windows(self) -> int:
+        """Number of tiles, labeled or not."""
+        return self.recording.length // self.length
+
+    @property
+    def window_ids(self) -> np.ndarray:
+        """Ascending indices of the labeled tiles (every tile in prediction mode)."""
+        if self.window_labels is None:
+            return np.arange(self.n_windows, dtype=np.int64)
+        return np.flatnonzero([label is not None for label in self.window_labels])
 
     @property
     def label_domain(self) -> frozenset[str]:
         """The labels of the labeled windows."""
-        return frozenset(w.label for w in self.windows if w.label is not None)
+        return frozenset(self.window_labels or ()) - {None}
 
     @property
     def labels(self) -> tuple[str, ...] | None:
-        if not self.label_domain:
-            return None
-        return tuple(w.label for w in self.windows)  # type: ignore[misc]
+        """The labels of the windows in ``window_ids``; None if there are none."""
+        return tuple(label for label in self.window_labels or () if label is not None) or None
 
-    def window_times(self, window: Window) -> tuple[float, float]:
-        """(start_s, end_s) of a window on the recording's time base."""
-        rate = self.recording.sample_rate_hz
-        t0 = self.recording.t0
-        return (t0 + window.start_index / rate, t0 + (window.start_index + window.length) / rate)
+    def times(self) -> tuple[np.ndarray, np.ndarray]:
+        """(start_s, end_s) of each window in ``window_ids`` on the recording's
+        time base."""
+        starts = self.window_ids * self.length
+        rate, t0 = self.recording.sample_rate_hz, self.recording.t0
+        return t0 + starts / rate, t0 + (starts + self.length) / rate
 
 
 # ---------------------------------------------------------------------------
@@ -777,9 +773,9 @@ def segment_fixed(
 
     Windows are ``round(window_seconds * sample_rate_hz)`` samples long and
     start at index 0.  A window is labeled iff its full time span lies inside
-    a single label interval; windows covering a boundary or unlabeled time go
-    to the ``unlabeled`` list.  With ``labels=None`` every window is returned
-    unlabeled (prediction mode).
+    a single label interval; a window covering a boundary or unlabeled time
+    gets the label ``None`` and is no row of the set.  With ``labels=None``
+    the set is in prediction mode and every window is a row.
     """
     samples = window_seconds * recording.sample_rate_hz
     if not math.isfinite(samples):
@@ -791,22 +787,13 @@ def segment_fixed(
         raise WindowTooShort(
             f"{window_seconds} s at {recording.sample_rate_hz} Hz is {w} samples"
         )
-    intervals = check_intervals(labels) if labels else []
-
-    labeled: list[Window] = []
-    unlabeled: list[Window] = []
-    wid = 0
-    for start in range(0, recording.length - w + 1, w):
-        if labels is None:
-            labeled.append(Window(wid, start, w, None))
-        else:
-            t_start = recording.sample_time(start)
-            t_end = recording.sample_time(start + w)
-            label = resolve_label(t_start, t_end, intervals)
-            if label is None:
-                unlabeled.append(Window(wid, start, w, None))
-            else:
-                labeled.append(Window(wid, start, w, label))
-        wid += 1
-
-    return WindowSet(recording=recording, windows=tuple(labeled), unlabeled=tuple(unlabeled))
+    tiles = WindowSet(recording, w)
+    if labels is None:
+        return tiles
+    intervals = check_intervals(labels)
+    starts, ends = tiles.times()
+    window_labels = tuple(
+        resolve_label(start_s, end_s, intervals)
+        for start_s, end_s in zip(starts.tolist(), ends.tolist())
+    )
+    return WindowSet(recording, w, window_labels)

@@ -15,6 +15,8 @@ must agree with it exactly:
 - ``load_recording_csv`` and ``save_recording_csv``: the line-at-a-time
   recording CSV reader and writer;
 - ``save_matrix_csv``: the feature-matrix writer one cell at a time;
+- ``tiles``: segmentation one window at a time, which the grid
+  ``WindowSet`` must match in ids, labels and times bit for bit;
 - ``select_features``: selection's per-target-mode test dispatch (a binary
   branch, a multiclass branch and a real branch), which must give the same
   report as the library's single per-column loop;
@@ -539,6 +541,34 @@ def predict_proba(model, rows):
     for tree in model.trees:
         out += leaf_probs(tree)[tree_apply(tree, rows)]
     return out / len(model.trees)
+
+
+# --- segmentation --------------------------------------------------------------
+
+LABEL_EDGE_EPS = 1e-9
+
+
+def tiles(recording, w, labels):
+    """``(start_index, window_id, label)`` of each window of *w* samples,
+    tiled from sample 0 one window at a time.  A window's label is that of
+    the first interval, by start, holding its whole time span within the
+    edge slack, else None; with ``labels=None`` every label is None."""
+    intervals = sorted(labels or [], key=lambda iv: (iv[0], iv[1]))
+    rate, t0 = recording.sample_rate_hz, recording.t0
+    out = []
+    wid = 0
+    for start in range(0, recording.length - w + 1, w):
+        label = None
+        if labels is not None:
+            t_start = t0 + start / rate
+            t_end = t0 + (start + w) / rate
+            for iv_start, iv_end, iv_label in intervals:
+                if t_start >= iv_start - LABEL_EDGE_EPS and t_end <= iv_end + LABEL_EDGE_EPS:
+                    label = iv_label
+                    break
+        out.append((start, wid, label))
+        wid += 1
+    return out
 
 
 # --- recording CSV ------------------------------------------------------------

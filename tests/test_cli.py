@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from imufresh.cli import main
+from imufresh.timeseries import Recording, load_recording, save_recording
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,14 @@ def workspace(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def artifacts(workspace):
+    """The artifacts of one ``imufresh run`` on the workspace."""
+    rc = main(["run", "--config", str(workspace / "pipe.cfg"), "--seed", "5"])
+    assert rc == 0
+    return workspace / "artifacts"
+
+
 def test_synth_writes_files(workspace):
     assert (workspace / "rec.csv").exists()
     header = (workspace / "rec.csv").read_text().splitlines()[0]
@@ -40,13 +49,11 @@ def test_synth_writes_files(workspace):
     assert (workspace / "labels.csv").read_text().splitlines()[0] == "start_s,end_s,label"
 
 
-def test_run_and_predict(workspace, capsys):
-    rc = main(["run", "--config", str(workspace / "pipe.cfg"), "--seed", "5"])
-    assert rc == 0
-    assert (workspace / "artifacts" / "model.txt").exists()
+def test_run_and_predict(workspace, artifacts, capsys):
+    assert (artifacts / "model.txt").exists()
     rc = main([
         "predict",
-        "--artifacts", str(workspace / "artifacts"),
+        "--artifacts", str(artifacts),
         "--recording", str(workspace / "rec.csv"),
         "--labels", str(workspace / "labels.csv"),
         "--out", str(workspace / "timeline.csv"),
@@ -111,8 +118,7 @@ def test_forest_param_zero_is_a_config_error(workspace, key):
     assert not out.exists()
 
 
-def test_corrupt_model_exit_code(workspace, tmp_path):
-    artifacts = workspace / "artifacts"
+def test_corrupt_model_exit_code(workspace, artifacts, tmp_path):
     lines = (artifacts / "model.txt").read_text().splitlines()
     split = next(i for i, line in enumerate(lines) if line.startswith("split "))
     parts = lines[split].split()
@@ -129,8 +135,7 @@ def test_corrupt_model_exit_code(workspace, tmp_path):
     assert rc == 3
 
 
-def test_non_numeric_model_token_exit_code(workspace, tmp_path):
-    artifacts = workspace / "artifacts"
+def test_non_numeric_model_token_exit_code(workspace, artifacts, tmp_path):
     text = (artifacts / "model.txt").read_text()
     (tmp_path / "model.txt").write_text(re.sub(r"^tree \d+$", "tree x", text, count=1, flags=re.M))
     rc = main([
@@ -165,8 +170,7 @@ def test_benchmark_workers_zero_is_a_config_error(workspace):
     [("window_seconds", "abc"), ("window_seconds", "nan"), ("window_seconds", "inf"),
      ("window_seconds", "-1"), ("virtual_sensor", "bogus")],
 )
-def test_bad_manifest_value_is_a_data_error(workspace, tmp_path, capsys, key, value):
-    artifacts = workspace / "artifacts"
+def test_bad_manifest_value_is_a_data_error(artifacts, tmp_path, capsys, key, value):
     lines = [
         line for line in (artifacts / "manifest.txt").read_text().splitlines()
         if not line.startswith(f"{key} =")
@@ -185,17 +189,34 @@ def test_bad_manifest_value_is_a_data_error(workspace, tmp_path, capsys, key, va
     assert f"data error: manifest key '{key}'" in capsys.readouterr().err
 
 
-def test_inspect_manifest(workspace, capsys):
-    rc = main(["inspect", str(workspace / "artifacts" / "manifest.txt")])
+def test_inspect_manifest(artifacts, capsys):
+    rc = main(["inspect", str(artifacts / "manifest.txt")])
     assert rc == 0
     out = capsys.readouterr().out
     assert "tool_version" in out
 
 
-def test_inspect_model(workspace, capsys):
-    rc = main(["inspect", str(workspace / "artifacts" / "model.txt")])
+def test_inspect_model(artifacts, capsys):
+    rc = main(["inspect", str(artifacts / "model.txt")])
     assert rc == 0
     assert "forest:" in capsys.readouterr().out
+
+
+def test_predict_on_a_recording_shorter_than_one_window(workspace, artifacts, tmp_path, capsys):
+    # 100 samples at 50 Hz; the model's windows are 4 s (200 samples).
+    full = load_recording(str(workspace / "rec.csv"))
+    channels = {kind: values[:100] for kind, values in full.channels.items()}
+    save_recording(Recording(full.sample_rate_hz, channels, full.t0), str(tmp_path / "short.csv"))
+    rc = main([
+        "predict",
+        "--artifacts", str(artifacts),
+        "--recording", str(tmp_path / "short.csv"),
+        "--out", str(tmp_path / "timeline.csv"),
+    ])
+    assert rc == 0
+    assert "(0 windows)" in capsys.readouterr().out
+    lines = (tmp_path / "timeline.csv").read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("window_id,start_s,end_s,prob_")
 
 
 def test_inspect_missing_file(tmp_path):

@@ -24,7 +24,7 @@ from imufresh.extraction import (
     save_matrix_csv,
 )
 from imufresh.names import FeatureName
-from imufresh.timeseries import Recording, Window, WindowSet, segment_fixed
+from imufresh.timeseries import Recording, WindowSet, segment_fixed
 
 
 # Window 2 of accel_x_l (samples 200-299) is constant, so the documented NaN
@@ -72,10 +72,10 @@ class TestExtract:
 
     def test_cells_match_direct_compute(self, recording, windows):
         matrix = extract(windows, recording, default_settings(recording.channels))
-        for r, window in enumerate(windows.windows):
-            end = window.start_index + window.length
+        w = windows.length
+        for r, i in enumerate(windows.window_ids):
             for c, feature in enumerate(matrix.feature_names):
-                x = recording.channels[feature.kind][window.start_index:end]
+                x = recording.channels[feature.kind][i * w : (i + 1) * w]
                 want = compute_feature(x, feature.calculator, feature.param_dict())
                 assert matrix.values[r, c].tobytes() == np.float64(want).tobytes(), (
                     r, feature.canonical()
@@ -93,23 +93,28 @@ class TestExtract:
 
     def test_window_reaching_the_recording_end(self):
         rec = Recording(sample_rate_hz=1.0, channels={"k": [1.0, 2.0, 3.0, 4.0]})
-        ws = WindowSet(rec, (Window(0, 0, 4),))
+        ws = WindowSet(rec, 4)
         matrix = extract(ws, rec, settings_from_feature_names(["k__maximum", "k__minimum"]))
         assert matrix.values.tolist() == [[4.0, 1.0]]
 
-    @pytest.mark.parametrize(
-        "window_list, error, match",
-        [
-            ((Window(0, 0, 2), Window(1, 4, 2)), WindowOutOfRange, "past the recording"),
-            ((Window(0, 0, 2), Window(1, 2, 3)), DataError, "share one length"),
-        ],
-        ids=["past-end", "mixed-lengths"],
-    )
-    def test_bad_windows_rejected(self, window_list, error, match):
+    def test_recording_shorter_than_the_grid_rejected(self):
+        # Channels are read from the recording argument, which here ends
+        # inside the grid's second window.
         rec = Recording(sample_rate_hz=1.0, channels={"k": [1.0, 2.0, 3.0, 4.0, 5.0]})
+        short = Recording(sample_rate_hz=1.0, channels={"k": [1.0, 2.0, 3.0]})
         settings = settings_from_feature_names(["k__minimum"])
-        with pytest.raises(error, match=match):
-            extract(WindowSet(rec, window_list), rec, settings)
+        with pytest.raises(WindowOutOfRange, match="reach sample 4, past the recording's 3"):
+            extract(WindowSet(rec, 2), short, settings)
+
+    @pytest.mark.parametrize("labels", [None, [(0.0, 2.0, "walk")]], ids=["predict", "train"])
+    def test_recording_shorter_than_one_window(self, labels):
+        rec = Recording(sample_rate_hz=50.0, channels={"k": np.arange(100.0)})
+        ws = segment_fixed(rec, 4.0, labels)
+        assert ws.n_windows == 0
+        settings = default_settings(rec.channels)
+        matrix = extract(ws, rec, settings)
+        assert matrix.values.shape == (0, len(settings.features))
+        assert matrix.window_ids.tolist() == []
 
     def test_columns_sorted_canonically(self, recording, windows):
         settings = settings_from_feature_names(
@@ -140,14 +145,14 @@ class TestExtract:
         settings = settings_from_feature_names(names)
         one = extract(ws, recording, settings, workers=1)
         two = extract(ws, recording, settings, workers=2)
-        assert two.values.shape == one.values.shape == (len(ws.windows), len(names))
+        assert two.values.shape == one.values.shape == (len(ws.window_ids), len(names))
         assert one.values.tobytes() == two.values.tobytes()
         assert list(one.window_ids) == list(two.window_ids)
 
     def test_row_ids_follow_window_ids(self, recording):
         ws = segment_fixed(recording, 2.0, [(4.0, 12.0, "a")])
         matrix = extract(ws, recording, settings_from_feature_names(["accel_x_l__mean"]))
-        assert list(matrix.window_ids) == [w.window_id for w in ws.windows]
+        assert matrix.window_ids.tolist() == ws.window_ids.tolist() == [2, 3, 4, 5]
 
 
 class TestInProcess:
@@ -195,12 +200,11 @@ class TestFamilyCalls:
             monkeypatch.setitem(CALCULATORS, name, dataclasses.replace(calc, family=spy))
         return calls
 
-    def _kind_of(self, recording, window_list, X):
+    def _kind_of(self, recording, windows, X):
+        w = windows.length
         kinds = [
             kind for kind, values in recording.channels.items()
-            if np.array_equal(
-                X, np.stack([values[w.start_index : w.start_index + w.length] for w in window_list])
-            )
+            if np.array_equal(X, np.stack([values[i * w : (i + 1) * w] for i in windows.window_ids]))
         ]
         assert len(kinds) == 1
         return kinds[0]
@@ -215,7 +219,7 @@ class TestFamilyCalls:
         grid = Counter(f.calculator for f in settings.features)
         seen = Counter()
         for name, X, params_list in calls:
-            seen[name, self._kind_of(recording, windows.windows, X)] += 1
+            seen[name, self._kind_of(recording, windows, X)] += 1
             assert len(params_list) == grid[name] // len(settings.kinds)
         assert seen == Counter({(name, kind): 1 for name in grid for kind in settings.kinds})
 
@@ -255,11 +259,10 @@ class TestRestriction:
     @pytest.mark.parametrize("seconds", [1.98, 2.0, 3.02], ids=["w99", "w100", "w151"])
     def test_any_subset_equals_the_full_grid(self, tied, seconds):
         ws = segment_fixed(tied, seconds, None)
-        w = ws.windows[0].length
+        w = ws.length
         full = extract(ws, tied, default_settings(tied.channels))
         constant = [
-            i for i, win in enumerate(ws.windows)
-            if np.ptp(tied.channels["steady"][win.start_index : win.start_index + w]) == 0.0
+            i for i in ws.window_ids if np.ptp(tied.channels["steady"][i * w : (i + 1) * w]) == 0.0
         ]
         assert constant
         chunk_50 = [

@@ -23,7 +23,6 @@ from imufresh.calculators import settings_from_feature_names
 from imufresh.extraction import extract
 from imufresh.timeseries import (
     Recording,
-    Window,
     WindowSet,
     load_labels_csv,
     load_recording,
@@ -520,38 +519,41 @@ class TestSegmentation:
     def test_560s_at_500hz_gives_140_windows(self):
         rec = _recording(280000)
         ws = segment_fixed(rec, 4.0, [(0.0, 560.0, "walk")])
-        assert len(ws.windows) == 140
-        assert all(w.length == 2000 for w in ws.windows)
+        assert ws.n_windows == len(ws.window_ids) == 140
+        assert ws.length == 2000
 
     def test_exact_tiling_with_two_labels(self):
         rec = _recording(8 * 500)
         ws = segment_fixed(rec, 4.0, [(0.0, 4.0, "walk"), (4.0, 8.0, "run")])
-        assert [w.label for w in ws.windows] == ["walk", "run"]
+        assert ws.labels == ("walk", "run")
         assert ws.label_domain == {"walk", "run"}
 
     def test_boundary_truncation(self):
         rec = _recording(6 * 500)
         ws = segment_fixed(rec, 4.0, [(0.0, 6.0, "walk")])
-        assert len(ws.windows) == 1
-        assert ws.windows[0].start_index == 0
+        assert ws.n_windows == 1
+        assert ws.window_ids.tolist() == [0]
+        assert ws.times()[0].tolist() == [0.0]
 
     def test_straddling_window_goes_unlabeled(self):
         rec = _recording(8 * 500)
         ws = segment_fixed(rec, 4.0, [(0.0, 3.0, "walk"), (3.0, 8.0, "run")])
         # first window [0, 4) crosses the boundary at 3 s
-        assert [w.label for w in ws.windows] == ["run"]
-        assert [w.window_id for w in ws.unlabeled] == [0]
+        assert ws.labels == ("run",)
+        assert ws.window_labels == (None, "run")
+        assert ws.window_ids.tolist() == [1]
 
     def test_unlabeled_time_dropped(self):
         rec = _recording(8 * 500)
         ws = segment_fixed(rec, 4.0, [(4.0, 8.0, "run")])
-        assert [w.label for w in ws.windows] == ["run"]
-        assert len(ws.unlabeled) == 1
+        assert ws.labels == ("run",)
+        assert ws.n_windows - len(ws.window_ids) == 1
 
     def test_prediction_mode_keeps_all_windows(self):
         rec = _recording(8 * 500)
         ws = segment_fixed(rec, 4.0, labels=None)
-        assert len(ws.windows) == 2
+        assert ws.window_ids.tolist() == [0, 1]
+        assert ws.window_labels is None
         assert ws.labels is None
         assert ws.label_domain == frozenset()
 
@@ -568,7 +570,7 @@ class TestSegmentation:
     def test_touching_intervals_are_fine(self):
         rec = _recording(8 * 500)
         ws = segment_fixed(rec, 4.0, [(0.0, 4.0, "a"), (4.0, 8.0, "b")])
-        assert len(ws.windows) == 2
+        assert len(ws.window_ids) == 2
 
     def test_deterministic(self):
         rec = _recording(8 * 500)
@@ -578,34 +580,94 @@ class TestSegmentation:
     def test_windows_disjoint_and_within_bounds(self):
         rec = _recording(1234, rate=10.0)
         ws = segment_fixed(rec, 3.0, None)
-        spans = [(w.start_index, w.start_index + w.length) for w in ws.windows]
-        assert sum(b - a for a, b in spans) <= rec.length
-        for (a0, b0), (a1, b1) in zip(spans, spans[1:]):
-            assert b0 <= a1
+        starts, ends = ws.times()
+        assert ws.n_windows * ws.length <= rec.length
+        assert ends[-1] <= rec.duration_s
+        assert (ends[:-1] <= starts[1:]).all()
 
-    def test_window_ids_unique_ascending(self):
-        rec = _recording(20 * 500)
-        ws = segment_fixed(rec, 4.0, [(0.0, 9.0, "a"), (9.0, 20.0, "b")])
-        ids = [w.window_id for w in ws.windows] + [w.window_id for w in ws.unlabeled]
-        assert len(set(ids)) == len(ids)
-        assert [w.window_id for w in ws.windows] == sorted(w.window_id for w in ws.windows)
+    def test_grid_checks_its_fields(self):
+        rec = _recording(10)
+        with pytest.raises(WindowTooShort):
+            WindowSet(rec, 1)
+        with pytest.raises(ValueError, match="3 window labels for 5 windows"):
+            WindowSet(rec, 2, (None, "a", "b"))
+
+
+def test_segment_fixed_matches_the_per_window_oracle():
+    """The grid has the windows that tiling one window at a time gives: the
+    same count, the same rows (labeled windows, or all of them in prediction
+    mode) with the same labels, and the same start and end times bit for
+    bit.  Rates need not divide the window, t0 need not be 0, intervals may
+    touch or leave gaps, their edges sit on window boundaries or anywhere,
+    give or take float noise, and a recording may be shorter than one
+    window."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    noise = st.sampled_from([0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-6, -1e-6])
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        rate=st.sampled_from([50.0, 100.0, 30.0, 7.3, 128.0]) | st.floats(1.0, 200.0),
+        window_seconds=st.sampled_from([0.5, 2.0, 4.0, 0.37]) | st.floats(0.02, 3.0),
+        n=st.integers(1, 400),
+        t0=st.sampled_from([0.0, 12.5, -3.7, 1000.1]) | st.floats(-1e4, 1e4),
+        labeled=st.booleans(),
+        data=st.data(),
+    )
+    def check(rate, window_seconds, n, t0, labeled, data):
+        w = round(window_seconds * rate)
+        hypothesis.assume(w >= 2)
+        rec = Recording(sample_rate_hz=rate, channels={"a": np.zeros(n)}, t0=t0)
+        labels = None
+        if labeled:
+            on_grid = st.integers(0, n // w + 1).map(lambda k: t0 + k * w / rate)
+            anywhere = st.floats(t0 - 1.0, t0 + (n + 1) / rate)
+            points = data.draw(st.lists(
+                st.tuples(on_grid | anywhere, noise).map(sum), min_size=2, max_size=8
+            ))
+            points.sort()
+            # Consecutive points bound touching intervals; dropping some
+            # leaves gaps.  An end pushed by 1e-12 past the next start
+            # still counts as touching.
+            keep = data.draw(st.lists(st.booleans(), min_size=len(points) - 1,
+                                      max_size=len(points) - 1))
+            end_noise = data.draw(st.lists(st.sampled_from([0.0, 1e-12, -1e-12]),
+                                           min_size=len(points) - 1, max_size=len(points) - 1))
+            labels = [
+                (a, b + e, f"c{i % 3}")
+                for i, (a, b, e, k) in enumerate(zip(points, points[1:], end_noise, keep))
+                if k and b - a > 1e-9
+            ]
+            data.draw(st.randoms()).shuffle(labels)
+        ws = segment_fixed(rec, window_seconds, labels)
+        want = oracles.tiles(rec, w, labels)
+        rows = [t for t in want if labels is None or t[2] is not None]
+        assert ws.n_windows == len(want)
+        assert ws.window_ids.tolist() == [wid for _, wid, _ in rows]
+        assert ws.labels == (tuple(label for *_, label in rows if label is not None) or None)
+        starts, ends = ws.times()
+        assert starts.tolist() == [t0 + start / rate for start, _, _ in rows]
+        assert ends.tolist() == [t0 + (start + w) / rate for start, _, _ in rows]
+
+    check()
 
 
 class TestSliceWindow:
     """A window's samples are cut from the recording by `extract`."""
 
     def test_direct_slice(self):
-        rec = Recording(sample_rate_hz=1.0, channels={"k": [1.0, 2.0, 3.0, 4.0]})
-        ws = WindowSet(rec, (Window(0, 1, 2),))
+        rec = Recording(sample_rate_hz=1.0, channels={"k": [1.0, 2.0, 3.0, 4.0, 5.0]})
+        ws = WindowSet(rec, 2, (None, "a"))
         settings = settings_from_feature_names(["k__minimum", "k__maximum", "k__mean_change"])
         matrix = extract(ws, rec, settings)
+        assert matrix.window_ids.tolist() == [1]
         got = {f.calculator: v for f, v in zip(matrix.feature_names, matrix.values[0])}
-        # minimum, maximum and the signed step pin the slice to [2.0, 3.0] in order
-        assert got == {"minimum": 2.0, "maximum": 3.0, "mean_change": 1.0}
+        # minimum, maximum and the signed step pin the slice to [3.0, 4.0] in order
+        assert got == {"minimum": 3.0, "maximum": 4.0, "mean_change": 1.0}
 
     def test_unknown_kind(self):
         rec = Recording(sample_rate_hz=1.0, channels={"k": [1.0, 2.0]})
-        ws = WindowSet(rec, (Window(0, 0, 2),))
+        ws = WindowSet(rec, 2)
         with pytest.raises(UnknownKind):
             extract(ws, rec, settings_from_feature_names(["missing__minimum"]))
 
