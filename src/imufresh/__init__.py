@@ -26,7 +26,7 @@ from .errors import (
     ImufreshError,
     NothingSelected,
 )
-from .extraction import FeatureMatrix, extract, load_matrix, save_matrix
+from .extraction import FeatureMatrix, extract, save_matrix
 from .forest import (
     CVReport,
     ForestModel,
@@ -39,7 +39,7 @@ from .forest import (
     top_k_features,
     train_forest,
 )
-from .names import FeatureName, encode_feature_name
+from .names import FeatureName
 from .pipeline import (
     PipelineConfig,
     PipelineResult,
@@ -54,7 +54,6 @@ from .selection import (
     benjamini_hochberg,
     benjamini_yekutieli,
     fisher_exact_test,
-    is_binary,
     kendall_tau,
     kendall_tau_test,
     ks_two_sample_test,
@@ -88,7 +87,6 @@ __all__ = [
     "NothingSelected",
     "FeatureMatrix",
     "extract",
-    "load_matrix",
     "save_matrix",
     "CVReport",
     "ForestModel",
@@ -101,7 +99,6 @@ __all__ = [
     "top_k_features",
     "train_forest",
     "FeatureName",
-    "encode_feature_name",
     "PipelineConfig",
     "PipelineResult",
     "PredictionTimeline",
@@ -113,7 +110,6 @@ __all__ = [
     "benjamini_hochberg",
     "benjamini_yekutieli",
     "fisher_exact_test",
-    "is_binary",
     "kendall_tau",
     "kendall_tau_test",
     "ks_two_sample_test",

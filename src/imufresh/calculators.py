@@ -621,10 +621,8 @@ def write_settings_file(settings: ExtractionSettings, stream: TextIO) -> None:
 def read_settings_file(
     stream: TextIO, known_kinds: set[str] | None = None
 ) -> ExtractionSettings:
-    """Parse a settings file.
+    """Parse a settings file: one canonical feature name per line.
 
-    Either one canonical feature name per line, or a single line
-    ``DEFAULT kind1 kind2 ...`` requesting the full grid for those kinds.
     Blank lines and ``#`` comments are ignored.  *known_kinds* is ignored,
     and accepted only for callers that still pass it: a name's kind is
     always its first ``__`` token.
@@ -634,9 +632,4 @@ def read_settings_file(
         for ln in stream
         if ln.strip() and not ln.lstrip().startswith("#")
     ]
-    if len(lines) == 1 and lines[0].split()[0] == "DEFAULT":
-        kinds = lines[0].split()[1:]
-        if not kinds:
-            raise BadParameters("DEFAULT settings line lists no kinds")
-        return default_settings(kinds)
     return settings_from_feature_names(lines)

@@ -12,11 +12,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .calculators import (
-    CALCULATORS,
-    ExtractionSettings,
-    decode_feature_name,
-)
+from .calculators import CALCULATORS, ExtractionSettings
 from .errors import DataError, UnknownKind, WindowOutOfRange
 from .names import FeatureName
 from .parallel import check_workers
@@ -25,7 +21,6 @@ from .timeseries import (
     Recording,
     WindowSet,
     _join_columns,
-    open_utf8,
     render_floats,
 )
 
@@ -155,7 +150,7 @@ def extract(
 
 
 # ---------------------------------------------------------------------------
-# CSV round-trip
+# CSV output
 # ---------------------------------------------------------------------------
 
 def save_matrix_csv(matrix: FeatureMatrix, stream: TextIO) -> None:
@@ -188,61 +183,3 @@ def save_matrix_csv(matrix: FeatureMatrix, stream: TextIO) -> None:
 def save_matrix(matrix: FeatureMatrix, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         save_matrix_csv(matrix, fh)
-
-
-def load_matrix_csv(stream: TextIO) -> FeatureMatrix:
-    header_line = stream.readline().rstrip("\n").rstrip("\r")
-    if not header_line:
-        raise DataError("feature matrix CSV is empty")
-    header = header_line.split(",")
-    if header[0] != "window_id":
-        raise DataError("feature matrix CSV must start with a window_id column")
-    has_labels = len(header) > 1 and header[1] == "label"
-    name_start = 2 if has_labels else 1
-    names = tuple(decode_feature_name(c) for c in header[name_start:])
-
-    ids: list[int] = []
-    labels: list[str] = []
-    rows: list[list[float]] = []
-    columns = header[name_start:]
-    for lineno, line in enumerate(stream, start=2):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise DataError(f"feature matrix row has {len(cells)} cells, expected {len(header)}")
-        ids.append(_parse_cell(int, cells[0], lineno, "window_id"))
-        if has_labels:
-            labels.append(cells[1])
-        rows.append(
-            [_parse_cell(float, c, lineno, n) for c, n in zip(cells[name_start:], columns)]
-        )
-
-    values = (
-        np.asarray(rows, dtype=np.float64)
-        if rows
-        else np.empty((0, len(names)), dtype=np.float64)
-    )
-    return FeatureMatrix(
-        feature_names=names,
-        values=values,
-        window_ids=np.asarray(ids, dtype=np.int64),
-        labels=tuple(labels) if has_labels else None,
-    )
-
-
-def _parse_cell(parse, cell: str, lineno: int, column: str):
-    """``parse(cell)``; a cell that does not parse raises DataError naming
-    its line (the header is line 1) and column."""
-    try:
-        return parse(cell)
-    except ValueError:
-        raise DataError(
-            f"feature matrix line {lineno}, column {column!r}: cannot parse {cell!r}"
-        ) from None
-
-
-def load_matrix(path: str) -> FeatureMatrix:
-    with open_utf8(path, "feature matrix", newline="") as fh:
-        return load_matrix_csv(fh)

@@ -8,7 +8,7 @@ calculator that produced it, and the calculator's parameters:
 Booleans render as ``True``/``False``, strings inside double quotes, and
 reals always with a decimal point (``1.0``, ``0.4``).  Parameters appear in
 the calculator's declared order, which makes the encoding canonical:
-``decode(encode(f)) == f`` for every valid name.
+``decode_feature_name(f.canonical()) == f`` for every valid name.
 """
 
 from __future__ import annotations
@@ -125,11 +125,6 @@ class FeatureName:
 
     def __str__(self) -> str:
         return self.canonical()
-
-
-def encode_feature_name(feature: FeatureName) -> str:
-    """Canonical string form of *feature*."""
-    return feature.canonical()
 
 
 def split_tokens(s: str) -> list[str]:

@@ -46,19 +46,6 @@ TEST_KENDALL = "kendall_tau"
 TEST_CONSTANT = "constant"
 
 
-def is_binary(values: Sequence[float] | np.ndarray) -> bool:
-    """True iff the non-NaN value set has cardinality <= 2.
-
-    A constant column counts as binary; selection treats it as degenerate
-    (p = 1) before any test dispatch.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    v = v[~np.isnan(v)]
-    if v.size == 0:
-        raise DegenerateFeature("all values are NaN")
-    return np.unique(v).size <= 2
-
-
 # ---------------------------------------------------------------------------
 # Fisher exact test
 # ---------------------------------------------------------------------------

@@ -103,6 +103,8 @@ def _generate(
     phase_shift: float = 0.0,
     shuffle_rounds: bool = False,
 ) -> SynthResult:
+    if not np.isfinite([duration_s * sample_rate_hz, window_seconds * sample_rate_hz]).all():
+        raise BadParameters("duration, sample rate and window length must be finite")
     w = int(round(window_seconds * sample_rate_hz))
     if w < 2:
         raise BadParameters("window too short for the requested sample rate")

@@ -317,13 +317,6 @@ class Recording:
     def kinds(self) -> tuple[str, ...]:
         return tuple(sorted(self.channels))
 
-    @property
-    def duration_s(self) -> float:
-        return self.length / self.sample_rate_hz
-
-    def sample_time(self, index: int) -> float:
-        return self.t0 + index / self.sample_rate_hz
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Recording):
             return NotImplemented
@@ -377,11 +370,6 @@ class WindowSet:
         return np.flatnonzero([label is not None for label in self.window_labels])
 
     @property
-    def label_domain(self) -> frozenset[str]:
-        """The labels of the labeled windows."""
-        return frozenset(self.window_labels or ()) - {None}
-
-    @property
     def labels(self) -> tuple[str, ...] | None:
         """The labels of the windows in ``window_ids``; None if there are none."""
         return tuple(label for label in self.window_labels or () if label is not None) or None
@@ -404,8 +392,9 @@ def load_recording_csv(stream: BinaryIO | TextIO) -> Recording:
     Every kind shares one uniform time grid.  Rows are grouped by kind in
     order of first appearance, so contiguous blocks (the written format) and
     interleaved kinds are both read.  Blank lines are skipped; ``\\r\\n`` and
-    a lone ``\\r`` end a line like ``\\n``.  The sample rate is inferred as
-    1/median(dt) and validated uniform to relative tolerance 1e-6.
+    a lone ``\\r`` end a line like ``\\n``.  The time step is inferred as
+    ``(t[-1] - t[0]) / (n - 1)`` and the rate as its inverse; each step may
+    deviate from it by 1e-6 of it plus two ulps of the largest time stamp.
 
     Raises
     ------
@@ -489,14 +478,16 @@ def _parse_recording(source: str | bytes) -> Recording:
     assert grid is not None
     if grid.shape[0] < 2:
         raise InconsistentChannels("each channel needs at least 2 samples to infer a rate")
-    steps = np.diff(grid)
-    dt = float(np.median(steps))
+    # The span over the sample count, not a typical step: on a Unix-time base
+    # each step is off by an ulp of the stamps, which a median would keep.
+    dt = float((grid[-1] - grid[0]) / (grid.shape[0] - 1))
     if dt <= 0:
         raise NonUniformSampling("time values must be strictly increasing")
-    if np.any(np.abs(steps - dt) > UNIFORM_STEP_RTOL * dt):
+    deviation = np.abs(np.diff(grid) - dt)
+    if np.any(deviation > UNIFORM_STEP_RTOL * dt + 2 * np.spacing(np.abs(grid).max())):
         raise NonUniformSampling(
-            f"non-uniform time step: median {dt}, worst deviation "
-            f"{float(np.max(np.abs(steps - dt)))}"
+            f"non-uniform time step: span / (n - 1) is {dt}, worst deviation "
+            f"{float(deviation.max())}"
         )
     return Recording(1.0 / dt, _OwnChannels(channels), float(grid[0]))
 

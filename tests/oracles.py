@@ -636,11 +636,11 @@ def load_recording_csv(stream):
 
     if grid.shape[0] < 2:
         raise InconsistentChannels("each channel needs at least 2 samples to infer a rate")
-    steps = np.diff(grid)
-    dt = float(np.median(steps))
+    dt = float((grid[-1] - grid[0]) / (len(grid) - 1))
     if dt <= 0:
         raise NonUniformSampling("time values must be strictly increasing")
-    if np.any(np.abs(steps - dt) > UNIFORM_STEP_RTOL * dt):
+    tolerance = UNIFORM_STEP_RTOL * dt + 2 * np.spacing(np.abs(grid).max())
+    if np.any(np.abs(np.diff(grid) - dt) > tolerance):
         raise NonUniformSampling("non-uniform time step")
     return Recording(sample_rate_hz=1.0 / dt, channels=channels, t0=float(grid[0]))
 

@@ -49,6 +49,19 @@ def test_synth_writes_files(workspace):
     assert (workspace / "labels.csv").read_text().splitlines()[0] == "start_s,end_s,label"
 
 
+@pytest.mark.parametrize("flag", ["--duration", "--rate", "--window-seconds"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_non_finite_parameter_is_a_config_error(tmp_path, flag, value):
+    rc = main([
+        "synth",
+        "--out-recording", str(tmp_path / "rec.csv"),
+        "--out-labels", str(tmp_path / "labels.csv"),
+        flag, value,
+    ])
+    assert rc == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_and_predict(workspace, artifacts, capsys):
     assert (artifacts / "model.txt").exists()
     rc = main([

@@ -17,7 +17,7 @@ from imufresh.errors import (
     UnknownCalculator,
 )
 from imufresh.extraction import FeatureMatrix
-from imufresh.names import FeatureName, encode_feature_name
+from imufresh.names import FeatureName
 
 from known_names import KNOWN_FEATURE_NAMES, KNOWN_KINDS
 
@@ -30,13 +30,13 @@ class TestEncode:
             {"f_agg": "var", "isabs": False, "qh": 1.0, "ql": 0.4},
         )
         assert (
-            encode_feature_name(f)
+            f.canonical()
             == 'accel_y_r__change_quantiles__f_agg_"var"__isabs_False__qh_1.0__ql_0.4'
         )
 
     def test_parameterless(self):
         f = make_feature_name("accel_z_r", "minimum")
-        assert encode_feature_name(f) == "accel_z_r__minimum"
+        assert f.canonical() == "accel_z_r__minimum"
 
     def test_agg_linear_trend_parameter_order(self):
         f = make_feature_name(
@@ -45,7 +45,7 @@ class TestEncode:
             {"f_agg": "max", "chunk_len": 50, "attr": "stderr"},
         )
         assert (
-            encode_feature_name(f)
+            f.canonical()
             == 'gyro_y_diff__agg_linear_trend__f_agg_"max"__chunk_len_50__attr_"stderr"'
         )
 
@@ -175,10 +175,10 @@ def test_fuzz_roundtrip_over_registry():
             f = make_feature_name(kind, calc.name, _random_params(calc, rng))
         except BadParameters:
             continue
-        s = encode_feature_name(f)
+        s = f.canonical()
         g = decode_feature_name(s)
         assert g == f
-        assert encode_feature_name(g) == s
+        assert g.canonical() == s
 
 
 class TestRenderedOnce:

@@ -1,0 +1,73 @@
+"""The package's public surface and its modules' imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import imufresh
+
+PACKAGE_DIR = Path(imufresh.__file__).parent
+MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+
+# Names that were removed for having no caller.
+REMOVED = [
+    "imufresh.extraction.load_matrix",
+    "imufresh.extraction.load_matrix_csv",
+    "imufresh.extraction._parse_cell",
+    "imufresh.names.encode_feature_name",
+    "imufresh.selection.is_binary",
+    "imufresh.timeseries.Recording.sample_time",
+    "imufresh.timeseries.Recording.duration_s",
+    "imufresh.timeseries.WindowSet.label_domain",
+]
+
+
+class TestAll:
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from imufresh import *", namespace)
+        assert [name for name in imufresh.__all__ if name not in namespace] == []
+
+    def test_no_duplicates(self):
+        assert len(imufresh.__all__) == len(set(imufresh.__all__))
+
+    @pytest.mark.parametrize("path", REMOVED)
+    def test_removed_name_is_gone(self, path):
+        _, *owners, name = path.split(".")
+        owner = imufresh
+        for attr in owners:
+            owner = getattr(owner, attr)
+        assert not hasattr(owner, name)
+        assert not hasattr(imufresh, name)
+        assert name not in imufresh.__all__
+
+
+def _unused_imports(source):
+    """Names bound by a top-level import that the module never reads.  A
+    name listed in a literal ``__all__`` counts as read."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_gate_flags_a_planted_import():
+    source = "from __future__ import annotations\nimport os\nimport sys\n\nprint(sys.argv)\n"
+    assert _unused_imports(source) == [(2, "os")]

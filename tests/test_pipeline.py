@@ -15,7 +15,7 @@ from imufresh.errors import (
     NothingSelected,
     OverlappingLabels,
 )
-from imufresh.extraction import extract, load_matrix
+from imufresh.extraction import extract
 from imufresh.forest import load_model_file
 from imufresh.pipeline import (
     PipelineConfig,
@@ -364,7 +364,7 @@ class TestInputThatIsNotUtf8:
         path.write_bytes(b"key = caf\xe9\n")
         return str(path)
 
-    @pytest.mark.parametrize("read", [read_manifest, load_model_file, load_matrix])
+    @pytest.mark.parametrize("read", [read_manifest, load_model_file])
     def test_artifact_readers(self, tmp_path, read):
         with pytest.raises(DataError, match="not UTF-8: 'utf-8' codec can't decode"):
             read(self._not_utf8(tmp_path, "artifact.txt"))

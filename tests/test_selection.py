@@ -18,7 +18,6 @@ from imufresh.selection import (
     benjamini_yekutieli,
     fdr_select,
     fisher_exact_test,
-    is_binary,
     kendall_tau,
     kendall_tau_test,
     ks_statistic,
@@ -26,24 +25,6 @@ from imufresh.selection import (
     save_report_csv,
     select_features,
 )
-
-
-class TestIsBinary:
-    def test_two_values(self):
-        assert is_binary([0.0, 1.0, 0.0, 1.0]) is True
-
-    def test_three_values(self):
-        assert is_binary([0.1, 0.2, 0.3]) is False
-
-    def test_constant_counts_as_binary(self):
-        assert is_binary([5.0, 5.0, 5.0]) is True
-
-    def test_nan_ignored(self):
-        assert is_binary([0.0, float("nan"), 1.0]) is True
-
-    def test_all_nan(self):
-        with pytest.raises(DegenerateFeature):
-            is_binary([float("nan")] * 3)
 
 
 class TestFisher:

@@ -21,6 +21,7 @@ from imufresh.errors import (
 )
 from imufresh.calculators import settings_from_feature_names
 from imufresh.extraction import extract
+from imufresh.synth import synth_walk_run
 from imufresh.timeseries import (
     Recording,
     WindowSet,
@@ -508,6 +509,41 @@ class TestKindValidation:
             validate_kind(name)
 
 
+class TestUnixTimeBase:
+    """Stamps near 1.7e9 s are a multiple of their ulp, 2.4e-7 s, so each
+    written step of a 100 Hz grid is off from 0.01 s by up to an ulp."""
+
+    @staticmethod
+    def _roundtrip(rec):
+        buf = io.StringIO()
+        save_recording_csv(rec, buf)
+        return load_recording_csv(io.BytesIO(buf.getvalue().encode()))
+
+    def test_roundtrip(self):
+        rec = Recording(100.0, {"a": np.random.default_rng(0).standard_normal(2000)}, t0=1.7e9)
+        back = self._roundtrip(rec)
+        assert back.t0 == rec.t0
+        assert back.channels["a"].tobytes() == rec.channels["a"].tobytes()
+        assert back.sample_rate_hz == pytest.approx(100.0, rel=1e-9)
+
+    @pytest.mark.parametrize("t0", [1.7e9, 1.7e9 + 0.123, 1234567890.987])
+    def test_window_labels_match_time_zero(self, t0):
+        data = synth_walk_run(duration_s=560.0, sample_rate_hz=100.0, seed=42)
+        channels = {"accel_x_l": data.recording.channels["accel_x_l"]}
+        at_zero = segment_fixed(Recording(100.0, channels), 4.0, data.labels)
+        # label edges written to 3 decimals
+        labels = [(round(t0 + a, 3), round(t0 + b, 3), name) for a, b, name in data.labels]
+        shifted = segment_fixed(self._roundtrip(Recording(100.0, channels, t0=t0)), 4.0, labels)
+        assert len(at_zero.window_ids) == at_zero.n_windows == 140
+        assert shifted.window_labels == at_zero.window_labels
+
+    def test_one_step_off_by_a_percent_raises(self):
+        times = 1.7e9 + np.arange(2000) / 100.0
+        times[1000:] += 1e-4
+        with pytest.raises(NonUniformSampling):
+            load_recording_csv(_csv([f"{t},a,0.0" for t in times.tolist()]))
+
+
 def _recording(n, rate=500.0, kinds=("a",)):
     return Recording(
         sample_rate_hz=rate,
@@ -526,7 +562,7 @@ class TestSegmentation:
         rec = _recording(8 * 500)
         ws = segment_fixed(rec, 4.0, [(0.0, 4.0, "walk"), (4.0, 8.0, "run")])
         assert ws.labels == ("walk", "run")
-        assert ws.label_domain == {"walk", "run"}
+        assert ws.window_labels == ("walk", "run")
 
     def test_boundary_truncation(self):
         rec = _recording(6 * 500)
@@ -555,7 +591,6 @@ class TestSegmentation:
         assert ws.window_ids.tolist() == [0, 1]
         assert ws.window_labels is None
         assert ws.labels is None
-        assert ws.label_domain == frozenset()
 
     @pytest.mark.parametrize("seconds", [0.001, math.nan, math.inf, -math.inf, 1e307])
     def test_window_too_short(self, seconds):
@@ -582,7 +617,7 @@ class TestSegmentation:
         ws = segment_fixed(rec, 3.0, None)
         starts, ends = ws.times()
         assert ws.n_windows * ws.length <= rec.length
-        assert ends[-1] <= rec.duration_s
+        assert ends[-1] <= rec.length / rec.sample_rate_hz
         assert (ends[:-1] <= starts[1:]).all()
 
     def test_grid_checks_its_fields(self):
