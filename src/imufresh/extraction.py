@@ -16,13 +16,7 @@ from .calculators import CALCULATORS, ExtractionSettings
 from .errors import DataError, UnknownKind, WindowOutOfRange
 from .names import FeatureName
 from .parallel import check_workers
-from .timeseries import (
-    _BLOCK_VALUES,
-    Recording,
-    WindowSet,
-    _join_columns,
-    render_floats,
-)
+from .timeseries import _BLOCK_VALUES, Recording, WindowSet, render_table
 
 
 @dataclass(eq=False)
@@ -155,7 +149,7 @@ def extract(
 
 def save_matrix_csv(matrix: FeatureMatrix, stream: TextIO) -> None:
     """``window_id[,label],<canonical names...>`` with round-trip floats,
-    the bytes ``repr`` gives, rendered by :func:`render_floats` a block of
+    the bytes ``repr`` gives, rendered by :func:`render_table` a block of
     rows at a time."""
     header = ["window_id"]
     if matrix.labels is not None:
@@ -165,18 +159,13 @@ def save_matrix_csv(matrix: FeatureMatrix, stream: TextIO) -> None:
     prefixes = [str(i) for i in matrix.window_ids.tolist()]
     if matrix.labels is not None:
         prefixes = [f"{i},{label}" for i, label in zip(prefixes, matrix.labels)]
-    n_cols = matrix.n_cols
-    block_rows = max(1, _BLOCK_VALUES // max(n_cols, 1))
+    block_rows = max(1, _BLOCK_VALUES // max(matrix.n_cols, 1))
     for lo in range(0, matrix.n_rows, block_rows):
-        values = matrix.values[lo : lo + block_rows]
-        text = render_floats(values)
-        # Each cell after its comma.  A label may hold any character, a zero
-        # byte too, so ids and labels are joined to the lines as text.
-        cells = np.empty((len(values), n_cols, 1 + text.shape[1]), dtype=np.uint8)
-        cells[:, :, 0] = ord(",")
-        cells[:, :, 1:] = text.reshape(len(values), n_cols, text.shape[1])
-        lines = _join_columns([cells.reshape(len(values), -1), b"\n"]).decode("ascii")
-        rows = zip(prefixes[lo : lo + block_rows], lines.split("\n"))
+        # A label may hold any character, a zero byte too, so ids and labels
+        # are joined to the lines as text.
+        lines = render_table(matrix.values[lo : lo + block_rows])
+        text = lines.tobytes().translate(None, b"\0").decode("ascii")
+        rows = zip(prefixes[lo : lo + block_rows], text.split("\n"))
         stream.write("".join(f"{prefix}{line}\n" for prefix, line in rows))
 
 

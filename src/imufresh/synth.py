@@ -105,6 +105,8 @@ def _generate(
 ) -> SynthResult:
     if not np.isfinite([duration_s * sample_rate_hz, window_seconds * sample_rate_hz]).all():
         raise BadParameters("duration, sample rate and window length must be finite")
+    if not np.isfinite([noise, drift]).all():
+        raise BadParameters("noise and drift must be finite")
     w = int(round(window_seconds * sample_rate_hz))
     if w < 2:
         raise BadParameters("window too short for the requested sample rate")

@@ -1,9 +1,10 @@
 """Multi-channel recordings, CSV ingestion, and fixed-length segmentation.
 
 A :class:`Recording` holds synchronized, uniformly sampled channels keyed by
-*kind* (e.g. ``accel_y_r``).  Recordings are ingested from long-format CSV
-(``time,kind,value``) and segmented into labeled fixed-length windows, the
-sample unit of everything downstream.
+*kind* (e.g. ``accel_y_r``).  Recordings are written as wide CSV
+(``time,<kind>,...``, one row per time step), ingested from that or from
+long CSV (``time,kind,value``), and segmented into labeled fixed-length
+windows, the sample unit of everything downstream.
 
 Recordings and window sets are immutable after construction and safe to read
 concurrently.
@@ -387,14 +388,23 @@ class WindowSet:
 # ---------------------------------------------------------------------------
 
 def load_recording_csv(stream: BinaryIO | TextIO) -> Recording:
-    """Ingest a long-format CSV (``time,kind,value``) into a Recording.
+    """Ingest a recording CSV, wide or long, into a Recording.
 
-    Every kind shares one uniform time grid.  Rows are grouped by kind in
-    order of first appearance, so contiguous blocks (the written format) and
-    interleaved kinds are both read.  Blank lines are skipped; ``\\r\\n`` and
-    a lone ``\\r`` end a line like ``\\n``.  The time step is inferred as
-    ``(t[-1] - t[0]) / (n - 1)`` and the rate as its inverse; each step may
-    deviate from it by 1e-6 of it plus two ulps of the largest time stamp.
+    The header line alone picks the layout.  Exactly ``time,kind,value`` is
+    long: three fields a row, and rows grouped by kind in order of first
+    appearance, so contiguous blocks and interleaved kinds are both read.
+    Any other header must be ``time`` and then distinct valid kinds, the
+    wide layout the writers emit: one row per time step with a field per
+    column.  Blank lines are skipped; ``\\r\\n`` and a lone ``\\r`` end a
+    line like ``\\n``.  Both layouts go through the same checks: finite
+    values and times, one time grid, at least 2 samples.  The time step is
+    inferred as ``(t[-1] - t[0]) / (n - 1)`` and the rate as its inverse;
+    each step may deviate from it by 1e-6 of it plus two ulps of the
+    largest time stamp.
+
+    A line with the wrong field count raises InconsistentChannels naming
+    it; a field that does not parse raises InvalidValue naming the first
+    kind (long) or column, time first (wide), that holds one.
 
     Raises
     ------
@@ -424,34 +434,45 @@ _SCAN_BYTES = 1 << 20
 
 
 def _parse_recording(source: str | bytes) -> Recording:
-    """The reader behind both entry points: numpy's C text reader parses a
-    path by name, or the CSV given as bytes through a decoder that hands it
-    a block of lines at a time.  A path is read whole only when a check
-    fails and the first bad line is named."""
+    """The reader behind both entry points.  The header line alone picks the
+    layout: exactly ``time,kind,value`` is long, anything else is read as
+    wide.  numpy's C text reader parses a path by name, or the CSV given as
+    bytes through a decoder that hands it a block of lines at a time.  A
+    path is read whole only when a check fails and the first bad line is
+    named."""
+    with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
+        header, has_rows = _header(fh)
+    if header == b"time,kind,value":
+        return _assemble(_long_columns(source))
+    kinds = _wide_kinds(header)
+    if not has_rows:  # numpy's reader would warn on it
+        raise InconsistentChannels("CSV contains no data rows")
+    return _assemble(_wide_columns(source, kinds))
+
+
+def _long_columns(source: str | bytes):
+    """(kind, times, values) per kind of a long CSV, in first-appearance order."""
     with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
         width, clean = _scan(fh)
     if not clean:
         _check_lines(_whole(source))
     dtype = [("t", np.float64), ("k", f"S{width}"), ("v", np.float64)]
     try:
-        # Bytes reach numpy through a decoder with universal newlines, which
-        # shares them and hands numpy a block of lines at a time.
-        rows = _loadtxt(
-            source if isinstance(source, str)
-            else io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline=None),
-            dtype, skiprows=1,
-        )
+        rows = _loadtxt(_text(source), dtype, skiprows=1)
     except ValueError:
         # Some field does not parse.  Name the first line with a bad field
         # count or kind, else parse kind by kind, so that a fault in an
         # earlier kind is still raised first.
         data = _whole(source)
         _check_lines(data)
-        columns = _parse_each_kind(data, dtype)
-    else:
-        columns = _group_by_kind(rows)
-        del rows  # the generator lets go of it after the last kind
+        return _parse_each_kind(data, dtype)
+    return _group_by_kind(rows)
 
+
+def _assemble(columns: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> Recording:
+    """The checks both layouts share, kind by kind in order: finite values
+    and times, one time grid; then at least 2 samples and a uniform step.
+    The Recording keeps the arrays uncopied."""
     channels: dict[str, np.ndarray] = {}
     grid: np.ndarray | None = None
     grid_kind = ""
@@ -492,19 +513,95 @@ def _parse_recording(source: str | bytes) -> Recording:
     return Recording(1.0 / dt, _OwnChannels(channels), float(grid[0]))
 
 
+_LINE_END = re.compile(rb"[\r\n]")
+_NOT_LINE_END = re.compile(rb"[^\r\n]")
+
+
+def _header(fh: BinaryIO) -> tuple[bytes, bool]:
+    """The first line of the CSV read from *fh* in blocks of ``_SCAN_BYTES``,
+    and whether a byte other than a line end follows it."""
+    head = b""
+    while not (end := _LINE_END.search(head)) and (block := fh.read(_SCAN_BYTES)):
+        head += block
+    if end is None:
+        return head, False
+    header = head[: end.start()]
+    rest, at = head, end.start()
+    while not _NOT_LINE_END.search(rest, at):
+        rest, at = fh.read(_SCAN_BYTES), 0
+        if not rest:
+            return header, False
+    return header, True
+
+
+def _wide_kinds(header: bytes) -> tuple[str, ...]:
+    """The kinds a wide header ``time,<kind>,...`` names: valid and distinct."""
+    names = header.split(b",")
+    if names[0] != b"time" or len(names) < 2:
+        text = header.decode("utf-8", "replace")
+        raise InconsistentChannels(
+            f"expected header 'time,kind,value' or 'time,<kind>,...', got {text!r}"
+        )
+    kinds = tuple(validate_kind(name.decode("utf-8", "replace")) for name in names[1:])
+    if len(set(kinds)) != len(kinds):
+        raise InconsistentChannels(f"header names a kind twice: {header.decode()!r}")
+    return kinds
+
+
+def _wide_columns(source: str | bytes, kinds: tuple[str, ...]):
+    """(kind, times, values) per kind of a wide CSV, in header order, from
+    one parse into an ``(n, K + 1)`` table; each channel is a column of it."""
+    try:
+        table = _loadtxt(_text(source), np.float64, skiprows=1, ndmin=2)
+        if table.shape[1] != len(kinds) + 1:
+            raise ValueError("wrong field count")
+    except ValueError:
+        data = _whole(source)
+        _check_wide_lines(data, len(kinds) + 1)
+        return _parse_each_column(data, kinds)
+    return ((kind, table[:, 0], table[:, j]) for j, kind in enumerate(kinds, 1))
+
+
+def _parse_each_column(data: bytes, kinds: tuple[str, ...]):
+    """Yield (kind, times, values) per kind in header order, parsing each
+    column only when it is reached, the time column first, and raise
+    InvalidValue for the first column with a field that does not parse.
+    *data* has passed :func:`_check_wide_lines`."""
+    # A byte that is not UTF-8 stays in its field, which then does not parse.
+    lines = [line.decode("utf-8", "surrogateescape") for line in data.split(b"\n")[1:] if line]
+
+    def column(j: int, name: str) -> np.ndarray:
+        try:
+            return _loadtxt(lines, np.float64, usecols=j)
+        except ValueError as exc:
+            raise InvalidValue(f"{name}: unparseable numeric field ({exc})") from None
+
+    times = column(0, "time column")
+    for j, kind in enumerate(kinds, 1):
+        yield kind, times, column(j, f"channel {kind!r}")
+
+
+def _check_wide_lines(data: bytes, n_fields: int) -> None:
+    """Raise InconsistentChannels for the first data line without
+    *n_fields* fields (lines counted from 1, the header and blank lines
+    included)."""
+    for lineno, line in enumerate(data.split(b"\n")[1:], start=2):
+        if line and line.count(b",") != n_fields - 1:
+            raise InconsistentChannels(
+                f"line {lineno}: expected {n_fields} fields, got {line.count(b',') + 1}"
+            )
+
+
 def _scan(fh: BinaryIO) -> tuple[int, bool]:
-    """Check the header of the CSV read from *fh* in blocks of ``_SCAN_BYTES``
-    and return (the width of its longest kind, whether every line may have
-    three fields: even commas, more than two, and no NUL byte, which numpy
-    drops from a kind).  Each comma pairs with the next, across blocks too,
-    and bounds a kind; numpy truncates a kind longer than the field."""
-    head = b""  # enough of the file to hold the header line and its end
+    """Scan the long CSV read from *fh* in blocks of ``_SCAN_BYTES`` and
+    return (the width of its longest kind, whether every line may have three
+    fields: even commas, more than two, and no NUL byte, which numpy drops
+    from a kind).  Each comma pairs with the next, across blocks too, and
+    bounds a kind; numpy truncates a kind longer than the field."""
     carry = np.zeros(0, dtype=np.intp)  # a comma whose pair is in a later block
     offset = pairs = width = 0
     nul = False
     while block := fh.read(_SCAN_BYTES):
-        if len(head) <= len(b"time,kind,value"):
-            head += block
         nul = nul or b"\0" in block
         at = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord(",")) + offset
         commas = np.concatenate((carry, at))
@@ -513,10 +610,6 @@ def _scan(fh: BinaryIO) -> tuple[int, bool]:
         width = max(width, int(np.max(commas[1:even:2] - commas[:even:2], initial=1)) - 1)
         pairs += even // 2
         offset += len(block)
-    header = re.split(rb"[\r\n]", head, maxsplit=1)[0]
-    if header != b"time,kind,value":
-        text = header.decode("utf-8", "replace")
-        raise InconsistentChannels(f"expected header 'time,kind,value', got {text!r}")
     return width, not carry.size and pairs > 1 and not nul
 
 
@@ -530,10 +623,19 @@ def _whole(source: str | bytes) -> bytes:
     return source
 
 
-def _loadtxt(source, dtype: list, skiprows: int = 0) -> np.ndarray:
+def _text(source: str | bytes):
+    """A path as is, for numpy to open by name; bytes through a decoder with
+    universal newlines, which shares them and hands numpy a block of lines
+    at a time."""
+    if isinstance(source, str):
+        return source
+    return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline=None)
+
+
+def _loadtxt(source, dtype, skiprows: int = 0, ndmin: int = 1, usecols: int | None = None):
     return np.loadtxt(
         source, dtype=dtype, delimiter=",", comments=None, skiprows=skiprows,
-        encoding="utf-8", ndmin=1,
+        encoding="utf-8", ndmin=ndmin, usecols=usecols,
     )
 
 
@@ -616,42 +718,47 @@ def _check_lines(data: bytes) -> None:
 _BLOCK_VALUES = 4096
 
 
-def _join_columns(parts: Sequence[np.ndarray | bytes]) -> bytes:
-    """Rows made of *parts* side by side, with every zero byte dropped.
-
-    A part is a byte matrix with one row per output row, such as
-    :func:`render_floats` returns, or bytes that every row shares.
-    """
-    n_rows = next(p.shape[0] for p in parts if isinstance(p, np.ndarray))
-    widths = [p.shape[1] if isinstance(p, np.ndarray) else len(p) for p in parts]
-    rows = np.empty((n_rows, sum(widths)), dtype=np.uint8)
-    at = 0
-    for part, width in zip(parts, widths):
-        rows[:, at : at + width] = (
-            part if isinstance(part, np.ndarray) else np.frombuffer(part, dtype=np.uint8)
-        )
-        at += width
-    return rows.tobytes().translate(None, b"\0")
+def render_table(values: np.ndarray) -> np.ndarray:
+    """The CSV lines of a ``(rows, cols)`` float block as a byte matrix, one
+    row per line: a comma and ``repr`` of each cell, then a newline.  Zero
+    bytes pad the cells; the writers drop them with ``bytes.translate``."""
+    rows, cols = values.shape
+    text = render_floats(values)
+    width = 1 + text.shape[1]
+    cells = np.empty((rows, cols, width), dtype=np.uint8)
+    cells[:, :, 0] = ord(",")
+    cells[:, :, 1:] = text.reshape(rows, cols, width - 1)
+    lines = np.empty((rows, cols * width + 1), dtype=np.uint8)
+    lines[:, :-1] = cells.reshape(rows, cols * width)
+    lines[:, -1] = ord("\n")
+    return lines
 
 
 def save_recording_csv(recording: Recording, stream: TextIO) -> None:
-    """Serialize a recording back to long-format CSV, one block per kind.
+    """Serialize a recording as wide CSV: the header ``time,<kind>,...``,
+    kinds in ``recording.kinds`` order, then one row per time step.
 
     Times and values are written as ``repr`` writes a Python float, the
     shortest round-trip decimal, so ingesting the output reproduces the
-    channel values exactly.  :func:`render_floats` renders them a block of
-    rows at a time, the time column with each kind's block, so no temporary
-    grows with the recording.
+    channel values exactly.  :func:`render_table` renders about
+    ``_BLOCK_VALUES`` floats of rows at a time, so no temporary grows with
+    the recording.  Kinds of exactly ``kind`` and ``value`` raise
+    InvalidKindName, since that header is the long layout's.
     """
-    stream.write("time,kind,value\n")
-    for kind in recording.kinds:
-        values = recording.channels[kind]
-        middle = f",{kind},".encode()
-        for lo in range(0, recording.length, _BLOCK_VALUES):
-            hi = min(lo + _BLOCK_VALUES, recording.length)
-            times = recording.t0 + np.arange(lo, hi) / recording.sample_rate_hz
-            rows = [render_floats(times), middle, render_floats(values[lo:hi]), b"\n"]
-            stream.write(_join_columns(rows).decode("ascii"))
+    kinds = recording.kinds
+    if kinds == ("kind", "value"):
+        raise InvalidKindName("kinds 'kind' and 'value' would write the long layout's header")
+    stream.write(",".join(("time",) + kinds) + "\n")
+    block_rows = max(1, _BLOCK_VALUES // (len(kinds) + 1))
+    for lo in range(0, recording.length, block_rows):
+        hi = min(lo + block_rows, recording.length)
+        table = np.empty((hi - lo, len(kinds) + 1))
+        table[:, 0] = recording.t0 + np.arange(lo, hi) / recording.sample_rate_hz
+        for j, kind in enumerate(kinds, 1):
+            table[:, j] = recording.channels[kind][lo:hi]
+        lines = render_table(table)
+        lines[:, 0] = 0  # a line starts with its time, not a comma
+        stream.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def save_recording(recording: Recording, path: str) -> None:

@@ -13,7 +13,9 @@ must agree with it exactly:
   at a time, which the forest's walk over all trees at once must match bit
   for bit;
 - ``load_recording_csv`` and ``save_recording_csv``: the line-at-a-time
-  recording CSV reader and writer;
+  recording CSV reader (both layouts) and the wide writer;
+  ``save_long_recording_csv`` writes the long layout for the long reader's
+  tests;
 - ``save_matrix_csv``: the feature-matrix writer one cell at a time;
 - ``tiles``: segmentation one window at a time, which the grid
   ``WindowSet`` must match in ids, labels and times bit for bit;
@@ -574,7 +576,8 @@ def tiles(recording, w, labels):
 # --- recording CSV ------------------------------------------------------------
 
 def load_recording_csv(stream):
-    """The reader one line at a time: same checks, exceptions and result."""
+    """The reader one line at a time, either layout: same checks, exceptions
+    and result."""
     if hasattr(stream, "mode") and "b" in getattr(stream, "mode", ""):
         text = io.TextIOWrapper(stream, encoding="utf-8")
     elif isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
@@ -583,15 +586,34 @@ def load_recording_csv(stream):
         text = stream  # already text
 
     header = text.readline().rstrip("\n").rstrip("\r")
-    if header != "time,kind,value":
-        raise InconsistentChannels(f"expected header 'time,kind,value', got {header!r}")
+    if header == "time,kind,value":
+        grid, channels = _long_channels(text)
+    else:
+        grid, channels = _wide_channels(text, header.split(","))
 
-    times_by_kind = {}
-    values_by_kind = {}
+    if grid.shape[0] < 2:
+        raise InconsistentChannels("each channel needs at least 2 samples to infer a rate")
+    dt = float((grid[-1] - grid[0]) / (len(grid) - 1))
+    if dt <= 0:
+        raise NonUniformSampling("time values must be strictly increasing")
+    tolerance = UNIFORM_STEP_RTOL * dt + 2 * np.spacing(np.abs(grid).max())
+    if np.any(np.abs(np.diff(grid) - dt) > tolerance):
+        raise NonUniformSampling("non-uniform time step")
+    return Recording(sample_rate_hz=1.0 / dt, channels=channels, t0=float(grid[0]))
+
+
+def _data_lines(text):
+    """(line number, line) of each non-blank line after the header."""
     for lineno, line in enumerate(text, start=2):
         line = line.rstrip("\n").rstrip("\r")
-        if not line:
-            continue
+        if line:
+            yield lineno, line
+
+
+def _long_channels(text):
+    times_by_kind = {}
+    values_by_kind = {}
+    for lineno, line in _data_lines(text):
         parts = line.split(",")
         if len(parts) != 3:
             raise InconsistentChannels(f"line {lineno}: expected 3 fields, got {len(parts)}")
@@ -615,10 +637,7 @@ def load_recording_csv(stream):
             values = np.asarray(values_by_kind[kind], dtype=np.float64)
         except ValueError as exc:
             raise InvalidValue(f"channel {kind!r}: unparseable numeric field ({exc})") from None
-        if not np.all(np.isfinite(values)):
-            raise InvalidValue(f"channel {kind!r} contains NaN or infinite values")
-        if not np.all(np.isfinite(times)):
-            raise InvalidValue(f"channel {kind!r} has NaN or infinite timestamps")
+        _check_finite(kind, times, values)
         if grid is None:
             grid = times
             grid_kind = kind
@@ -633,20 +652,63 @@ def load_recording_csv(stream):
                     f"channel {kind!r} is not on the same time grid as {grid_kind!r}"
                 )
         channels[kind] = values
+    return grid, channels
 
-    if grid.shape[0] < 2:
-        raise InconsistentChannels("each channel needs at least 2 samples to infer a rate")
-    dt = float((grid[-1] - grid[0]) / (len(grid) - 1))
-    if dt <= 0:
-        raise NonUniformSampling("time values must be strictly increasing")
-    tolerance = UNIFORM_STEP_RTOL * dt + 2 * np.spacing(np.abs(grid).max())
-    if np.any(np.abs(np.diff(grid) - dt) > tolerance):
-        raise NonUniformSampling("non-uniform time step")
-    return Recording(sample_rate_hz=1.0 / dt, channels=channels, t0=float(grid[0]))
+
+def _wide_channels(text, names):
+    """A header of ``time`` and distinct valid kinds; every line's field
+    count, then the time column, then each kind's column in header order."""
+    if names[0] != "time" or len(names) < 2:
+        raise InconsistentChannels(f"bad header {','.join(names)!r}")
+    kinds = [validate_kind(name) for name in names[1:]]
+    if len(set(kinds)) != len(kinds):
+        raise InconsistentChannels(f"header names a kind twice: {names!r}")
+    columns = [[] for _ in names]
+    for lineno, line in _data_lines(text):
+        parts = line.split(",")
+        if len(parts) != len(names):
+            raise InconsistentChannels(
+                f"line {lineno}: expected {len(names)} fields, got {len(parts)}"
+            )
+        for column, field in zip(columns, parts):
+            column.append(field)
+    if not columns[0]:
+        raise InconsistentChannels("CSV contains no data rows")
+
+    def parse(j):
+        try:
+            return np.asarray(columns[j], dtype=np.float64)
+        except ValueError as exc:
+            raise InvalidValue(f"{names[j]!r} column: unparseable field ({exc})") from None
+
+    times = parse(0)
+    channels = {}
+    for j, kind in enumerate(kinds, start=1):
+        channels[kind] = parse(j)
+        _check_finite(kind, times, channels[kind])
+    return times, channels
+
+
+def _check_finite(kind, times, values):
+    if not np.all(np.isfinite(values)):
+        raise InvalidValue(f"channel {kind!r} contains NaN or infinite values")
+    if not np.all(np.isfinite(times)):
+        raise InvalidValue(f"channel {kind!r} has NaN or infinite timestamps")
 
 
 def save_recording_csv(recording, stream):
-    """The writer one sample at a time, with one f-string per row."""
+    """The wide writer one time step at a time, with one join per row."""
+    kinds = recording.kinds
+    stream.write(",".join(("time",) + kinds) + "\n")
+    for i in range(recording.length):
+        cells = [recording.t0 + i / recording.sample_rate_hz]
+        cells.extend(recording.channels[kind][i] for kind in kinds)
+        stream.write(",".join(render_float(v) for v in cells) + "\n")
+
+
+def save_long_recording_csv(recording, stream):
+    """The long layout, ``time,kind,value``, one sample at a time, one block
+    per kind: input for the long reader's tests."""
     stream.write("time,kind,value\n")
     rate = recording.sample_rate_hz
     t0 = recording.t0

@@ -3,10 +3,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+import oracles
 from imufresh.cli import main
 from imufresh.timeseries import Recording, load_recording, save_recording
 
@@ -45,21 +47,27 @@ def artifacts(workspace):
 def test_synth_writes_files(workspace):
     assert (workspace / "rec.csv").exists()
     header = (workspace / "rec.csv").read_text().splitlines()[0]
-    assert header == "time,kind,value"
+    sides = [f"accel_{axis}_{side}" for side in "lr" for axis in "xyz"]
+    assert header == ",".join(["time"] + sorted(sides))
     assert (workspace / "labels.csv").read_text().splitlines()[0] == "start_s,end_s,label"
 
 
-@pytest.mark.parametrize("flag", ["--duration", "--rate", "--window-seconds"])
+@pytest.mark.parametrize(
+    "flag", ["--duration", "--rate", "--window-seconds", "--noise", "--drift"]
+)
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_synth_non_finite_parameter_is_a_config_error(tmp_path, flag, value):
-    rc = main([
-        "synth",
-        "--out-recording", str(tmp_path / "rec.csv"),
-        "--out-labels", str(tmp_path / "labels.csv"),
-        flag, value,
-    ])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([
+            "synth",
+            "--out-recording", str(tmp_path / "rec.csv"),
+            "--out-labels", str(tmp_path / "labels.csv"),
+            flag, value,
+        ])
     assert rc == 2
     assert list(tmp_path.iterdir()) == []
+    assert caught == []
 
 
 def test_run_and_predict(workspace, artifacts, capsys):
@@ -276,3 +284,23 @@ def test_inspect_empty_manifest_exit_code(tmp_path):
     assert rc == 3, err
     assert "empty" in err
     assert "Traceback" not in err
+
+
+def test_predict_on_the_long_copy_writes_the_same_timeline(workspace, artifacts, tmp_path):
+    # rec.csv is wide, as the writers emit it; the long copy holds the same
+    # text for every time and value.
+    recordings = {"wide": workspace / "rec.csv", "long": tmp_path / "long.csv"}
+    with open(recordings["long"], "w", encoding="utf-8", newline="") as fh:
+        oracles.save_long_recording_csv(load_recording(str(recordings["wide"])), fh)
+    for layout, recording in recordings.items():
+        rc = main([
+            "predict",
+            "--artifacts", str(artifacts),
+            "--recording", str(recording),
+            "--labels", str(workspace / "labels.csv"),
+            "--out", str(tmp_path / f"{layout}.timeline.csv"),
+        ])
+        assert rc == 0
+    wide = (tmp_path / "wide.timeline.csv").read_bytes()
+    assert wide.count(b"\n") > 1
+    assert wide == (tmp_path / "long.timeline.csv").read_bytes()

@@ -130,13 +130,13 @@ class TestIngestion:
         assert back.sample_rate_hz == pytest.approx(rec.sample_rate_hz, rel=1e-9)
 
     def test_serialization_stable_after_ingest(self):
-        # ingest -> serialize reproduces the exact value fields
+        # ingest -> serialize reproduces the exact time and value fields, in
+        # the wide layout
         text = "time,kind,value\n0.0,a,0.1\n0.01,a,-2.5\n0.02,a,3.0\n"
         rec = load_recording_csv(io.StringIO(text))
         buf = io.StringIO()
         save_recording_csv(rec, buf)
-        values = [line.split(",")[2] for line in buf.getvalue().splitlines()[1:]]
-        assert values == ["0.1", "-2.5", "3.0"]
+        assert buf.getvalue() == "time,a\n0.0,0.1\n0.01,-2.5\n0.02,3.0\n"
 
     @pytest.mark.parametrize("bad", ["0.002,a", "0.002,a,2.0,9"])
     def test_wrong_field_count_names_the_file_line(self, bad):
@@ -233,7 +233,63 @@ READER_CASES = {
     "nan-then-bad-value": _H + "0,a,nan\n1,a,2\n0,b,1\n1,b,two\n",
     "ragged-then-digit-separator": _H + "0,a,1\n1,a,2\n0,b,1\n0,c,1_000\n1,c,2\n",
     "interleaved-ragged-then-bad-value": _H + "0,a,1\n0,b,1\n1,a,2\n0,c,x\n2,a,3\n1,b,2\n",
+    # Any header but ``time,kind,value`` is wide: ``time`` and distinct kinds,
+    # one row per time step.  A bad field count anywhere wins, in line order;
+    # then the time column, then each kind's column in header order.
+    "wide": "time,b,a\n0.0,1.0,-1.0\n0.01,2.0,-2.0\n0.02,3.0,-3.0\n",
+    "wide-one-kind": "time,a\n5.0,1\n5.5,2\n",
+    "wide-kinds-named-kind-and-value": "time,value,kind\n0,1,2\n1,3,4\n",
+    "wide-long-header-and-more": "time,kind,value,x\n0,1,2,3\n1,4,5,6\n",
+    "wide-crlf": "time,a,b\r\n0.0,1.0,2.0\r\n\r\n0.01,3.0,4.0\r\n",
+    "wide-lone-cr": "time,a,b\r0.0,1.0,2.0\r\r0.01,3.0,4.0\r",
+    "wide-blank-lines": "time,a\n\n0.0,1.0\n\n\n0.01,2.0\n\n",
+    "wide-no-final-newline": "time,a,b\n0.0,1.0,2.0\n0.01,3.0,4.0",
+    "wide-number-forms": "time,a\n0, 1e-310\n1,-0.0 \n2,+.5\n3,5.\n4,1.7976931348623157e308\n",
+    "wide-nul-in-value": "time,a\n0.0,1.0\0\n0.01,2.0\n",
+    "wide-nul-line": "time,a\n0.0,1.0\n\0\n0.01,2.0\n",
+    "wide-nul-in-header": "time,a\0\n0.0,1.0\n0.01,2.0\n",
+    "wide-ragged": "time,a,b\n0.0,1.0,2.0\n0.01,3.0\n0.02,5.0,6.0\n",
+    "wide-extra-field": "time,a,b\n0.0,1.0,2.0\n0.01,3.0,4.0,5.0\n",
+    "wide-every-row-too-long": "time,a\n0.0,1.0,2.0\n0.01,3.0,4.0\n",
+    "wide-spaces-only-line": "time,a\n0.0,1.0\n   \n0.01,2.0\n",
+    "wide-non-numeric-value": "time,a,b\n0.0,1.0,2.0\n0.01,3.0,four\n",
+    "wide-non-numeric-time": "time,a\n0.0,1.0\nsoon,2.0\n",
+    "wide-empty-value": "time,a,b\n0.0,1.0,2.0\n0.01,,4.0\n",
+    "wide-nan-value": "time,a,b\n0.0,1.0,nan\n0.01,3.0,4.0\n",
+    "wide-inf-value": "time,a\n0.0,inf\n0.01,2.0\n",
+    "wide-overflowing-value": "time,a\n0.0,1e400\n0.01,2.0\n",
+    "wide-inf-time": "time,a\n0.0,1.0\ninf,2.0\n",
+    "wide-non-uniform": "time,a\n0.0,1.0\n0.01,2.0\n0.03,3.0\n",
+    "wide-decreasing": "time,a\n0.02,1.0\n0.01,2.0\n0.0,3.0\n",
+    "wide-one-row": "time,a,b\n0.0,1.0,2.0\n",
+    "wide-header-only": "time,a,b\n",
+    "wide-header-without-newline": "time,a,b",
+    "wide-header-and-blanks": "time,a\r\n\n\r\n",
+    "wide-ragged-then-bad-value": "time,a\n0,x\n1,2,3\n",
+    "wide-nan-then-bad-value": "time,a,b\n0,nan,1\n1,2,x\n",
+    "wide-bad-time-then-nan": "time,a\n0,nan\nx,1\n",
+    "wide-bad-value-and-time": "time,a\n0,1\nx,y\n",
+    "wide-bad-value-then-non-uniform": "time,a\n0,x\n1,2\n3,4\n",
+    # Headers bad in both layouts.
+    "header-t-k-v": "t,k,v\n0.0,a,1.0\n0.01,a,2.0\n",
+    "header-time-alone": "time\n0.0\n0.01\n",
+    "header-empty-kind": "time,,a\n0,1,2\n1,3,4\n",
+    "header-kind-twice": "time,a,a\n0,1,2\n1,3,4\n",
+    "header-reserved-separator": "time,a__b\n0,1\n1,2\n",
 }
+
+
+def _readers(text, tmp_path):
+    """*text* read from a path, from a plain file with a ``.gz`` name, from
+    a byte stream and from a text stream."""
+    for name in ("rec.csv", "rec.gz"):
+        (tmp_path / name).write_bytes(text.encode())
+    return [
+        lambda: load_recording(str(tmp_path / "rec.csv")),
+        lambda: load_recording(str(tmp_path / "rec.gz")),
+        lambda: load_recording_csv(io.BytesIO(text.encode())),
+        lambda: load_recording_csv(io.StringIO(text)),
+    ]
 
 
 def _outcome(read):
@@ -254,11 +310,80 @@ class TestReaderMatchesLineLoop:
     def test_same_recording_or_exception(self, name, tmp_path):
         text = READER_CASES[name]
         want = _outcome(lambda: oracles.load_recording_csv(io.BytesIO(text.encode())))
+        for read in _readers(text, tmp_path):
+            assert _outcome(read) == want
+
+    def test_outcomes_of_the_header_cases(self, tmp_path):
+        # ``time,kind,val`` is a wide header with the kinds ``kind`` and
+        # ``val``, so the long rows under it are unparseable fields of
+        # ``kind``.
+        want = {
+            "bad-header": InvalidValue,
+            "header-t-k-v": InconsistentChannels,
+            "header-time-alone": InconsistentChannels,
+            "header-empty-kind": InvalidKindName,
+            "header-kind-twice": InconsistentChannels,
+            "header-reserved-separator": InvalidKindName,
+        }
+        for name, error in want.items():
+            for read in _readers(READER_CASES[name], tmp_path):
+                assert _outcome(read) is error, name
+        with pytest.raises(InvalidValue, match="'kind'"):
+            load_recording_csv(io.StringIO(READER_CASES["bad-header"]))
+
+    @pytest.mark.parametrize(
+        "name, error, match",
+        [
+            ("wide-ragged", InconsistentChannels, "line 3: expected 3 fields, got 2"),
+            ("wide-spaces-only-line", InconsistentChannels, "line 3: expected 2 fields"),
+            ("wide-nul-line", InconsistentChannels, "line 3: expected 2 fields"),
+            ("wide-non-numeric-value", InvalidValue, "channel 'b': unparseable"),
+            ("wide-nul-in-value", InvalidValue, "channel 'a': unparseable"),
+            ("wide-non-numeric-time", InvalidValue, "time column: unparseable"),
+            ("wide-bad-value-and-time", InvalidValue, "time column: unparseable"),
+            ("wide-header-only", InconsistentChannels, "no data rows"),
+            ("wide-header-and-blanks", InconsistentChannels, "no data rows"),
+        ],
+    )
+    def test_wide_errors_name_the_line_or_column(self, name, error, match, tmp_path):
+        # a header-only file raises before numpy's reader, which would warn
+        for read in _readers(READER_CASES[name], tmp_path):
+            with pytest.raises(error, match=match):
+                read()
+
+    @pytest.mark.parametrize(
+        "data, error, match",
+        [
+            (b"time,a,b\n0,1,2\n1,3\xff,4\n", InvalidValue, "channel 'a': unparseable"),
+            (b"time,a\n0\xff,1\n1,2\n", InvalidValue, "time column: unparseable"),
+            (b"time,a\xff\n0,1\n1,2\n", InvalidKindName, "invalid channel kind"),
+        ],
+    )
+    def test_wide_byte_that_is_not_utf8(self, data, error, match, tmp_path):
         path = tmp_path / "rec.csv"
-        path.write_bytes(text.encode())
-        assert _outcome(lambda: load_recording(str(path))) == want
-        assert _outcome(lambda: load_recording_csv(io.BytesIO(text.encode()))) == want
-        assert _outcome(lambda: load_recording_csv(io.StringIO(text))) == want
+        path.write_bytes(data)
+        with pytest.raises(error, match=match):
+            load_recording(str(path))
+        with pytest.raises(error, match=match):
+            load_recording_csv(io.BytesIO(data))
+
+    def test_wide_and_long_copies_load_equal(self, tmp_path):
+        rng = np.random.default_rng(11)
+        rec = Recording(
+            97.3,
+            {kind: rng.standard_normal(500) for kind in ("gyro_z_r", "accel_x_l", "a")},
+            t0=1.7e9 + 0.123,
+        )
+        wide, long = io.StringIO(), io.StringIO()
+        save_recording_csv(rec, wide)
+        oracles.save_long_recording_csv(rec, long)
+        assert long.getvalue().startswith("time,kind,value\n")
+        assert wide.getvalue().startswith("time,a,accel_x_l,gyro_z_r\n")
+        from_wide = load_recording_csv(io.StringIO(wide.getvalue()))
+        assert from_wide == load_recording_csv(io.StringIO(long.getvalue()))
+        for text in (wide.getvalue(), long.getvalue()):
+            for read in _readers(text, tmp_path):
+                assert _outcome(read) == _outcome(lambda: from_wide)
 
     @pytest.mark.parametrize("scan_bytes", [1, 2, 7, 64])
     def test_same_at_every_scan_block_size(self, scan_bytes, monkeypatch, tmp_path):
@@ -284,19 +409,24 @@ class TestReaderMatchesLineLoop:
     def test_digit_separators_rejected(self):
         # float() reads "1_000" and so did the line loop; numpy's reader does
         # not, and the narrowing is documented.
-        text = _H + "0.0,a,1_000\n0.01,a,2.0\n"
-        assert oracles.load_recording_csv(io.BytesIO(text.encode())).channels["a"][0] == 1000.0
-        with pytest.raises(InvalidValue):
-            load_recording_csv(io.BytesIO(text.encode()))
+        for text in (_H + "0.0,a,1_000\n0.01,a,2.0\n", "time,a\n0.0,1_000\n0.01,2.0\n"):
+            assert oracles.load_recording_csv(io.BytesIO(text.encode())).channels["a"][0] == 1000.0
+            with pytest.raises(InvalidValue):
+                load_recording_csv(io.BytesIO(text.encode()))
 
 
 def _memory_case(layout):
-    """A six-channel recording CSV of 100,000 rows, about 3.6 MB."""
+    """A six-channel recording CSV of 100,000 values, about 3.6 MB long and
+    2.1 MB wide."""
     rng = np.random.default_rng(3)
     kinds = [f"{sensor}_{axis}_l" for sensor in ("accel", "gyro") for axis in "xyz"]
     n = 100_000 // len(kinds)
     times = [repr(t) for t in (np.arange(n) / 100.0).tolist()]
     values = {kind: [repr(v) for v in rng.standard_normal(n).tolist()] for kind in kinds}
+    if layout == "wide":
+        rows = zip(times, *(values[kind] for kind in kinds))
+        text = ",".join(["time"] + kinds) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+        return kinds, n, text
     if layout == "blocks":
         rows = [(i, kind) for kind in kinds for i in range(n)]
     else:
@@ -320,11 +450,12 @@ def _traced_peak(read):
 
 class TestReaderMemory:
     """Reading a path holds no copy of the file and no per-byte array: the
-    traced peak is numpy's rows plus the channels, about 1.1x the file.  A
-    stream is read whole once (twice, briefly, to encode a text stream), and
-    numpy gets its lines a block at a time."""
+    traced peak is numpy's rows plus the channels, about 1.1x the long file
+    and 0.6x the wide one, which holds its own numbers only.  A stream is
+    read whole once (twice, briefly, to encode a text stream), and numpy
+    gets its lines a block at a time."""
 
-    @pytest.mark.parametrize("layout", ["blocks", "interleaved"])
+    @pytest.mark.parametrize("layout", ["blocks", "interleaved", "wide"])
     def test_peak_at_most_one_and_a_half_times_the_file(self, layout, tmp_path):
         kinds, n, text = _memory_case(layout)
         path = tmp_path / "rec.csv"
@@ -367,6 +498,16 @@ class TestWriter:
         save_recording_csv(rec, new)
         oracles.save_recording_csv(rec, old)
         assert new.getvalue() == old.getvalue()
+
+    def test_kinds_kind_and_value_rejected_before_writing(self):
+        # their wide header would be the long layout's
+        rec = Recording(100.0, {"value": [1.0, 2.0], "kind": [3.0, 4.0]})
+        buf = io.StringIO()
+        with pytest.raises(InvalidKindName):
+            save_recording_csv(rec, buf)
+        assert buf.getvalue() == ""
+        for kinds in (("kind",), ("value",), ("kind", "value", "x")):
+            save_recording_csv(Recording(100.0, {k: [1.0, 2.0] for k in kinds}), buf)
 
 
 class TestWriterMemory:
@@ -411,8 +552,8 @@ class TestRenderFloats:
     @staticmethod
     def assert_matches_repr(values):
         values = np.asarray(values, dtype=np.float64)
-        text = timeseries._join_columns([timeseries.render_floats(values), b"\n"]).decode()
-        got = text.split("\n")[:-1]
+        text = timeseries.render_table(values.reshape(-1, 1)).tobytes().translate(None, b"\0")
+        got = [line[1:] for line in text.decode().split("\n")[:-1]]  # after each comma
         want = [repr(v) for v in values.tolist()]
         assert len(got) == len(want)
         wrong = [(w, g) for w, g in zip(want, got) if w != g]
@@ -475,11 +616,15 @@ def test_roundtrip_property():
         st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7e308, -1.7e308]),
     )
 
-    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.settings(max_examples=80, deadline=None)
     @hypothesis.given(
-        kind_set=st.sets(kinds, min_size=1, max_size=4),
+        kind_set=st.sets(kinds, min_size=1, max_size=4).filter(lambda s: s != {"kind", "value"}),
         n=st.integers(2, 40),
-        t0=st.floats(-1e3, 1e3).filter(lambda t: t != 0.0),
+        t0=st.one_of(
+            st.floats(-1e3, 1e3).filter(lambda t: t != 0.0),
+            st.floats(1e9, 2e9),
+            st.just(1.7e9),
+        ),
         rate=st.floats(1.0, 1000.0),
         data=st.data(),
     )
@@ -493,7 +638,12 @@ def test_roundtrip_property():
         assert back.t0 == rec.t0
         for kind in rec.kinds:
             assert back.channels[kind].tobytes() == rec.channels[kind].tobytes()
-        assert back.sample_rate_hz == pytest.approx(rate, rel=1e-6)
+        # Each written stamp is off by up to half an ulp, which the inferred
+        # step shares out over the n - 1 steps.
+        t_end = abs(t0) + n / rate
+        assert back.sample_rate_hz == pytest.approx(
+            rate, rel=1e-9 + 2 * math.ulp(t_end) * rate / (n - 1)
+        )
 
     roundtrip()
 
