@@ -1,10 +1,9 @@
 """Multi-channel recordings, CSV ingestion, and fixed-length segmentation.
 
 A :class:`Recording` holds synchronized, uniformly sampled channels keyed by
-*kind* (e.g. ``accel_y_r``).  Recordings are written as wide CSV
-(``time,<kind>,...``, one row per time step), ingested from that or from
-long CSV (``time,kind,value``), and segmented into labeled fixed-length
-windows, the sample unit of everything downstream.
+*kind* (e.g. ``accel_y_r``).  Recordings are written and read as wide CSV
+(``time,<kind>,...``, one row per time step) and segmented into labeled
+fixed-length windows, the sample unit of everything downstream.
 
 Recordings and window sets are immutable after construction and safe to read
 concurrently.
@@ -388,23 +387,20 @@ class WindowSet:
 # ---------------------------------------------------------------------------
 
 def load_recording_csv(stream: BinaryIO | TextIO) -> Recording:
-    """Ingest a recording CSV, wide or long, into a Recording.
+    """Ingest a wide recording CSV into a Recording.
 
-    The header line alone picks the layout.  Exactly ``time,kind,value`` is
-    long: three fields a row, and rows grouped by kind in order of first
-    appearance, so contiguous blocks and interleaved kinds are both read.
-    Any other header must be ``time`` and then distinct valid kinds, the
-    wide layout the writers emit: one row per time step with a field per
-    column.  Blank lines are skipped; ``\\r\\n`` and a lone ``\\r`` end a
-    line like ``\\n``.  Both layouts go through the same checks: finite
-    values and times, one time grid, at least 2 samples.  The time step is
-    inferred as ``(t[-1] - t[0]) / (n - 1)`` and the rate as its inverse;
-    each step may deviate from it by 1e-6 of it plus two ulps of the
-    largest time stamp.
+    The header is ``time`` and then distinct valid kinds, the layout the
+    writers emit: one row per time step with a field per column.  The
+    header ``time,kind,value`` of the long layout, one row per sample, is
+    refused with InconsistentChannels.  Blank lines are skipped; ``\\r\\n``
+    and a lone ``\\r`` end a line like ``\\n``.  Values and times must be
+    finite, with at least 2 samples.  The time step is inferred as
+    ``(t[-1] - t[0]) / (n - 1)`` and the rate as its inverse; each step may
+    deviate from it by 1e-6 of it plus two ulps of the largest time stamp.
 
     A line with the wrong field count raises InconsistentChannels naming
     it; a field that does not parse raises InvalidValue naming the first
-    kind (long) or column, time first (wide), that holds one.
+    column, time first, that holds one.
 
     Raises
     ------
@@ -429,74 +425,42 @@ def load_recording(path: str) -> Recording:
 # recording with such a name is parsed from its lines instead.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
-# Bytes the header and comma scan reads at a time: its buffers stay this small.
+# Bytes the header scan reads at a time: its buffers stay this small.
 _SCAN_BYTES = 1 << 20
 
 
 def _parse_recording(source: str | bytes) -> Recording:
-    """The reader behind both entry points.  The header line alone picks the
-    layout: exactly ``time,kind,value`` is long, anything else is read as
-    wide.  numpy's C text reader parses a path by name, or the CSV given as
-    bytes through a decoder that hands it a block of lines at a time.  A
+    """The reader behind both entry points.  The header line alone is
+    checked first: exactly ``time,kind,value``, the long layout, is
+    refused.  numpy's C text reader parses a path by name, or the CSV given
+    as bytes through a decoder that hands it a block of lines at a time.  A
     path is read whole only when a check fails and the first bad line is
     named."""
     with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
         header, has_rows = _header(fh)
     if header == b"time,kind,value":
-        return _assemble(_long_columns(source))
+        raise InconsistentChannels(
+            "the long layout 'time,kind,value' is not read: only the wide layout "
+            "'time,<kind>,...' is, one row per time step"
+        )
     kinds = _wide_kinds(header)
     if not has_rows:  # numpy's reader would warn on it
         raise InconsistentChannels("CSV contains no data rows")
     return _assemble(_wide_columns(source, kinds))
 
 
-def _long_columns(source: str | bytes):
-    """(kind, times, values) per kind of a long CSV, in first-appearance order."""
-    with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
-        width, clean = _scan(fh)
-    if not clean:
-        _check_lines(_whole(source))
-    dtype = [("t", np.float64), ("k", f"S{width}"), ("v", np.float64)]
-    try:
-        rows = _loadtxt(_text(source), dtype, skiprows=1)
-    except ValueError:
-        # Some field does not parse.  Name the first line with a bad field
-        # count or kind, else parse kind by kind, so that a fault in an
-        # earlier kind is still raised first.
-        data = _whole(source)
-        _check_lines(data)
-        return _parse_each_kind(data, dtype)
-    return _group_by_kind(rows)
-
-
 def _assemble(columns: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> Recording:
-    """The checks both layouts share, kind by kind in order: finite values
-    and times, one time grid; then at least 2 samples and a uniform step.
-    The Recording keeps the arrays uncopied."""
+    """The checks on the channels, kind by kind in order: finite values and
+    times; then at least 2 samples and a uniform step.  Every kind shares
+    the one time column.  The Recording keeps the arrays uncopied."""
     channels: dict[str, np.ndarray] = {}
-    grid: np.ndarray | None = None
-    grid_kind = ""
-    for kind, times, values in columns:
+    for kind, grid, values in columns:
         if not np.all(np.isfinite(values)):
             raise InvalidValue(f"channel {kind!r} contains NaN or infinite values")
-        if not np.all(np.isfinite(times)):
+        if not np.all(np.isfinite(grid)):
             raise InvalidValue(f"channel {kind!r} has NaN or infinite timestamps")
-        if grid is None:
-            grid = times
-            grid_kind = kind
-        else:
-            if times.shape != grid.shape:
-                raise InconsistentChannels(
-                    f"channel {kind!r} has {times.shape[0]} rows, "
-                    f"{grid_kind!r} has {grid.shape[0]}"
-                )
-            if not np.array_equal(times, grid):
-                raise InconsistentChannels(
-                    f"channel {kind!r} is not on the same time grid as {grid_kind!r}"
-                )
         channels[kind] = values
 
-    assert grid is not None
     if grid.shape[0] < 2:
         raise InconsistentChannels("each channel needs at least 2 samples to infer a rate")
     # The span over the sample count, not a typical step: on a Unix-time base
@@ -539,9 +503,7 @@ def _wide_kinds(header: bytes) -> tuple[str, ...]:
     names = header.split(b",")
     if names[0] != b"time" or len(names) < 2:
         text = header.decode("utf-8", "replace")
-        raise InconsistentChannels(
-            f"expected header 'time,kind,value' or 'time,<kind>,...', got {text!r}"
-        )
+        raise InconsistentChannels(f"expected header 'time,<kind>,...', got {text!r}")
     kinds = tuple(validate_kind(name.decode("utf-8", "replace")) for name in names[1:])
     if len(set(kinds)) != len(kinds):
         raise InconsistentChannels(f"header names a kind twice: {header.decode()!r}")
@@ -552,7 +514,7 @@ def _wide_columns(source: str | bytes, kinds: tuple[str, ...]):
     """(kind, times, values) per kind of a wide CSV, in header order, from
     one parse into an ``(n, K + 1)`` table; each channel is a column of it."""
     try:
-        table = _loadtxt(_text(source), np.float64, skiprows=1, ndmin=2)
+        table = _loadtxt(_text(source), skiprows=1, ndmin=2)
         if table.shape[1] != len(kinds) + 1:
             raise ValueError("wrong field count")
     except ValueError:
@@ -572,7 +534,7 @@ def _parse_each_column(data: bytes, kinds: tuple[str, ...]):
 
     def column(j: int, name: str) -> np.ndarray:
         try:
-            return _loadtxt(lines, np.float64, usecols=j)
+            return _loadtxt(lines, usecols=j)
         except ValueError as exc:
             raise InvalidValue(f"{name}: unparseable numeric field ({exc})") from None
 
@@ -590,27 +552,6 @@ def _check_wide_lines(data: bytes, n_fields: int) -> None:
             raise InconsistentChannels(
                 f"line {lineno}: expected {n_fields} fields, got {line.count(b',') + 1}"
             )
-
-
-def _scan(fh: BinaryIO) -> tuple[int, bool]:
-    """Scan the long CSV read from *fh* in blocks of ``_SCAN_BYTES`` and
-    return (the width of its longest kind, whether every line may have three
-    fields: even commas, more than two, and no NUL byte, which numpy drops
-    from a kind).  Each comma pairs with the next, across blocks too, and
-    bounds a kind; numpy truncates a kind longer than the field."""
-    carry = np.zeros(0, dtype=np.intp)  # a comma whose pair is in a later block
-    offset = pairs = width = 0
-    nul = False
-    while block := fh.read(_SCAN_BYTES):
-        nul = nul or b"\0" in block
-        at = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord(",")) + offset
-        commas = np.concatenate((carry, at))
-        even = commas.size - commas.size % 2
-        carry = commas[even:]
-        width = max(width, int(np.max(commas[1:even:2] - commas[:even:2], initial=1)) - 1)
-        pairs += even // 2
-        offset += len(block)
-    return width, not carry.size and pairs > 1 and not nul
 
 
 def _whole(source: str | bytes) -> bytes:
@@ -632,84 +573,11 @@ def _text(source: str | bytes):
     return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline=None)
 
 
-def _loadtxt(source, dtype, skiprows: int = 0, ndmin: int = 1, usecols: int | None = None):
+def _loadtxt(source, skiprows: int = 0, ndmin: int = 1, usecols: int | None = None):
     return np.loadtxt(
-        source, dtype=dtype, delimiter=",", comments=None, skiprows=skiprows,
+        source, dtype=np.float64, delimiter=",", comments=None, skiprows=skiprows,
         encoding="utf-8", ndmin=ndmin, usecols=usecols,
     )
-
-
-def _group_by_kind(rows: np.ndarray):
-    """Yield (kind, times, values) per kind in first-appearance order, for
-    blocks and interleaved rows alike.  The change points of the kind column
-    give each row a small-int kind id; a mask per kind picks its rows in
-    order, and its values fill a slice of one block.  numpy stores each
-    kind's characters as latin-1 bytes."""
-    kinds = rows["k"]
-    change = np.empty(kinds.shape, dtype=bool)
-    change[0] = True
-    np.not_equal(kinds[1:], kinds[:-1], out=change[1:])
-    run_kinds = kinds[change]
-    # Ids and run numbers take the smallest integer type that holds them.
-    run_ids = np.full(run_kinds.shape, -1, dtype=np.min_scalar_type(-run_kinds.size))
-    names: list[str] = []
-    first = 0  # the first run without an id
-    while first < run_ids.size:
-        run_ids[first:][run_kinds[first:] == run_kinds[first]] = len(names)
-        names.append(validate_kind(run_kinds[first].decode("latin-1")))
-        # argmax is 0, a run with an id, once every run has one
-        first += int(np.argmax(run_ids[first:] < 0)) or run_ids.size
-    del run_kinds
-    run_of_row = np.cumsum(change, dtype=np.min_scalar_type(run_ids.size))
-    run_of_row -= 1
-    row_ids = run_ids.astype(np.min_scalar_type(len(names)))[run_of_row]
-    del change, run_ids, run_of_row
-    values = np.empty(kinds.shape)
-    lo = 0
-    for k, name in enumerate(names):
-        mask = row_ids == k
-        hi = lo + np.count_nonzero(mask)
-        values[lo:hi] = rows["v"][mask]
-        yield name, rows["t"][mask], values[lo:hi]
-        lo = hi
-
-
-def _parse_each_kind(data: bytes, dtype: list):
-    """Yield (kind, times, values) per kind in first-appearance order,
-    parsing each kind's lines only when it is reached, and raise
-    InvalidValue for the first kind with a field that does not parse.
-    *data* has passed :func:`_check_lines`."""
-    lines_by_kind: dict[bytes, list[bytes]] = {}
-    for line in data.split(b"\n")[1:]:
-        if line:
-            lines_by_kind.setdefault(line.split(b",")[1], []).append(line)
-    for kind, lines in lines_by_kind.items():
-        name = kind.decode("ascii")  # validated by _check_lines
-        try:
-            rows = _loadtxt([line.decode("utf-8") for line in lines], dtype)
-        except ValueError as exc:
-            raise InvalidValue(f"channel {name!r}: unparseable numeric field ({exc})") from None
-        yield name, rows["t"], rows["v"]
-
-
-def _check_lines(data: bytes) -> None:
-    """Raise for the first data line without exactly 3 fields
-    (InconsistentChannels; lines counted from 1, the header and blank lines
-    included) or with an invalid kind (InvalidKindName), as a line-at-a-time
-    reader meets them, or for a CSV with no data rows."""
-    lines = data.split(b"\n")
-    kinds: set[bytes] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(b",")
-        if len(fields) != 3:
-            raise InconsistentChannels(f"line {lineno}: expected 3 fields, got {len(fields)}")
-        if fields[1] not in kinds:
-            validate_kind(fields[1].decode("utf-8", "replace"))
-            kinds.add(fields[1])
-    if not kinds:
-        raise InconsistentChannels("CSV contains no data rows")
 
 
 # Values the CSV writers render per call.  Every temporary of a writer
@@ -743,11 +611,15 @@ def save_recording_csv(recording: Recording, stream: TextIO) -> None:
     channel values exactly.  :func:`render_table` renders about
     ``_BLOCK_VALUES`` floats of rows at a time, so no temporary grows with
     the recording.  Kinds of exactly ``kind`` and ``value`` raise
-    InvalidKindName, since that header is the long layout's.
+    InvalidKindName, since their header, ``time,kind,value``, is the long
+    layout's, which the reader refuses.
     """
     kinds = recording.kinds
     if kinds == ("kind", "value"):
-        raise InvalidKindName("kinds 'kind' and 'value' would write the long layout's header")
+        raise InvalidKindName(
+            "kinds 'kind' and 'value' would write the header 'time,kind,value', "
+            "which the reader refuses as the long layout"
+        )
     stream.write(",".join(("time",) + kinds) + "\n")
     block_rows = max(1, _BLOCK_VALUES // (len(kinds) + 1))
     for lo in range(0, recording.length, block_rows):

@@ -13,9 +13,8 @@ must agree with it exactly:
   at a time, which the forest's walk over all trees at once must match bit
   for bit;
 - ``load_recording_csv`` and ``save_recording_csv``: the line-at-a-time
-  recording CSV reader (both layouts) and the wide writer;
-  ``save_long_recording_csv`` writes the long layout for the long reader's
-  tests;
+  wide recording CSV reader, which refuses the long header as the library
+  does, and the wide writer;
 - ``save_matrix_csv``: the feature-matrix writer one cell at a time;
 - ``tiles``: segmentation one window at a time, which the grid
   ``WindowSet`` must match in ids, labels and times bit for bit;
@@ -576,8 +575,8 @@ def tiles(recording, w, labels):
 # --- recording CSV ------------------------------------------------------------
 
 def load_recording_csv(stream):
-    """The reader one line at a time, either layout: same checks, exceptions
-    and result."""
+    """The wide reader one line at a time: same checks, exceptions and
+    result.  The long layout's header ``time,kind,value`` is refused."""
     if hasattr(stream, "mode") and "b" in getattr(stream, "mode", ""):
         text = io.TextIOWrapper(stream, encoding="utf-8")
     elif isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
@@ -587,9 +586,8 @@ def load_recording_csv(stream):
 
     header = text.readline().rstrip("\n").rstrip("\r")
     if header == "time,kind,value":
-        grid, channels = _long_channels(text)
-    else:
-        grid, channels = _wide_channels(text, header.split(","))
+        raise InconsistentChannels("the long layout is not read: only the wide layout is")
+    grid, channels = _wide_channels(text, header.split(","))
 
     if grid.shape[0] < 2:
         raise InconsistentChannels("each channel needs at least 2 samples to infer a rate")
@@ -608,51 +606,6 @@ def _data_lines(text):
         line = line.rstrip("\n").rstrip("\r")
         if line:
             yield lineno, line
-
-
-def _long_channels(text):
-    times_by_kind = {}
-    values_by_kind = {}
-    for lineno, line in _data_lines(text):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise InconsistentChannels(f"line {lineno}: expected 3 fields, got {len(parts)}")
-        t_s, kind, v_s = parts
-        if kind not in times_by_kind:
-            validate_kind(kind)
-            times_by_kind[kind] = []
-            values_by_kind[kind] = []
-        times_by_kind[kind].append(t_s)
-        values_by_kind[kind].append(v_s)
-
-    if not times_by_kind:
-        raise InconsistentChannels("CSV contains no data rows")
-
-    channels = {}
-    grid = None
-    grid_kind = ""
-    for kind in times_by_kind:
-        try:
-            times = np.asarray(times_by_kind[kind], dtype=np.float64)
-            values = np.asarray(values_by_kind[kind], dtype=np.float64)
-        except ValueError as exc:
-            raise InvalidValue(f"channel {kind!r}: unparseable numeric field ({exc})") from None
-        _check_finite(kind, times, values)
-        if grid is None:
-            grid = times
-            grid_kind = kind
-        else:
-            if times.shape != grid.shape:
-                raise InconsistentChannels(
-                    f"channel {kind!r} has {times.shape[0]} rows, "
-                    f"{grid_kind!r} has {grid.shape[0]}"
-                )
-            if not np.array_equal(times, grid):
-                raise InconsistentChannels(
-                    f"channel {kind!r} is not on the same time grid as {grid_kind!r}"
-                )
-        channels[kind] = values
-    return grid, channels
 
 
 def _wide_channels(text, names):
@@ -704,18 +657,6 @@ def save_recording_csv(recording, stream):
         cells = [recording.t0 + i / recording.sample_rate_hz]
         cells.extend(recording.channels[kind][i] for kind in kinds)
         stream.write(",".join(render_float(v) for v in cells) + "\n")
-
-
-def save_long_recording_csv(recording, stream):
-    """The long layout, ``time,kind,value``, one sample at a time, one block
-    per kind: input for the long reader's tests."""
-    stream.write("time,kind,value\n")
-    rate = recording.sample_rate_hz
-    t0 = recording.t0
-    for kind in recording.kinds:
-        values = recording.channels[kind]
-        for i in range(recording.length):
-            stream.write(f"{render_float(t0 + i / rate)},{kind},{render_float(values[i])}\n")
 
 
 def save_matrix_csv(matrix, stream):

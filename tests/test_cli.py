@@ -6,9 +6,9 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-import oracles
 from imufresh.cli import main
 from imufresh.timeseries import Recording, load_recording, save_recording
 
@@ -113,12 +113,25 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
-def test_data_error_exit_code(workspace, tmp_path):
+def test_data_error_exit_code(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("time,kind,value\n0.0,a,nan\n0.01,a,1.0\n")
+    bad.write_text("time,a\n0.0,nan\n0.01,1.0\n")
     cfg = tmp_path / "pipe.cfg"
     cfg.write_text(f"recording = {bad}\nlabels = {bad}\noutput_dir = out\n")
     assert main(["run", "--config", str(cfg)]) == 3
+    assert "channel 'a' contains NaN" in capsys.readouterr().err
+
+
+def test_run_on_a_long_recording_exits_3(tmp_path, capsys):
+    long = tmp_path / "long.csv"
+    long.write_text("time,kind,value\n0.0,a,1.0\n0.01,a,2.0\n")
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(f"recording = {long}\nlabels = {long}\noutput_dir = out\n")
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert "only the wide layout" in capsys.readouterr().err
+    # the output directory is made before the recording is read; nothing
+    # lands in it
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_top_k_zero_is_a_config_error(workspace):
@@ -286,21 +299,20 @@ def test_inspect_empty_manifest_exit_code(tmp_path):
     assert "Traceback" not in err
 
 
-def test_predict_on_the_long_copy_writes_the_same_timeline(workspace, artifacts, tmp_path):
-    # rec.csv is wide, as the writers emit it; the long copy holds the same
-    # text for every time and value.
-    recordings = {"wide": workspace / "rec.csv", "long": tmp_path / "long.csv"}
-    with open(recordings["long"], "w", encoding="utf-8", newline="") as fh:
-        oracles.save_long_recording_csv(load_recording(str(recordings["wide"])), fh)
-    for layout, recording in recordings.items():
-        rc = main([
-            "predict",
-            "--artifacts", str(artifacts),
-            "--recording", str(recording),
-            "--labels", str(workspace / "labels.csv"),
-            "--out", str(tmp_path / f"{layout}.timeline.csv"),
-        ])
-        assert rc == 0
-    wide = (tmp_path / "wide.timeline.csv").read_bytes()
-    assert wide.count(b"\n") > 1
-    assert wide == (tmp_path / "long.timeline.csv").read_bytes()
+def test_predict_on_a_long_recording_exits_3(workspace, artifacts, tmp_path):
+    # the long layout, one row per sample, of the workspace's recording
+    rec = load_recording(str(workspace / "rec.csv"))
+    times = (rec.t0 + np.arange(rec.length) / rec.sample_rate_hz).tolist()
+    with open(tmp_path / "long.csv", "w", encoding="utf-8") as fh:
+        fh.write("time,kind,value\n")
+        for kind in rec.kinds:
+            values = rec.channels[kind].tolist()
+            fh.writelines(f"{t!r},{kind},{v!r}\n" for t, v in zip(times, values))
+    rc, err = _cli_process(
+        tmp_path, "predict", "--artifacts", str(artifacts), "--recording", "long.csv",
+        "--labels", str(workspace / "labels.csv"), "--out", "timeline.csv",
+    )
+    assert rc == 3, err
+    assert "only the wide layout" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "timeline.csv").exists()

@@ -71,3 +71,44 @@ def test_no_unused_import(path):
 def test_unused_import_gate_flags_a_planted_import():
     source = "from __future__ import annotations\nimport os\nimport sys\n\nprint(sys.argv)\n"
     assert _unused_imports(source) == [(2, "os")]
+
+
+def _unread_private_names(sources):
+    """(module, line, name) of each top-level private function, class or
+    constant (``_name``) that no module of *sources*, a mapping of module
+    name to source, reads: as a name, an attribute or an imported name."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.extend((module, node.lineno, name) for name in targets
+                           if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(entry for entry in defined if entry[2] not in read)
+
+
+def test_no_unread_private_name():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert _unread_private_names(sources) == []
+
+
+def test_unread_private_name_gate_flags_planted_names():
+    sources = {
+        "a.py": "_USED = 1\n_UNREAD, _PAIRED = 2, 3\n\n\ndef _helper():\n"
+                "    return _USED + _PAIRED\n\n\nclass _Left:\n    pass\n",
+        "b.py": "from .a import _helper\n",
+    }
+    assert _unread_private_names(sources) == [("a.py", 2, "_UNREAD"), ("a.py", 9, "_Left")]

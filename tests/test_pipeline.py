@@ -116,7 +116,7 @@ class TestSynth:
 
 class TestConfig:
     def test_parse_and_paths_relative_to_file(self, tmp_path):
-        (tmp_path / "rec.csv").write_text("time,kind,value\n0.0,a,1.0\n0.01,a,2.0\n")
+        (tmp_path / "rec.csv").write_text("time,a\n0.0,1.0\n0.01,2.0\n")
         cfg_path = tmp_path / "pipe.cfg"
         cfg_path.write_text(
             "recording = rec.csv\n"

@@ -34,55 +34,46 @@ from imufresh.timeseries import (
 )
 
 
-def _csv(rows):
-    return io.BytesIO(("time,kind,value\n" + "\n".join(rows) + "\n").encode())
-
-
-def _long_csv(kinds, n, dt=0.002, value=lambda k, i: float(i)):
-    rows = []
-    for kind in kinds:
-        for i in range(n):
-            rows.append(f"{i * dt},{kind},{value(kind, i)}")
-    return _csv(rows)
+def _csv(rows, kinds=("a",)):
+    """A wide recording CSV: the header ``time,<kind>,...`` and *rows*, each
+    one line of text."""
+    header = ",".join(("time",) + kinds)
+    return io.BytesIO((header + "\n" + "\n".join(rows) + "\n").encode())
 
 
 class TestIngestion:
     def test_three_kinds_2000_rows_at_500hz(self):
-        rec = load_recording_csv(_long_csv(["a", "b", "c"], 2000))
+        rows = [f"{i * 0.002},{i},{-i},{i / 8}" for i in range(2000)]
+        rec = load_recording_csv(_csv(rows, kinds=("a", "b", "c")))
         assert rec.length == 2000
         assert rec.kinds == ("a", "b", "c")
+        assert rec.channels["b"].tolist() == [-float(i) for i in range(2000)]
         assert rec.sample_rate_hz == pytest.approx(500.0, rel=1e-9)
 
     def test_single_kind_identity_ingestion(self):
-        rec = load_recording_csv(_csv(["0.0,k,1.0", "0.002,k,2.0"]))
+        rec = load_recording_csv(_csv(["0.0,1.0", "0.002,2.0"], kinds=("k",)))
         assert np.array_equal(rec.channels["k"], [1.0, 2.0])
         assert rec.t0 == 0.0
 
     def test_reserved_separator_in_kind(self):
         with pytest.raises(InvalidKindName):
-            load_recording_csv(_csv(["0.0,accel__y,1.0", "0.002,accel__y,2.0"]))
+            load_recording_csv(_csv(["0.0,1.0", "0.002,2.0"], kinds=("accel__y",)))
 
     def test_ragged_channels(self):
         with pytest.raises(InconsistentChannels):
-            load_recording_csv(_csv(["0.0,a,1.0", "0.002,a,2.0", "0.0,b,1.0"]))
-
-    def test_mismatched_time_grids(self):
-        with pytest.raises(InconsistentChannels):
-            load_recording_csv(
-                _csv(["0.0,a,1.0", "0.002,a,2.0", "0.001,b,1.0", "0.003,b,2.0"])
-            )
+            load_recording_csv(_csv(["0.0,1.0,2.0", "0.002,1.0"], kinds=("a", "b")))
 
     def test_non_uniform_step(self):
         with pytest.raises(NonUniformSampling):
-            load_recording_csv(_csv(["0.0,a,1.0", "0.002,a,2.0", "0.005,a,3.0"]))
+            load_recording_csv(_csv(["0.0,1.0", "0.002,2.0", "0.005,3.0"]))
 
     def test_nan_value_rejected(self):
         with pytest.raises(InvalidValue):
-            load_recording_csv(_csv(["0.0,a,nan", "0.002,a,2.0"]))
+            load_recording_csv(_csv(["0.0,nan", "0.002,2.0"]))
 
     def test_inf_value_rejected(self):
         with pytest.raises(InvalidValue):
-            load_recording_csv(_csv(["0.0,a,inf", "0.002,a,2.0"]))
+            load_recording_csv(_csv(["0.0,inf", "0.002,2.0"]))
 
     def test_bad_header(self):
         with pytest.raises(InconsistentChannels):
@@ -111,7 +102,7 @@ class TestIngestion:
         assert rec.channels["x"][0] == 0.0
 
     def test_nonzero_t0(self):
-        rec = load_recording_csv(_csv(["10.0,a,1.0", "10.002,a,2.0"]))
+        rec = load_recording_csv(_csv(["10.0,1.0", "10.002,2.0"]))
         assert rec.t0 == 10.0
 
     def test_roundtrip_values_exact(self):
@@ -130,54 +121,40 @@ class TestIngestion:
         assert back.sample_rate_hz == pytest.approx(rec.sample_rate_hz, rel=1e-9)
 
     def test_serialization_stable_after_ingest(self):
-        # ingest -> serialize reproduces the exact time and value fields, in
-        # the wide layout
-        text = "time,kind,value\n0.0,a,0.1\n0.01,a,-2.5\n0.02,a,3.0\n"
+        # ingest -> serialize reproduces the exact time and value fields
+        text = "time,a\n0.0,0.1\n0.01,-2.5\n0.02,3.0\n"
         rec = load_recording_csv(io.StringIO(text))
         buf = io.StringIO()
         save_recording_csv(rec, buf)
-        assert buf.getvalue() == "time,a\n0.0,0.1\n0.01,-2.5\n0.02,3.0\n"
+        assert buf.getvalue() == text
 
-    @pytest.mark.parametrize("bad", ["0.002,a", "0.002,a,2.0,9"])
+    @pytest.mark.parametrize("bad", ["0.002", "0.002,a", "0.002,2.0,9,9", "0.002,a,2.0,9"])
     def test_wrong_field_count_names_the_file_line(self, bad):
-        # header is line 1; the blank line 3 still counts
-        text = f"time,kind,value\n0.0,a,1.0\n\n{bad}\n0.004,a,3.0\n"
+        # header is line 1; the blank line 3 still counts, and a bad field
+        # count wins over a bad value on the same line
+        text = f"time,a,b\n0.0,1.0,2.0\n\n{bad}\n0.004,3.0,4.0\n"
         with pytest.raises(InconsistentChannels, match="line 4"):
             load_recording_csv(io.BytesIO(text.encode()))
 
     @pytest.mark.parametrize(
         "rows",
-        [["0.0,a,1.0", "0.002,a,abc"], ["0.0,a,1.0", "x,a,2.0"], ["0.0,a,1.0", "0.002,a,"]],
+        [["0.0,1.0", "0.002,abc"], ["0.0,1.0", "x,2.0"], ["0.0,1.0", "0.002,"]],
     )
     def test_non_numeric_field_rejected(self, rows):
         with pytest.raises(InvalidValue):
             load_recording_csv(_csv(rows))
 
     def test_crlf_and_blank_lines_accepted(self):
-        text = "time,kind,value\r\n0.0,a,1.0\r\n\r\n0.002,a,2.0\r\n\n0.004,a,3.0"
+        text = "time,a\r\n0.0,1.0\r\n\r\n0.002,2.0\r\n\n0.004,3.0"
         for stream in (io.BytesIO(text.encode()), io.StringIO(text)):
             rec = load_recording_csv(stream)
             assert rec.channels["a"].tolist() == [1.0, 2.0, 3.0]
             assert rec.sample_rate_hz == pytest.approx(500.0, rel=1e-9)
 
-    def test_interleaved_kinds_grouped_in_first_appearance_order(self):
-        rows = ["0.0,b,1.0", "0.0,a,-1.0", "0.002,b,2.0", "0.002,a,-2.0", "0.004,b,3.0",
-                "0.004,a,-3.0"]
-        rec = load_recording_csv(_csv(rows))
-        assert list(rec.channels) == ["b", "a"]
-        assert rec.channels["b"].tolist() == [1.0, 2.0, 3.0]
-        assert rec.channels["a"].tolist() == [-1.0, -2.0, -3.0]
-
-    def test_prefix_and_long_kinds_read_whole(self):
-        long_kind = "gyro_" + "x" * 40 + "_l"
-        kinds = ["acc", "acc_x", long_kind, "a"]
-        rec = load_recording_csv(_long_csv(kinds, 4, value=lambda k, i: len(k) + i / 8))
-        assert list(rec.channels) == kinds
-        for kind in kinds:
-            assert rec.channels[kind].tolist() == [len(kind) + i / 8 for i in range(4)]
-
     @pytest.mark.parametrize(
-        "text", ["time,kind,value\n", "time,kind,value", "time,kind,value\n\n\n"]
+        "text",
+        ["time,a\n", "time,a", "time,a\n\n\n"]
+        + ["time,kind,value\n", "time,kind,value", "time,kind,value\n\n\n"],
     )
     def test_header_only_rejected(self, text):
         with pytest.raises(InconsistentChannels):
@@ -185,57 +162,71 @@ class TestIngestion:
 
     def test_one_sample_per_kind_rejected(self):
         with pytest.raises(InconsistentChannels):
-            load_recording_csv(_csv(["0.0,a,1.0", "0.0,b,2.0"]))
+            load_recording_csv(_csv(["0.0,1.0,2.0"], kinds=("a", "b")))
 
 
-_H = "time,kind,value\n"
-# Valid and malformed recordings.  Where two rules break, a bad field count or
-# kind wins, in line order; otherwise the kinds are checked one at a time in
-# first-appearance order, so the first kind with any fault wins.
-READER_CASES = {
-    "two-kinds": _H + "0.0,a,1.0\n0.01,a,-2.5\n0.0,b,3.0\n0.01,b,4.0\n",
-    "crlf": _H.replace("\n", "\r\n") + "0.0,a,1.0\r\n0.01,a,2.0\r\n",
-    "blank-lines": _H + "\n0.0,a,1.0\n\n\n0.01,a,2.0\n\n",
-    "no-final-newline": _H + "0.0,a,1.0\n0.01,a,2.0",
-    "interleaved": _H + "5.0,b,1\n5.0,a,2\n5.5,b,3\n5.5,a,4\n6.0,b,5\n6.0,a,6\n",
-    "prefix-kinds": _H + "".join(
+_LONG = "time,kind,value\n"
+# The long layout, one row per sample, which no writer emits and the reader
+# refuses by its header, whatever follows it: bad fields, kinds, values or
+# time grids under that header never reach a parse.
+LONG_CASES = {
+    "blocks": _LONG + "0.0,a,1.0\n0.01,a,2.0\n0.0,b,3.0\n0.01,b,4.0\n",
+    "interleaved": _LONG + "5.0,b,1\n5.0,a,2\n5.5,b,3\n5.5,a,4\n",
+    "header-only": _LONG,
+    "header-and-blanks": _LONG + "\n\n",
+    "crlf": _LONG.replace("\n", "\r\n") + "0.0,a,1.0\r\n0.01,a,2.0\r\n",
+    "blank-lines": _LONG + "\n0.0,a,1.0\n\n\n0.01,a,2.0\n\n",
+    "no-final-newline": _LONG + "0.0,a,1.0\n0.01,a,2.0",
+    "prefix-kinds": _LONG + "".join(
         f"{t},{k},{t * 3}\n" for k in ("acc", "acc_x", "a", "gyro_" + "y" * 30) for t in (1, 2)
     ),
-    "number-forms": _H + "0,a, 1e-310\n1,a,-0.0 \n2,a,+.5\n3,a,5.\n4,a,1.7976931348623157e308\n",
+    "number-forms": _LONG + "0,a, 1e-310\n1,a,-0.0 \n2,a,+.5\n3,a,5.\n4,a,1.7976931348623157e308\n",
+    "two-fields": _LONG + "0.0,a,1.0\n0.01,a\n",
+    "four-fields": _LONG + "0.0,a,1.0\n0.01,a,2.0,3.0\n",
+    "spaces-only-line": _LONG + "0.0,a,1.0\n   \n0.01,a,2.0\n",
+    "non-numeric-value": _LONG + "0.0,a,1.0\n0.01,a,one\n",
+    "non-numeric-time": _LONG + "0.0,a,1.0\nsoon,a,2.0\n",
+    "empty-value": _LONG + "0.0,a,1.0\n0.01,a,\n",
+    "nan-value": _LONG + "0.0,a,nan\n0.01,a,2.0\n",
+    "overflowing-value": _LONG + "0.0,a,1e400\n0.01,a,2.0\n",
+    "inf-time": _LONG + "0.0,a,1.0\ninf,a,2.0\n",
+    "reserved-separator": _LONG + "0.0,a__b,1.0\n0.01,a__b,2.0\n",
+    "padded-kind": _LONG + "0.0,a ,1.0\n0.01,a ,2.0\n",
+    "empty-kind": _LONG + "0.0,,1.0\n0.01,,2.0\n",
+    "nul-after-kind": _LONG + "0.0,a\0,1.0\n0.01,a\0,2.0\n",
+    "non-latin-1-kind": _LONG + "0.0,\u20ac,1.0\n0.01,\u20ac,2.0\n",
+    "bad-kind-then-bad-value": _LONG + "0.0,a-b,1.0\n0.01,a-b,two\n",
+    "bad-kind-then-bad-line": _LONG + "0.0,a-b,1.0\n0.01,a-b\n",
+    "ragged": _LONG + "0.0,a,1.0\n0.01,a,2.0\n0.0,b,1.0\n",
+    "shifted-grid": _LONG + "0.0,a,1.0\n0.01,a,2.0\n0.005,b,1.0\n0.015,b,2.0\n",
+    "non-uniform": _LONG + "0.0,a,1.0\n0.01,a,2.0\n0.03,a,3.0\n",
+    "decreasing": _LONG + "0.02,a,1.0\n0.01,a,2.0\n0.0,a,3.0\n",
+    "one-sample": _LONG + "0.0,a,1.0\n0.0,b,2.0\n",
+    "ragged-then-bad-value": _LONG + "0,a,1\n1,a,2\n0,b,1\n0,c,1\n1,c,two\n",
+    "bad-value-then-ragged": _LONG + "0,a,1\n1,a,two\n0,b,1\n",
+    "shifted-grid-then-bad-time": _LONG + "0,a,1\n1,a,2\n0.5,b,1\n1.5,b,2\n0,c,1\nlater,c,2\n",
+    "nan-then-bad-value": _LONG + "0,a,nan\n1,a,2\n0,b,1\n1,b,two\n",
+    "ragged-then-digit-separator": _LONG + "0,a,1\n1,a,2\n0,b,1\n0,c,1_000\n1,c,2\n",
+    "interleaved-ragged-then-bad-value": _LONG + "0,a,1\n0,b,1\n1,a,2\n0,c,x\n2,a,3\n1,b,2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_CASES))
+def test_long_layout_refused(name, tmp_path):
+    text = LONG_CASES[name]
+    for read in _readers(text, tmp_path) + [
+        lambda: oracles.load_recording_csv(io.BytesIO(text.encode()))
+    ]:
+        with pytest.raises(InconsistentChannels, match="only the wide layout"):
+            read()
+
+
+# Valid and malformed recordings: a header of ``time`` and distinct kinds,
+# one row per time step.  A bad field count anywhere wins, in line order;
+# then the time column, then each kind's column in header order.
+READER_CASES = {
     "bad-header": "time,kind,val\n0.0,a,1.0\n0.01,a,2.0\n",
     "empty-file": "",
-    "header-only": _H,
-    "header-and-blanks": _H + "\n\n",
-    "two-fields": _H + "0.0,a,1.0\n0.01,a\n",
-    "four-fields": _H + "0.0,a,1.0\n0.01,a,2.0,3.0\n",
-    "spaces-only-line": _H + "0.0,a,1.0\n   \n0.01,a,2.0\n",
-    "non-numeric-value": _H + "0.0,a,1.0\n0.01,a,one\n",
-    "non-numeric-time": _H + "0.0,a,1.0\nsoon,a,2.0\n",
-    "empty-value": _H + "0.0,a,1.0\n0.01,a,\n",
-    "nan-value": _H + "0.0,a,nan\n0.01,a,2.0\n",
-    "overflowing-value": _H + "0.0,a,1e400\n0.01,a,2.0\n",
-    "inf-time": _H + "0.0,a,1.0\ninf,a,2.0\n",
-    "reserved-separator": _H + "0.0,a__b,1.0\n0.01,a__b,2.0\n",
-    "padded-kind": _H + "0.0,a ,1.0\n0.01,a ,2.0\n",
-    "empty-kind": _H + "0.0,,1.0\n0.01,,2.0\n",
-    "nul-after-kind": _H + "0.0,a\0,1.0\n0.01,a\0,2.0\n",
-    "non-latin-1-kind": _H + "0.0,\u20ac,1.0\n0.01,\u20ac,2.0\n",
-    "bad-kind-then-bad-value": _H + "0.0,a-b,1.0\n0.01,a-b,two\n",
-    "bad-kind-then-bad-line": _H + "0.0,a-b,1.0\n0.01,a-b\n",
-    "ragged": _H + "0.0,a,1.0\n0.01,a,2.0\n0.0,b,1.0\n",
-    "shifted-grid": _H + "0.0,a,1.0\n0.01,a,2.0\n0.005,b,1.0\n0.015,b,2.0\n",
-    "non-uniform": _H + "0.0,a,1.0\n0.01,a,2.0\n0.03,a,3.0\n",
-    "decreasing": _H + "0.02,a,1.0\n0.01,a,2.0\n0.0,a,3.0\n",
-    "one-sample": _H + "0.0,a,1.0\n0.0,b,2.0\n",
-    "ragged-then-bad-value": _H + "0,a,1\n1,a,2\n0,b,1\n0,c,1\n1,c,two\n",
-    "bad-value-then-ragged": _H + "0,a,1\n1,a,two\n0,b,1\n",
-    "shifted-grid-then-bad-time": _H + "0,a,1\n1,a,2\n0.5,b,1\n1.5,b,2\n0,c,1\nlater,c,2\n",
-    "nan-then-bad-value": _H + "0,a,nan\n1,a,2\n0,b,1\n1,b,two\n",
-    "ragged-then-digit-separator": _H + "0,a,1\n1,a,2\n0,b,1\n0,c,1_000\n1,c,2\n",
-    "interleaved-ragged-then-bad-value": _H + "0,a,1\n0,b,1\n1,a,2\n0,c,x\n2,a,3\n1,b,2\n",
-    # Any header but ``time,kind,value`` is wide: ``time`` and distinct kinds,
-    # one row per time step.  A bad field count anywhere wins, in line order;
-    # then the time column, then each kind's column in header order.
     "wide": "time,b,a\n0.0,1.0,-1.0\n0.01,2.0,-2.0\n0.02,3.0,-3.0\n",
     "wide-one-kind": "time,a\n5.0,1\n5.5,2\n",
     "wide-kinds-named-kind-and-value": "time,value,kind\n0,1,2\n1,3,4\n",
@@ -270,7 +261,7 @@ READER_CASES = {
     "wide-bad-time-then-nan": "time,a\n0,nan\nx,1\n",
     "wide-bad-value-and-time": "time,a\n0,1\nx,y\n",
     "wide-bad-value-then-non-uniform": "time,a\n0,x\n1,2\n3,4\n",
-    # Headers bad in both layouts.
+    # Bad headers.
     "header-t-k-v": "t,k,v\n0.0,a,1.0\n0.01,a,2.0\n",
     "header-time-alone": "time\n0.0\n0.01\n",
     "header-empty-kind": "time,,a\n0,1,2\n1,3,4\n",
@@ -367,31 +358,13 @@ class TestReaderMatchesLineLoop:
         with pytest.raises(error, match=match):
             load_recording_csv(io.BytesIO(data))
 
-    def test_wide_and_long_copies_load_equal(self, tmp_path):
-        rng = np.random.default_rng(11)
-        rec = Recording(
-            97.3,
-            {kind: rng.standard_normal(500) for kind in ("gyro_z_r", "accel_x_l", "a")},
-            t0=1.7e9 + 0.123,
-        )
-        wide, long = io.StringIO(), io.StringIO()
-        save_recording_csv(rec, wide)
-        oracles.save_long_recording_csv(rec, long)
-        assert long.getvalue().startswith("time,kind,value\n")
-        assert wide.getvalue().startswith("time,a,accel_x_l,gyro_z_r\n")
-        from_wide = load_recording_csv(io.StringIO(wide.getvalue()))
-        assert from_wide == load_recording_csv(io.StringIO(long.getvalue()))
-        for text in (wide.getvalue(), long.getvalue()):
-            for read in _readers(text, tmp_path):
-                assert _outcome(read) == _outcome(lambda: from_wide)
-
     @pytest.mark.parametrize("scan_bytes", [1, 2, 7, 64])
     def test_same_at_every_scan_block_size(self, scan_bytes, monkeypatch, tmp_path):
-        # Small blocks split the header, a "\r\n", a kind's comma pair and
-        # the final line without a newline across blocks.
+        # Small blocks split the header, a "\r\n" and the final line
+        # without a newline across blocks.
         monkeypatch.setattr(timeseries, "_SCAN_BYTES", scan_bytes)
         path = tmp_path / "rec.csv"
-        for name, text in sorted(READER_CASES.items()):
+        for name, text in sorted({**READER_CASES, **LONG_CASES}.items()):
             data = text.encode()
             want = _outcome(lambda: oracles.load_recording_csv(io.BytesIO(data)))
             path.write_bytes(data)
@@ -402,36 +375,28 @@ class TestReaderMatchesLineLoop:
     def test_plain_text_with_a_compression_suffix(self, suffix, tmp_path):
         # numpy decompresses a named file by suffix; a plain one still loads
         path = tmp_path / f"rec{suffix}"
-        path.write_bytes(READER_CASES["interleaved"].encode())
+        path.write_bytes(READER_CASES["wide"].encode())
         want = oracles.load_recording_csv(io.BytesIO(path.read_bytes()))
         assert _outcome(lambda: load_recording(str(path))) == _outcome(lambda: want)
 
     def test_digit_separators_rejected(self):
         # float() reads "1_000" and so did the line loop; numpy's reader does
         # not, and the narrowing is documented.
-        for text in (_H + "0.0,a,1_000\n0.01,a,2.0\n", "time,a\n0.0,1_000\n0.01,2.0\n"):
-            assert oracles.load_recording_csv(io.BytesIO(text.encode())).channels["a"][0] == 1000.0
-            with pytest.raises(InvalidValue):
-                load_recording_csv(io.BytesIO(text.encode()))
+        text = "time,a\n0.0,1_000\n0.01,2.0\n"
+        assert oracles.load_recording_csv(io.BytesIO(text.encode())).channels["a"][0] == 1000.0
+        with pytest.raises(InvalidValue):
+            load_recording_csv(io.BytesIO(text.encode()))
 
 
-def _memory_case(layout):
-    """A six-channel recording CSV of 100,000 values, about 3.6 MB long and
-    2.1 MB wide."""
+def _memory_case():
+    """A six-channel recording CSV of 100,000 values, about 2.1 MB."""
     rng = np.random.default_rng(3)
     kinds = [f"{sensor}_{axis}_l" for sensor in ("accel", "gyro") for axis in "xyz"]
     n = 100_000 // len(kinds)
     times = [repr(t) for t in (np.arange(n) / 100.0).tolist()]
     values = {kind: [repr(v) for v in rng.standard_normal(n).tolist()] for kind in kinds}
-    if layout == "wide":
-        rows = zip(times, *(values[kind] for kind in kinds))
-        text = ",".join(["time"] + kinds) + "\n" + "".join(",".join(row) + "\n" for row in rows)
-        return kinds, n, text
-    if layout == "blocks":
-        rows = [(i, kind) for kind in kinds for i in range(n)]
-    else:
-        rows = [(i, kind) for i in range(n) for kind in kinds]
-    text = "time,kind,value\n" + "".join(f"{times[i]},{k},{values[k][i]}\n" for i, k in rows)
+    rows = zip(times, *(values[kind] for kind in kinds))
+    text = ",".join(["time"] + kinds) + "\n" + "".join(",".join(row) + "\n" for row in rows)
     return kinds, n, text
 
 
@@ -450,14 +415,12 @@ def _traced_peak(read):
 
 class TestReaderMemory:
     """Reading a path holds no copy of the file and no per-byte array: the
-    traced peak is numpy's rows plus the channels, about 1.1x the long file
-    and 0.6x the wide one, which holds its own numbers only.  A stream is
-    read whole once (twice, briefly, to encode a text stream), and numpy
-    gets its lines a block at a time."""
+    traced peak is numpy's table, about 0.6x the file, which holds its own
+    numbers only.  A stream is read whole once (twice, briefly, to encode a
+    text stream), and numpy gets its lines a block at a time."""
 
-    @pytest.mark.parametrize("layout", ["blocks", "interleaved", "wide"])
-    def test_peak_at_most_one_and_a_half_times_the_file(self, layout, tmp_path):
-        kinds, n, text = _memory_case(layout)
+    def test_peak_at_most_one_and_a_half_times_the_file(self, tmp_path):
+        kinds, n, text = _memory_case()
         path = tmp_path / "rec.csv"
         path.write_text(text)
         del text
@@ -467,7 +430,7 @@ class TestReaderMemory:
 
     @pytest.mark.parametrize("text_stream", [False, True])
     def test_stream_peak_at_most_two_and_a_half_times_the_file(self, text_stream):
-        kinds, n, text = _memory_case("blocks")
+        kinds, n, text = _memory_case()
         data = text.encode()
         stream = io.StringIO(text) if text_stream else io.BytesIO(data)
         del text
@@ -500,7 +463,7 @@ class TestWriter:
         assert new.getvalue() == old.getvalue()
 
     def test_kinds_kind_and_value_rejected_before_writing(self):
-        # their wide header would be the long layout's
+        # their header would be the long layout's, which the reader refuses
         rec = Recording(100.0, {"value": [1.0, 2.0], "kind": [3.0, 4.0]})
         buf = io.StringIO()
         with pytest.raises(InvalidKindName):
@@ -691,7 +654,7 @@ class TestUnixTimeBase:
         times = 1.7e9 + np.arange(2000) / 100.0
         times[1000:] += 1e-4
         with pytest.raises(NonUniformSampling):
-            load_recording_csv(_csv([f"{t},a,0.0" for t in times.tolist()]))
+            load_recording_csv(_csv([f"{t},0.0" for t in times.tolist()]))
 
 
 def _recording(n, rate=500.0, kinds=("a",)):
