@@ -5,8 +5,9 @@ split thresholds are midpoints between consecutive distinct sorted values
 (the lower value where the midpoint rounds to the upper one or overflows).
 Every random draw comes from a stream derived from (seed, tree index), so
 models are pure functions of (data, params) regardless of evaluation order:
-the trees grow in lockstep, sharing split searches across trees, yet each
-tree equals the one grown alone.
+all forests of a block (one worker's CV folds or importance repeats) grow in
+lockstep, sharing split searches across trees and forests, yet each tree
+equals the one grown alone.
 
 Importances are impurity decreases weighted by node sample fraction, summed
 per feature across the forest and normalized to 1.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
@@ -182,98 +183,136 @@ def _best_split(
     return out
 
 
-def train_forest(
-    matrix: FeatureMatrix, labels: Sequence[str], params: ForestParams
-) -> ForestModel:
-    """Fit the ensemble; deterministic for a fixed params.seed.
+class _Growing:
+    """A forest until its last tree closes: node arrays, and each tree's stream, stack and gains."""
 
-    Tree t draws its bootstrap, its root's features and then its other
-    nodes' features in DFS order from its own stream ``(seed, t)``.  All
-    splittable roots hold n rows, so one batched search scores them.  The
-    trees then grow in lockstep: in each step every tree with work pops its
-    stack to its next node that needs a search and draws that node's
-    features, and one search per node size scores these nodes.  Importances
-    are summed in tree order and each tree's DFS order.
+    def __init__(self, index, n, present, rngs, root_counts, n_open) -> None:
+        shape = (len(rngs), 2 * n - 1)  # a bootstrap of n rows makes at most 2n - 1 nodes
+        self.index, self.n, self.present, self.rngs, self.open = index, n, present, rngs, n_open
+        self.feature, self.left, self.right = np.full((3, *shape), -1, dtype=np.int32)
+        self.threshold = np.zeros(shape, dtype=np.float64)
+        self.counts = np.zeros((*shape, root_counts.shape[1]), dtype=np.int32)
+        self.counts[:, 0] = root_counts
+        self.n_nodes = [1] * len(rngs)
+        self.stacks, self.gains = [[] for _ in rngs], [[] for _ in rngs]
+
+
+def _grow(
+    matrix: FeatureMatrix, labels: Sequence[str], forests: Sequence[tuple[np.ndarray, int]],
+    params: ForestParams, finish: Callable[[int, ForestModel], Any] | None = None,
+) -> list:
+    """Grow one forest per ``(rows, seed)`` of *forests* on those rows; return
+    each one's ``finish(i, model)``, or its importances, in forest order.
+
+    Forest by forest, tree t draws its bootstrap, its root's features and
+    then its other nodes' features in DFS order from its own stream
+    ``(seed, t)``, and the forest's splittable roots share one search.  The
+    open trees of all forests then grow in lockstep: in each step every tree
+    with work pops its stack to its next node that needs a search and draws
+    its features, and one search per node size scores these nodes.  So each
+    forest equals the one grown alone on a copy of its rows, with the
+    classes those rows hold (another class adds zeros to the exact Gini
+    sums) and importances summed in tree order and each tree's DFS order.
     """
     x = matrix.values
-    if not np.isfinite(x).all():
-        raise NaNInFeatures("feature matrix has NaN or infinite cells; drop those columns first")
     label_list = [str(v) for v in labels]
     if len(label_list) != matrix.n_rows:
         raise BadParameters("labels length must equal the number of rows")
     classes = tuple(sorted(set(label_list)))
-    if len(classes) < 2:
-        raise DegenerateTarget("training requires at least 2 classes")
     class_index = {c: i for i, c in enumerate(classes)}
     y = np.asarray([class_index[v] for v in label_list], dtype=np.int64)
-    (n, p), n_classes, n_trees = x.shape, len(classes), params.n_trees
+    p, n_classes, finite = x.shape[1], len(classes), np.isfinite(x).all(axis=1)
     mtry, min_leaf = params.resolve_mtry(p), params.min_leaf
+    max_depth = params.max_depth or math.inf
+    results: list = [None] * len(forests)
 
-    seed = params.seed & _SEED_MASK
-    rngs = [np.random.default_rng((seed, t)) for t in range(n_trees)]
-    boots = np.stack([rng.integers(0, n, size=n) for rng in rngs])
-    root_counts = (y[boots][:, :, None] == np.arange(n_classes)).sum(axis=1).astype(np.float64)
-    # Roots that are not pure and hold 2 * min_leaf rows; none is depth-capped.
-    splittable = (np.count_nonzero(root_counts, axis=1) > 1) & (n >= 2 * min_leaf)
-    roots = np.flatnonzero(splittable)
-    feats = np.array([rngs[t].choice(p, size=mtry, replace=False) for t in roots], dtype=np.int64)
-    found = _best_split(x, y, boots[roots], root_counts[roots], feats.reshape(-1, mtry),
-                        min_leaf, n_classes)
+    def close(g: _Growing) -> None:
+        acc = np.zeros(p, dtype=np.float64)
+        for f, weighted in (gain for tree_gains in g.gains for gain in tree_gains):
+            acc[f] += weighted
+        total = float(acc.sum())
+        results[g.index] = importances = acc / total if total > 0 else acc
+        if finish is not None:
+            trees = tuple(
+                Tree(*(a[t, :k].copy() for a in (g.feature, g.threshold, g.left, g.right)),
+                     g.counts[t, :k][:, g.present].astype(np.float64))
+                for t, k in enumerate(g.n_nodes)
+            )
+            results[g.index] = finish(g.index, ForestModel(
+                trees, tuple(classes[c] for c in g.present), matrix.feature_names, importances))
 
-    cap = 2 * n - 1  # a bootstrap of n rows makes at most this many nodes, none this deep
-    max_depth = params.max_depth or cap
-    feature, left, right = np.full((3, n_trees, cap), -1, dtype=np.int32)
-    threshold = np.zeros((n_trees, cap), dtype=np.float64)
-    counts = np.zeros((n_trees, cap, n_classes), dtype=np.float64)
-    counts[:, 0] = root_counts
-    n_nodes = [1] * n_trees
-    stacks: list[list] = [[] for _ in range(n_trees)]
-    gains: list[list] = [[] for _ in range(n_trees)]  # (feature, weighted gain) in DFS order
-    searched = [(t, boots[t], 0, 0) for t in roots.tolist()]  # (tree, rows, depth, node id)
-    while searched:
-        for (t, idx, depth, nid), split in zip(searched, found):
+    def advance(searched: list, found: list) -> list:
+        # Each searched node's split, then each of those trees' next node.
+        for (g, t, idx, depth, nid), split in zip(searched, found):
             if split is None:
                 continue
             gain, f, thr, rows_left, rows_right = split
-            gains[t].append((f, (idx.size / n) * gain))
-            i = n_nodes[t]
-            feature[t, nid], threshold[t, nid], left[t, nid], right[t, nid] = f, thr, i, i + 1
-            stacks[t] += [(rows_right, depth + 1, i + 1), (rows_left, depth + 1, i)]
-            n_nodes[t] = i + 2
-        by_size: dict[int, list] = {}  # each tree's next node to search, with its features
-        for t, *_ in searched:
-            stack = stacks[t]
+            g.gains[t].append((f, (idx.size / g.n) * gain))
+            i = g.n_nodes[t]
+            g.feature[t, nid], g.threshold[t, nid] = f, thr
+            g.left[t, nid], g.right[t, nid] = i, i + 1
+            g.stacks[t] += [(rows_right, depth + 1, i + 1), (rows_left, depth + 1, i)]
+            g.n_nodes[t] = i + 2
+        nodes = []  # (forest, tree, rows, depth, node id, features, class counts)
+        for g, t, *_ in searched:
+            stack = g.stacks[t]
             while stack:
                 idx, depth, nid = stack.pop()
-                node_counts = counts[t, nid]
+                node_counts = g.counts[t, nid]
                 node_counts[:] = np.bincount(y[idx], minlength=n_classes)
                 mixed = np.count_nonzero(node_counts) > 1
                 if mixed and idx.size >= 2 * min_leaf and depth < max_depth:
-                    node = (t, idx, depth, nid, rngs[t].choice(p, size=mtry, replace=False))
-                    by_size.setdefault(idx.size, []).append(node)
+                    feats = g.rngs[t].choice(p, size=mtry, replace=False)
+                    nodes.append((g, t, idx, depth, nid, feats, node_counts))
                     break
+            else:  # the tree is closed
+                g.rngs[t], g.open = None, g.open - 1
+                if not g.open:
+                    close(g)
+        return nodes
+
+    nodes: list = []
+    for i, (rows, seed) in enumerate(forests):
+        if not finite[rows].all():
+            raise NaNInFeatures(
+                "feature matrix has NaN or infinite cells; drop those columns first")
+        present = np.flatnonzero(np.bincount(y[rows], minlength=n_classes))
+        if present.size < 2:
+            raise DegenerateTarget("training requires at least 2 classes")
+        n = rows.size
+        rngs = [np.random.default_rng((seed & _SEED_MASK, t)) for t in range(params.n_trees)]
+        boots = rows[np.stack([rng.integers(0, n, size=n) for rng in rngs])]
+        root_counts = (y[boots][:, :, None] == np.arange(n_classes)).sum(axis=1)
+        # Roots that are not pure and hold 2 * min_leaf rows; none is depth-capped.
+        roots = np.flatnonzero((np.count_nonzero(root_counts, axis=1) > 1) & (n >= 2 * min_leaf))
+        feats = np.array([rngs[t].choice(p, mtry, replace=False) for t in roots], dtype=np.int64)
+        found = _best_split(x, y, boots[roots], root_counts[roots], feats.reshape(-1, mtry),
+                            min_leaf, n_classes)
+        g = _Growing(i, n, present, rngs, root_counts, roots.size)
+        if not g.open:
+            close(g)
+        nodes += advance([(g, t, boots[t], 0, 0) for t in roots.tolist()], found)
+    while nodes:
+        by_size: dict[int, list] = {}
+        for node in nodes:
+            by_size.setdefault(node[2].size, []).append(node)
         searched, found = [], []
         for group in by_size.values():
-            t, idx, depth, nid, feats = zip(*group)
-            found += _best_split(x, y, np.stack(idx), counts[t, nid], np.stack(feats),
-                                 min_leaf, n_classes)
-            searched += zip(t, idx, depth, nid)
+            g, t, idx, depth, nid, feats, counts = zip(*group)
+            counts = np.stack(counts, dtype=np.int64)  # squared int32 counts could wrap
+            found += _best_split(x, y, np.stack(idx), counts, np.stack(feats), min_leaf, n_classes)
+            searched += zip(g, t, idx, depth, nid)
+        nodes = advance(searched, found)
+    return results
 
-    importance_acc = np.zeros(p, dtype=np.float64)
-    for f, weighted in (g for tree_gains in gains for g in tree_gains):
-        importance_acc[f] += weighted
-    total = float(importance_acc.sum())
-    importances = importance_acc / total if total > 0 else importance_acc
-    trees = tuple(
-        Tree(*(a[t, :n_nodes[t]].copy() for a in (feature, threshold, left, right, counts)))
-        for t in range(n_trees)
-    )
-    return ForestModel(
-        trees=trees,
-        classes=classes,
-        feature_names=matrix.feature_names,
-        importances=importances,
-    )
+
+def train_forest(
+    matrix: FeatureMatrix, labels: Sequence[str], params: ForestParams
+) -> ForestModel:
+    """Fit the ensemble on every row (``_grow`` with one forest); deterministic
+    for a fixed params.seed."""
+    forest = (np.arange(matrix.n_rows), params.seed)
+    return _grow(matrix, labels, [forest], params, lambda i, model: model)[0]
 
 
 def predict_proba(model: ForestModel, rows: np.ndarray) -> np.ndarray:
@@ -352,28 +391,19 @@ def _group_folds(groups: Sequence, k: int) -> np.ndarray:
 
 
 def _fold_accuracies(
-    matrix: FeatureMatrix,
-    label_arr: np.ndarray,
-    fold: np.ndarray,
-    params: ForestParams,
+    matrix: FeatureMatrix, label_arr: np.ndarray, fold: np.ndarray, params: ForestParams,
     folds: range,
 ) -> list[float]:
-    """Test accuracy of a forest trained without each fold in *folds*;
-    *fold* holds each row's fold number."""
-    accuracies: list[float] = []
-    for f in folds:
-        test = fold == f
-        train = ~test
-        sub = FeatureMatrix(
-            feature_names=matrix.feature_names,
-            values=matrix.values[train],
-            window_ids=np.arange(int(train.sum()), dtype=np.int64),
-            labels=None,
-        )
-        model = train_forest(sub, list(label_arr[train]), params)
+    """Test accuracy of the forest trained without each fold in *folds*, one
+    block of forests on training rows; *fold* holds each row's fold number."""
+
+    def accuracy(i: int, model: ForestModel) -> float:
+        test = fold == folds[i]
         predicted = predict_labels(model, matrix.values[test])
-        accuracies.append(float(np.mean(np.asarray(predicted, dtype=object) == label_arr[test])))
-    return accuracies
+        return float(np.mean(np.asarray(predicted, dtype=object) == label_arr[test]))
+
+    train = [(np.flatnonzero(fold != f), params.seed) for f in folds]
+    return _grow(matrix, label_arr, train, params, accuracy)
 
 
 def cross_validate(
@@ -388,9 +418,9 @@ def cross_validate(
 
     With groups, each distinct group id lands wholly in one fold
     (round-robin over groups sorted by id), so every fold's test rows come
-    from complete groups only.  ``workers`` > 1 trains the folds on a
-    process pool; the report does not depend on it.  ``workers`` < 1 raises
-    BadParameters.
+    from complete groups only.  The folds' forests grow in one lockstep
+    block; ``workers`` > 1 splits them into one block per pool process, and
+    the report does not depend on it.  ``workers`` < 1 raises BadParameters.
     """
     check_workers(workers)
     n = matrix.n_rows
@@ -429,11 +459,10 @@ def cross_validate(
 def _repeat_importances(
     matrix: FeatureMatrix, labels: Sequence[str], params: ForestParams, repeats: range
 ) -> list[np.ndarray]:
-    """Importances of the forests seeded ``params.seed + r`` for r in *repeats*."""
-    return [
-        train_forest(matrix, labels, replace(params, seed=params.seed + r)).importances
-        for r in repeats
-    ]
+    """Importances of the forests seeded ``params.seed + r`` for r in
+    *repeats*, grown in one block on every row."""
+    rows = np.arange(matrix.n_rows)
+    return _grow(matrix, labels, [(rows, params.seed + r) for r in repeats], params)
 
 
 def aggregate_importances(
@@ -446,10 +475,11 @@ def aggregate_importances(
     """Average importances over `repeats` forests seeded seed+0..seed+r-1.
 
     Returns (feature, mean importance) sorted descending, ties broken by
-    canonical feature name so rankings are reproducible.  ``workers`` > 1
-    trains the repeats on a process pool; the forests, their sum (taken in
-    repeat order) and the ranking do not depend on it.  ``workers`` < 1
-    raises BadParameters.
+    canonical feature name so rankings are reproducible.  The repeats grow
+    in one lockstep block, each keeping only its importances; ``workers`` > 1
+    splits them into one block per pool process, and the forests, their sum
+    (taken in repeat order) and the ranking do not depend on it.
+    ``workers`` < 1 raises BadParameters.
     """
     check_workers(workers)
     if repeats < 1:

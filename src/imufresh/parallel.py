@@ -1,9 +1,9 @@
 """The one process-pool fan-out, shared by the forests.
 
 Cross-validation splits its folds, and importance ranking its repeats, into
-independent index ranges and stitches the blocks back in range order, so
-results never depend on the worker count.  Feature extraction and selection
-run in the calling process.
+independent index ranges, grows each range's forests as one lockstep block
+and stitches the blocks back in range order, so results never depend on the
+worker count.  Feature extraction and selection run in the calling process.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ def map_ranges(
     With ``workers <= 1`` (or ``n <= 1``) this is one in-process call on
     ``range(n)``.  Otherwise ``range(n)`` is cut into at most ``workers``
     ranges of ``ceil(n / workers)`` items (the last may be shorter), one per
-    pool process: each fold or repeat trains one forest of about the same
-    cost, so equal ranges keep the workers equally busy, and more ranges
-    would only add result round trips.  *fn* and *shared* must pickle.
+    pool process: each range is one lockstep block of forests of about the
+    same cost each, so equal ranges keep the workers equally busy, and more
+    ranges would only split the blocks.  *fn* and *shared* must pickle.
     """
     if workers <= 1 or n <= 1:
         return [fn(*shared, range(n))]

@@ -275,36 +275,55 @@ class SelectionReport:
         return tuple(f.canonical() for f in self.selected)
 
 
-def _group_p(xv: np.ndarray, in_group: np.ndarray, distinct: np.ndarray) -> float:
-    """p for a non-constant feature (distinct values *distinct*) against a
-    boolean group indicator: Fisher for a binary feature, else KS."""
-    g0 = xv[~in_group]
-    g1 = xv[in_group]
-    if g0.size == 0 or g1.size == 0:
-        return 1.0
-    if distinct.size == 2:
-        table = [
-            [int(np.sum(g0 == distinct[0])), int(np.sum(g1 == distinct[0]))],
-            [int(np.sum(g0 == distinct[1])), int(np.sum(g1 == distinct[1]))],
-        ]
-        try:
-            return fisher_exact_test(table)
-        except DegenerateTable:
-            return 1.0
-    return ks_two_sample_test(g0, g1)
+_PASS_CELLS = 1 << 16  # bounds the (row, column, group) count blocks of one sorted pass
 
 
-def _real_target_p(xv: np.ndarray, tv: np.ndarray, distinct: np.ndarray) -> tuple[float, str]:
-    if distinct.size == 2:
-        a = tv[xv == distinct[0]]
-        b = tv[xv == distinct[1]]
-        return ks_two_sample_test(a, b), TEST_KS
-    if xv.size < 3:
-        return 1.0, TEST_KENDALL
-    try:
-        return kendall_tau_test(xv, tv), TEST_KENDALL
-    except DegenerateFeature:
-        return 1.0, TEST_KENDALL
+def _sorted_pass(values: np.ndarray, in_group: np.ndarray) -> tuple[np.ndarray, ...]:
+    """NaN-free and distinct values per column of *values* (n, m), and KS D
+    and p per column and one-vs-rest group of *in_group* (n, G).
+
+    One stable argsort sorts every column, NaN cells last; its tie runs are
+    its distinct values.  D is the largest ``|c0/n0 - c1/n1|`` over the
+    runs' last rows, c0 and c1 counting the rows out of and in the group at
+    or below them: the floats ``ks_statistic`` takes.  Over two values, p is
+    ``ks_two_sample_test``'s, with ``_kolmogorov_sf`` once per distinct
+    lambda; two values take Fisher's from the rows at the lower one.  Other
+    p are 1, as are a group's with no rows among a column's.
+    """
+    (n, m), n_groups = values.shape, in_group.shape[1]
+    order = np.argsort(values, axis=0, kind="stable")
+    ranked = np.take_along_axis(values, order, axis=0)
+    n_eff = np.count_nonzero(~np.isnan(values), axis=0)
+    at_or_below = np.arange(1, n + 1)[:, None]
+    run_end = np.append(ranked[1:] != ranked[:-1], np.ones((1, m), dtype=bool), axis=0)
+    run_end &= at_or_below <= n_eff
+    n_distinct = run_end.sum(axis=0)
+    d, lam = np.zeros((2, m, n_groups), dtype=np.float64)
+    p = np.ones((m, n_groups), dtype=np.float64)
+    step = max(1, _PASS_CELLS // (n * max(1, n_groups)))
+    for lo in range(0, m, step):
+        cols = slice(lo, lo + step)
+        c1 = in_group[order[:, cols]].cumsum(axis=0)
+        c0 = at_or_below[:, :, None] - c1
+        n1 = np.take_along_axis(c1, np.maximum(n_eff[cols] - 1, 0)[None, :, None], axis=0)[0]
+        n0 = n_eff[cols, None] - n1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gaps = np.abs(c0 / n0 - c1 / n1)
+        d[cols] = np.where(run_end[:, cols, None], gaps, 0.0).max(axis=0)
+        ok = (n0 > 0) & (n1 > 0)
+        ks = ok & (n_distinct[cols, None] > 2)
+        ne = n0[ks] * n1[ks] / (n0[ks] + n1[ks])
+        lam[cols][ks] = (np.sqrt(ne) + 0.12 + 0.11 / np.sqrt(ne)) * d[cols][ks]
+        low = run_end[:, cols].argmax(axis=0)  # the lower value's last row
+        in_low = np.take_along_axis(c1, low[None, :, None], axis=0)[0]
+        table = np.stack([[low[:, None] + 1 - in_low, in_low], [n0, n1]])
+        table[1] -= table[0]
+        for c, g in zip(*np.nonzero(ok & (n_distinct[cols, None] == 2))):
+            p[lo + c, g] = fisher_exact_test(table[:, :, c, g].tolist())
+    ks = lam > 0  # p is 1 at lambda 0
+    distinct_lam, where = np.unique(lam[ks], return_inverse=True)
+    p[ks] = np.array([_kolmogorov_sf(v) for v in distinct_lam.tolist()])[where]
+    return n_eff, n_distinct, d, p
 
 
 def select_features(
@@ -319,9 +338,9 @@ def select_features(
     or categorical with more than two classes (handled one-vs-rest).  A
     binary target is one group, its second class against the first.  NaN
     feature cells are dropped pairwise per column; a feature that is
-    constant (or all NaN) after dropping gets p = 1.  The columns are tested
-    one after another in this process: each test costs too little for a
-    process pool to pay.
+    constant (or all NaN) after dropping gets p = 1.  One sorted pass
+    (``_sorted_pass``) tests every column against every group at once; a
+    real target's columns are then tested one after another.
     """
     n = matrix.n_rows
     if n < 2:
@@ -342,38 +361,34 @@ def select_features(
         classes = sorted(set(target_rows))
     if len(classes) <= 1:
         raise DegenerateTarget("target is constant")
-    if numeric and len(classes) > 2:
-        groups = None  # a real target
-    else:  # one-vs-rest; a binary target is one group, its second class
-        groups = classes[1:] if len(classes) == 2 else classes
+    real = numeric and len(classes) > 2
+    # One-vs-rest groups; a binary target is one group, its second class.
+    groups = [] if real else classes[1:] if len(classes) == 2 else classes
 
     values = matrix.values[row_ok]
     if values.shape[0] < 2:
         raise DegenerateTarget("fewer than 2 rows with a usable target")
 
-    n_cols = matrix.n_cols
-    p_matrix = np.ones((n_cols, 1 if groups is None else len(groups)), dtype=np.float64)
-    kinds: list[str] = []
-    n_eff: list[int] = []
-    for col in range(n_cols):
-        x = values[:, col]
-        mask = ~np.isnan(x)
-        xv = x[mask]
-        n_eff.append(xv.size)
-        distinct = np.unique(xv)
-        if distinct.size <= 1:
-            kinds.append(TEST_CONSTANT)
-            continue
-        tv = target_rows[mask]
-        if groups is None:
-            p, kind = _real_target_p(xv, tv, distinct)
-            p_matrix[col, 0] = p
-        else:
-            p_matrix[col] = [_group_p(xv, tv == group, distinct) for group in groups]
-            kind = TEST_FISHER if distinct.size == 2 else TEST_KS
-        kinds.append(kind)
+    in_group = target_rows[:, None] == np.asarray(groups, dtype=target_rows.dtype)
+    n_eff, n_distinct, _, p_matrix = _sorted_pass(values, in_group)
+    # Constant below two distinct values, Fisher at two, else KS.
+    kinds = np.array([TEST_CONSTANT, TEST_FISHER, TEST_KS])[np.clip(n_distinct, 1, 3) - 1].tolist()
+    if real:
+        p_matrix = np.ones((matrix.n_cols, 1), dtype=np.float64)
+        for col in np.flatnonzero(n_distinct > 1).tolist():
+            mask = ~np.isnan(values[:, col])
+            xv, tv = values[mask, col], target_rows[mask]
+            if n_distinct[col] == 2:  # KS between the target's two feature groups
+                low = xv == xv.min()
+                p_matrix[col, 0], kinds[col] = ks_two_sample_test(tv[low], tv[~low]), TEST_KS
+                continue
+            kinds[col] = TEST_KENDALL
+            try:
+                p_matrix[col, 0] = kendall_tau_test(xv, tv)
+            except DegenerateFeature:
+                pass  # all target values tied: p stays 1
 
-    selected_mask = np.zeros(n_cols, dtype=bool)
+    selected_mask = np.zeros(matrix.n_cols, dtype=bool)
     threshold_rank = 0
     for p_group in p_matrix.T:
         idx, k_star = fdr_select(p_group, q, method)
@@ -384,12 +399,7 @@ def select_features(
     # Columns are in canonical-name order, so a stable sort breaks p ties by name.
     order = np.argsort(best_p, kind="stable")
     tests = tuple(
-        FeatureTargetTest(
-            feature_name=matrix.feature_names[i],
-            test_kind=kinds[i],
-            p_value=float(best_p[i]),
-            n_effective=n_eff[i],
-        )
+        FeatureTargetTest(matrix.feature_names[i], kinds[i], float(best_p[i]), int(n_eff[i]))
         for i in order
     )
     selected = tuple(matrix.feature_names[i] for i in order if selected_mask[i])

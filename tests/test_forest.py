@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ def _separable(n=60, noise=0.05, seed=0):
         [indicator + noise * rng.standard_normal(n), rng.standard_normal(n)]
     )
     return _matrix(values), labels
+
+
+def _four_class(n=40, p=20, seed=0):
+    """Non-separable 4-class data: weak class shifts on three columns under
+    noise, so trees grow deep."""
+    rng = np.random.default_rng(seed)
+    shift = np.arange(n) % 4
+    values = rng.standard_normal((n, p))
+    values[:, :3] += 0.5 * shift[:, None]
+    return _matrix(values), [f"c{v}" for v in shift]
 
 
 class TestTrain:
@@ -357,6 +368,20 @@ class TestGrower:
             assert [_tree_bits(t) for t in small.trees] == [_tree_bits(t) for t in big.trees[:k]]
 
 
+def _peak_bytes(call):
+    """``call()``'s result and the peak of the memory it held (tracemalloc),
+    after one untraced call: numpy's first-call set-up is not the forest's."""
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n_rows, p, n_classes", [(30, 306, 2), (40, 25, 4)])
 def test_training_peak_memory_is_bounded(n_rows, p, n_classes):
     # Desk- and hard-shaped forests of 100 trees.  No column separates the
@@ -365,18 +390,43 @@ def test_training_peak_memory_is_bounded(n_rows, p, n_classes):
     rng = np.random.default_rng(0)
     matrix = _matrix(rng.standard_normal((n_rows, p)))
     labels = [f"c{i % n_classes}" for i in range(n_rows)]
-    params = ForestParams(seed=0)
-    train_forest(matrix, labels, params)  # numpy's first-call set-up is not the forest's
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        model = train_forest(matrix, labels, params)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    model, peak = _peak_bytes(lambda: train_forest(matrix, labels, ForestParams(seed=0)))
     assert sum(t.n_nodes > 3 for t in model.trees) > 90
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("step", ["aggregate_importances", "cross_validate"])
+def test_desk_block_peak_memory_is_bounded(step):
+    # Ten desk-shaped stump forests of 100 trees in one block.  Each closes
+    # right after its root search, so its streams and node arrays are gone
+    # before the next forest draws its roots.
+    rng = np.random.default_rng(0)
+    shift = np.arange(30) % 2
+    values = rng.standard_normal((30, 306))
+    values[:, ::3] += 4.0 * shift[:, None]  # a third of the columns separate the classes
+    matrix, labels = _matrix(values), [f"c{v}" for v in shift]
+    params = ForestParams(seed=0)
+    if step == "aggregate_importances":
+        _, peak = _peak_bytes(lambda: aggregate_importances(matrix, labels, 10, params))
+    else:
+        _, peak = _peak_bytes(lambda: cross_validate(matrix, labels, 10, params))
+    assert peak < 2_000_000
+
+
+def test_hard_block_peak_memory_is_bounded():
+    # One hard worker's CV share: five forests of 100 trees on 36 of 40
+    # rows.  Nearly every tree outlives its root, so all five forests' open
+    # trees (streams, node arrays and stacks) are alive at once.
+    matrix, labels = _four_class(n=40, p=20, seed=3)
+    label_arr = np.asarray(labels, dtype=object)
+    fold = forest._stratified_folds(labels, 10, 0)
+    params = ForestParams(seed=0)
+    _, peak = _peak_bytes(
+        lambda: forest._fold_accuracies(matrix, label_arr, fold, params, range(5))
+    )
+    model = train_forest(matrix, labels, params)
+    assert sum(t.n_nodes > 3 for t in model.trees) > 90
+    assert peak < 4_000_000
 
 
 class TestRootSearch:
@@ -585,13 +635,88 @@ class TestCrossValidate:
         assert abs(float(np.mean(accs)) - 0.5) <= 0.15
 
 
+def _alone(matrix, labels, rows, params):
+    """``train_forest`` on a copy of *rows*, as a fold was trained before
+    folds grew in one block."""
+    sub = FeatureMatrix(matrix.feature_names, matrix.values[rows], np.arange(rows.size), None)
+    return train_forest(sub, [labels[i] for i in rows], params)
+
+
+def _model_bits(model):
+    trees = [_tree_bits(t) for t in model.trees]
+    return model.classes, trees, model.importances.dtype.str, model.importances.tobytes()
+
+
+class TestBlocks:
+    """The forests of one block equal ``train_forest`` on each forest's own
+    rows or seed, while their inner nodes share split searches."""
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_fold_forests_match_sub_matrix_fits(self, monkeypatch, grouped):
+        matrix, labels = _four_class(n=40, p=12, seed=21)
+        if grouped:  # fold 0 holds every c3 row, so its training rows lack c3
+            groups = ["p0" if v == "c3" else f"p{1 + i % 8}" for i, v in enumerate(labels)]
+            fold = forest._group_folds(groups, 5)
+        else:
+            fold = forest._stratified_folds(labels, 5, 4)
+        params = ForestParams(n_trees=15, min_leaf=1 + grouped, seed=4)
+        train = [(np.flatnonzero(fold != f), params.seed) for f in range(5)]
+        calls = TestRootSearch._spy(monkeypatch)
+        block = forest._grow(matrix, labels, train, params, lambda i, model: model)
+        n_block = len(calls)
+        alone = [_alone(matrix, labels, rows, params) for rows, _ in train]
+        assert n_block < len(calls) - n_block  # forests shared searches
+        assert [_model_bits(m) for m in block] == [_model_bits(m) for m in alone]
+        assert len(block[0].classes) == (3 if grouped else 4)
+        assert sum(t.n_nodes > 3 for m in block for t in m.trees) > 60
+
+        label_arr = np.asarray(labels, dtype=object)
+        accuracies = forest._fold_accuracies(matrix, label_arr, fold, params, range(5))
+        want = []
+        for f, model in enumerate(alone):
+            test = fold == f
+            predicted = np.asarray(predict_labels(model, matrix.values[test]), dtype=object)
+            want.append(float(np.mean(predicted == label_arr[test])))
+        assert accuracies == want
+
+    def test_repeat_forests_match_single_fits(self, monkeypatch):
+        matrix, labels = _four_class(n=40, p=12, seed=22)
+        params = ForestParams(n_trees=15, seed=8)
+        rows = np.arange(matrix.n_rows)
+        seeds = [(rows, params.seed + r) for r in range(4)]
+        calls = TestRootSearch._spy(monkeypatch)
+        block = forest._grow(matrix, labels, seeds, params, lambda i, model: model)
+        n_block = len(calls)
+        alone = [train_forest(matrix, labels, replace(params, seed=seed)) for _, seed in seeds]
+        assert n_block < len(calls) - n_block
+        assert [_model_bits(m) for m in block] == [_model_bits(m) for m in alone]
+        importances = forest._repeat_importances(matrix, labels, params, range(4))
+        assert [a.tobytes() for a in importances] == [m.importances.tobytes() for m in alone]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fold_with_one_training_class_raises(self, workers):
+        matrix, labels = _separable(n=20, seed=44)
+        groups = ["p0" if v == "a" else "p1" for v in labels]  # fold 0 trains on b alone
+        with pytest.raises(DegenerateTarget, match="at least 2 classes"):
+            cross_validate(matrix, labels, 2, ForestParams(n_trees=5, seed=0), groups, workers)
+
+
 class TestWorkers:
     """Folds and repeats fan out over a pool; results must not move."""
 
+    @staticmethod
+    def _data(data, n, seed):
+        # Separable data grows stumps, which close in their forest's root
+        # step; 4-class trees grow on in the lockstep the block shares.
+        if data == "separable":
+            return _separable(n=n, noise=1.5, seed=seed)
+        return _four_class(n=n, p=8, seed=seed)
+
+    @pytest.mark.parametrize("data", ["separable", "4-class"])
     @pytest.mark.parametrize("k", [2, 5])
     @pytest.mark.parametrize("grouped", [False, True])
-    def test_cross_validate_across_workers(self, k, grouped):
-        matrix, labels = _separable(n=60, noise=1.5, seed=40)
+    def test_cross_validate_across_workers(self, k, grouped, data):
+        matrix, labels = self._data(data, 60, 40)
         groups = [f"p{i % 6}" for i in range(60)] if grouped else None
         params = ForestParams(n_trees=6, seed=3)
         reports = [
@@ -600,9 +725,10 @@ class TestWorkers:
         assert reports[1] == reports[0]
         assert reports[2] == reports[0]
 
+    @pytest.mark.parametrize("data", ["separable", "4-class"])
     @pytest.mark.parametrize("repeats", [1, 2, 5])
-    def test_aggregate_importances_across_workers(self, repeats):
-        matrix, labels = _separable(n=50, noise=1.5, seed=41)
+    def test_aggregate_importances_across_workers(self, repeats, data):
+        matrix, labels = self._data(data, 50, 41)
         params = ForestParams(n_trees=6, seed=7)
         ranked = [
             aggregate_importances(matrix, labels, repeats, params, workers=w) for w in (1, 2, 3)

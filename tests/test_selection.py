@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from imufresh import selection
 from imufresh.errors import (
     BadParameters,
     DegenerateFeature,
@@ -195,6 +196,28 @@ def _random_column(rng, n, shape):
     return np.full(n, np.nan)
 
 
+def _wide_case(n_rows, classes, n_cols=405):
+    """A matrix of *n_cols* real, tied, two-valued, constant and all-NaN
+    columns, some with NaN cells, a tenth of them shifted by class; one
+    column is NaN on every row of the first class.  Also the target, with
+    every class present."""
+    rng = np.random.default_rng(n_rows * len(classes))
+    target = [classes[i % len(classes)] for i in rng.permutation(n_rows)]
+    shift = np.asarray([classes.index(v) for v in target], dtype=np.float64)
+    columns = {}
+    for j in range(n_cols - 1):
+        col = _random_column(rng, n_rows, j % 5)
+        if j % 10 == 0:
+            col = col + 2.0 * shift
+        if j % 3 == 0:
+            col[rng.random(n_rows) < 0.2] = np.nan
+        columns[f"f{j:03d}"] = col
+    gap = rng.standard_normal(n_rows)
+    gap[np.asarray(target, dtype=object) == classes[0]] = np.nan
+    columns["gap"] = gap
+    return _matrix(columns), target
+
+
 class TestSelectFeatures:
     def test_identical_binary_feature_is_top_and_selected(self):
         rng = np.random.default_rng(0)
@@ -358,6 +381,54 @@ class TestSelectFeatures:
                     select_features(matrix, target, q=q, method=method)
                 continue
             assert select_features(matrix, target, q=q, method=method) == expected, case
+
+    @pytest.mark.parametrize(
+        "n_rows, classes",
+        [(30, ("run", "walk")), (40, tuple("abcd")), (48, tuple("abcdefgh")), (30, (3, 7))],
+        ids=["desk-shaped", "hard-shaped", "8-class", "numeric-binary"],
+    )
+    def test_sorted_pass_matches_per_column_oracle(self, n_rows, classes):
+        matrix, target = _wide_case(n_rows, classes)
+        kinds = set()
+        for q, method in ((0.05, "by"), (0.5, "bh")):
+            got = select_features(matrix, target, q=q, method=method)
+            want = oracles.select_features(matrix, target, q=q, method=method)
+            assert [t.p_value for t in got.tests] == [t.p_value for t in want.tests]
+            assert [t.test_kind for t in got.tests] == [t.test_kind for t in want.tests]
+            assert [t.n_effective for t in got.tests] == [t.n_effective for t in want.tests]
+            assert [t.feature_name for t in got.tests] == [t.feature_name for t in want.tests]
+            assert got.selected == want.selected
+            assert got == want
+            assert got.selected
+            kinds |= {t.test_kind for t in got.tests}
+        assert kinds == {"constant", "fisher_exact", "ks_two_sample"}
+
+    @pytest.mark.parametrize(
+        "n_rows, classes", [(30, ("run", "walk")), (40, tuple("abcd")), (48, tuple("abcdefgh"))]
+    )
+    def test_sorted_pass_d_matches_ks_statistic_and_scipy(self, n_rows, classes):
+        stats = pytest.importorskip("scipy.stats")
+        matrix, target = _wide_case(n_rows, classes)
+        labels = np.asarray(target, dtype=object)
+        groups = classes[1:] if len(classes) == 2 else classes
+        in_group = labels[:, None] == np.asarray(groups, dtype=object)
+        n_eff, n_distinct, d, _ = selection._sorted_pass(matrix.values, in_group)
+        checked = 0
+        for col in range(matrix.n_cols):
+            x = matrix.values[:, col]
+            mask = ~np.isnan(x)
+            assert n_eff[col] == mask.sum()
+            assert n_distinct[col] == np.unique(x[mask]).size
+            for g in range(len(groups)):
+                a, b = x[mask & ~in_group[:, g]], x[mask & in_group[:, g]]
+                if a.size == 0 or b.size == 0:  # KS needs two non-empty samples
+                    continue
+                assert d[col, g] == ks_statistic(a, b)
+                assert d[col, g] == pytest.approx(
+                    stats.ks_2samp(a, b, method="asymp").statistic, rel=1e-12, abs=1e-15
+                )
+                checked += 1
+        assert checked > matrix.n_cols * len(groups) * 0.7
 
     def test_report_csv_format(self):
         rng = np.random.default_rng(12)
