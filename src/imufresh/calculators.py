@@ -598,8 +598,6 @@ def default_settings(kinds: Iterable[str]) -> ExtractionSettings:
     kind_list = sorted(set(kinds))
     if not kind_list:
         raise BadParameters("default_settings requires at least one kind")
-    for kind in kind_list:
-        validate_kind(kind)
     features = [
         make_feature_name(kind, calc, params)
         for kind in kind_list

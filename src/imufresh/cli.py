@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, DataError, ImufreshError, NothingSelected
+from .forest import load_model_file
 from .pipeline import (
     benchmark,
     load_config,
@@ -188,8 +189,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 print(f"{key:<{width}}  {value}")
         return EXIT_OK
     if path.suffix == ".txt" and path.name.startswith("model"):
-        from .forest import load_model_file
-
         model = load_model_file(str(path))
         print(f"forest: {len(model.trees)} trees, {model.n_features} features, "
               f"classes {', '.join(model.classes)}")

@@ -24,7 +24,9 @@ class DataError(ImufreshError):
 # --- recording ingestion and segmentation ---------------------------------
 
 class InconsistentChannels(DataError):
-    """Channels of a recording disagree in length or time grid."""
+    """A recording or labels CSV has the wrong shape: no channels, channels
+    of different lengths, a bad header, line or field count, or fewer than
+    2 samples."""
 
 
 class NonUniformSampling(DataError):

@@ -22,6 +22,7 @@ from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
 
+from .calculators import decode_feature_name
 from .errors import (
     BadParameters,
     DataError,
@@ -554,8 +555,6 @@ def _token(parse: Callable[[str], Any], parts: Sequence[str], i: int, what: str)
 
 
 def load_model(stream: TextIO) -> ForestModel:
-    from .calculators import decode_feature_name
-
     def next_line() -> str:
         line = stream.readline()
         if not line:

@@ -356,15 +356,14 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
 
     # Step 4: importance ranking over the selected columns only.
     with _timed(timings, "rank"):
-        selected_matrix = matrix.subset(report.selected)
-        finite = np.isfinite(selected_matrix.values).all(axis=0)
-        usable_names = [f for f, ok in zip(selected_matrix.feature_names, finite) if ok]
-        dropped = len(finite) - len(usable_names)
+        finite = np.isfinite(matrix.values).all(axis=0)
+        usable_names = [f for f in report.selected if finite[matrix.column_index(f)]]
+        dropped = len(report.selected) - len(usable_names)
         if dropped:
             logger.info("step 4: dropping %d selected columns with NaN or infinite cells", dropped)
         if not usable_names:
             raise NothingSelected("every selected feature column has NaN or infinite cells")
-        usable = selected_matrix.subset(usable_names)
+        usable = matrix.subset(usable_names)
         ranked = aggregate_importances(
             usable, labels, config.repeats, config.forest_params(), workers=config.workers
         )

@@ -32,7 +32,7 @@ from .errors import (
     WindowTooShort,
 )
 
-# Relative tolerance for the per-channel uniform-sampling check.
+# Relative tolerance for the uniform-sampling check of the time column.
 UNIFORM_STEP_RTOL = 1e-6
 
 # Slack (seconds) when testing whether a window lies inside a label interval,
@@ -393,14 +393,16 @@ def load_recording_csv(stream: BinaryIO | TextIO) -> Recording:
     writers emit: one row per time step with a field per column.  The
     header ``time,kind,value`` of the long layout, one row per sample, is
     refused with InconsistentChannels.  Blank lines are skipped; ``\\r\\n``
-    and a lone ``\\r`` end a line like ``\\n``.  Values and times must be
-    finite, with at least 2 samples.  The time step is inferred as
-    ``(t[-1] - t[0]) / (n - 1)`` and the rate as its inverse; each step may
-    deviate from it by 1e-6 of it plus two ulps of the largest time stamp.
+    and a lone ``\\r`` end a line like ``\\n``.
 
     A line with the wrong field count raises InconsistentChannels naming
-    it; a field that does not parse raises InvalidValue naming the first
-    column, time first, that holds one.
+    it; else a field that does not parse raises InvalidValue naming the
+    first column, time first, that holds one.  The parsed table is then
+    checked in order: each channel finite, in header order, and the time
+    column finite (InvalidValue); at least 2 samples
+    (InconsistentChannels); a uniform step (NonUniformSampling).  The step
+    is ``(t[-1] - t[0]) / (n - 1)`` and the rate its inverse; each step may
+    deviate from it by 1e-6 of it plus two ulps of the largest time stamp.
 
     Raises
     ------
@@ -432,10 +434,9 @@ _SCAN_BYTES = 1 << 20
 def _parse_recording(source: str | bytes) -> Recording:
     """The reader behind both entry points.  The header line alone is
     checked first: exactly ``time,kind,value``, the long layout, is
-    refused.  numpy's C text reader parses a path by name, or the CSV given
-    as bytes through a decoder that hands it a block of lines at a time.  A
-    path is read whole only when a check fails and the first bad line is
-    named."""
+    refused.  Then the table, in order: each channel finite, in header
+    order; the time column finite; at least 2 samples; a uniform step.  The
+    Recording keeps the table's columns uncopied."""
     with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
         header, has_rows = _header(fh)
     if header == b"time,kind,value":
@@ -446,23 +447,15 @@ def _parse_recording(source: str | bytes) -> Recording:
     kinds = _wide_kinds(header)
     if not has_rows:  # numpy's reader would warn on it
         raise InconsistentChannels("CSV contains no data rows")
-    return _assemble(_wide_columns(source, kinds))
-
-
-def _assemble(columns: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> Recording:
-    """The checks on the channels, kind by kind in order: finite values and
-    times; then at least 2 samples and a uniform step.  Every kind shares
-    the one time column.  The Recording keeps the arrays uncopied."""
-    channels: dict[str, np.ndarray] = {}
-    for kind, grid, values in columns:
-        if not np.all(np.isfinite(values)):
+    table = _wide_table(source, kinds)
+    for j, kind in enumerate(kinds, 1):
+        if not np.isfinite(table[:, j]).all():
             raise InvalidValue(f"channel {kind!r} contains NaN or infinite values")
-        if not np.all(np.isfinite(grid)):
-            raise InvalidValue(f"channel {kind!r} has NaN or infinite timestamps")
-        channels[kind] = values
-
+    grid = table[:, 0]
+    if not np.isfinite(grid).all():
+        raise InvalidValue("time column contains NaN or infinite values")
     if grid.shape[0] < 2:
-        raise InconsistentChannels("each channel needs at least 2 samples to infer a rate")
+        raise InconsistentChannels("a recording needs at least 2 samples to infer a rate")
     # The span over the sample count, not a typical step: on a Unix-time base
     # each step is off by an ulp of the stamps, which a median would keep.
     dt = float((grid[-1] - grid[0]) / (grid.shape[0] - 1))
@@ -474,7 +467,7 @@ def _assemble(columns: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> Recordin
             f"non-uniform time step: span / (n - 1) is {dt}, worst deviation "
             f"{float(deviation.max())}"
         )
-    return Recording(1.0 / dt, _OwnChannels(channels), float(grid[0]))
+    return Recording(1.0 / dt, _OwnChannels(zip(kinds, table[:, 1:].T)), float(grid[0]))
 
 
 _LINE_END = re.compile(rb"[\r\n]")
@@ -510,67 +503,43 @@ def _wide_kinds(header: bytes) -> tuple[str, ...]:
     return kinds
 
 
-def _wide_columns(source: str | bytes, kinds: tuple[str, ...]):
-    """(kind, times, values) per kind of a wide CSV, in header order, from
-    one parse into an ``(n, K + 1)`` table; each channel is a column of it."""
+def _wide_table(source: str | bytes, kinds: tuple[str, ...]) -> np.ndarray:
+    """The ``(n, K + 1)`` table of a wide CSV from one call of numpy's text
+    reader, which parses a path by name, or bytes through a decoder with
+    universal newlines that hands it a block of lines at a time.
+
+    Only when that call fails is the CSV read whole and split into lines,
+    as numpy splits a named file.  The first line with the wrong field count
+    raises InconsistentChannels (lines counted from 1, the header and blank
+    lines included); otherwise the first column with a field that does not
+    parse, the time column first, raises InvalidValue."""
+    text = source if isinstance(source, str) else io.TextIOWrapper(
+        io.BytesIO(source), encoding="utf-8", newline=None
+    )
     try:
-        table = _loadtxt(_text(source), skiprows=1, ndmin=2)
+        table = _loadtxt(text, skiprows=1, ndmin=2)
         if table.shape[1] != len(kinds) + 1:
-            raise ValueError("wrong field count")
-    except ValueError:
-        data = _whole(source)
-        _check_wide_lines(data, len(kinds) + 1)
-        return _parse_each_column(data, kinds)
-    return ((kind, table[:, 0], table[:, j]) for j, kind in enumerate(kinds, 1))
-
-
-def _parse_each_column(data: bytes, kinds: tuple[str, ...]):
-    """Yield (kind, times, values) per kind in header order, parsing each
-    column only when it is reached, the time column first, and raise
-    InvalidValue for the first column with a field that does not parse.
-    *data* has passed :func:`_check_wide_lines`."""
-    # A byte that is not UTF-8 stays in its field, which then does not parse.
-    lines = [line.decode("utf-8", "surrogateescape") for line in data.split(b"\n")[1:] if line]
-
-    def column(j: int, name: str) -> np.ndarray:
-        try:
-            return _loadtxt(lines, usecols=j)
-        except ValueError as exc:
-            raise InvalidValue(f"{name}: unparseable numeric field ({exc})") from None
-
-    times = column(0, "time column")
-    for j, kind in enumerate(kinds, 1):
-        yield kind, times, column(j, f"channel {kind!r}")
-
-
-def _check_wide_lines(data: bytes, n_fields: int) -> None:
-    """Raise InconsistentChannels for the first data line without
-    *n_fields* fields (lines counted from 1, the header and blank lines
-    included)."""
-    for lineno, line in enumerate(data.split(b"\n")[1:], start=2):
-        if line and line.count(b",") != n_fields - 1:
-            raise InconsistentChannels(
-                f"line {lineno}: expected {n_fields} fields, got {line.count(b',') + 1}"
-            )
-
-
-def _whole(source: str | bytes) -> bytes:
-    """The whole CSV, with universal newlines as numpy reads a named file."""
+            raise ValueError(f"{table.shape[1]} fields per line")
+        return table
+    except ValueError as exc:
+        error = exc
     if isinstance(source, str):
         with open(source, "rb") as fh:
             source = fh.read()
-    if b"\r" in source:
-        source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return source
-
-
-def _text(source: str | bytes):
-    """A path as is, for numpy to open by name; bytes through a decoder with
-    universal newlines, which shares them and hands numpy a block of lines
-    at a time."""
-    if isinstance(source, str):
-        return source
-    return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline=None)
+    lines = source.splitlines()[1:]
+    for lineno, line in enumerate(lines, start=2):
+        if line and line.count(b",") != len(kinds):
+            raise InconsistentChannels(
+                f"line {lineno}: expected {len(kinds) + 1} fields, got {line.count(b',') + 1}"
+            )
+    # A byte that is not UTF-8 stays in its field, which then does not parse.
+    text = [line.decode("utf-8", "surrogateescape") for line in lines if line]
+    for j, name in enumerate(["time column"] + [f"channel {kind!r}" for kind in kinds]):
+        try:
+            _loadtxt(text, usecols=j)
+        except ValueError as exc:
+            raise InvalidValue(f"{name}: unparseable numeric field ({exc})") from None
+    raise InvalidValue(f"unparseable numeric field ({error})")
 
 
 def _loadtxt(source, skiprows: int = 0, ndmin: int = 1, usecols: int | None = None):

@@ -12,7 +12,7 @@ from imufresh.calculators import (
     compute_feature,
     default_settings,
 )
-from imufresh.errors import BadParameters, UnknownCalculator
+from imufresh.errors import BadParameters, InvalidKindName, UnknownCalculator
 
 
 class TestDistribution:
@@ -209,6 +209,11 @@ class TestDefaultGrid:
     def test_empty_kinds_rejected(self):
         with pytest.raises(BadParameters):
             default_settings([])
+
+    def test_first_invalid_kind_in_sorted_order_is_named(self):
+        for kinds in (["ok", "z-z", "a__b"], ["a__b", "ok", "z-z"]):
+            with pytest.raises(InvalidKindName, match=r"invalid channel kind: 'a__b'$"):
+                default_settings(kinds)
 
     def test_change_quantiles_combinations(self):
         settings = default_settings(["a"])

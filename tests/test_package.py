@@ -73,6 +73,33 @@ def test_unused_import_gate_flags_a_planted_import():
     assert _unused_imports(source) == [(2, "os")]
 
 
+def _function_imports(source):
+    """(line, name) of each import inside a function, nested ones included."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update(
+                (node.lineno, alias.name)
+                for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+            )
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    assert _function_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_function_import_gate_flags_planted_imports():
+    source = (
+        "import os\n\n\ndef f():\n    from .a import b\n\n    def g():\n"
+        "        import sys\n\n    return b, g\n\n\nclass C:\n    def m(self):\n"
+        "        import json\n"
+    )
+    assert _function_imports(source) == [(5, "b"), (8, "sys"), (15, "json")]
+
+
 def _unread_private_names(sources):
     """(module, line, name) of each top-level private function, class or
     constant (``_name``) that no module of *sources*, a mapping of module

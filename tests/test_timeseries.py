@@ -332,6 +332,10 @@ class TestReaderMatchesLineLoop:
             ("wide-nul-in-value", InvalidValue, "channel 'a': unparseable"),
             ("wide-non-numeric-time", InvalidValue, "time column: unparseable"),
             ("wide-bad-value-and-time", InvalidValue, "time column: unparseable"),
+            ("wide-inf-time", InvalidValue, "time column contains NaN or infinite"),
+            ("wide-nan-value", InvalidValue, "channel 'b' contains NaN"),
+            # an unparseable field wins over a NaN in an earlier column
+            ("wide-nan-then-bad-value", InvalidValue, "channel 'b': unparseable"),
             ("wide-header-only", InconsistentChannels, "no data rows"),
             ("wide-header-and-blanks", InconsistentChannels, "no data rows"),
         ],
