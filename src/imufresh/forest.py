@@ -42,29 +42,15 @@ _BLOCK_CELLS = 1 << 12
 
 @dataclass(frozen=True)
 class ForestParams:
-    """Training knobs; defaults mirror a stock random-forest configuration."""
+    """Forest size and seed.  Every tree grows on a bootstrap of the rows until
+    its leaves are pure, sampling floor(sqrt(p)) of the p features per node."""
 
     n_trees: int = 100
-    mtry: int | None = None  # default floor(sqrt(p)) at fit time
-    min_leaf: int = 1
-    max_depth: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise BadParameters(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.min_leaf < 1:
-            raise BadParameters(f"min_leaf must be >= 1, got {self.min_leaf}")
-        if self.mtry is not None and self.mtry < 1:
-            raise BadParameters(f"mtry must be >= 1, got {self.mtry}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise BadParameters(f"max_depth must be >= 1, got {self.max_depth}")
-
-    def resolve_mtry(self, n_features: int) -> int:
-        mtry = self.mtry if self.mtry is not None else max(1, int(math.sqrt(n_features)))
-        if mtry > n_features:
-            raise BadParameters(f"mtry {mtry} exceeds feature count {n_features}")
-        return mtry
 
 
 @dataclass(frozen=True)
@@ -111,10 +97,10 @@ class ForestModel:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=256)
-def _boundary_sizes(n_node: int, min_leaf: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only rows left and right of each boundary with ``min_leaf`` rows
-    on either side, shaped (2, 1, 1, bounds), and their squares."""
-    n_left = np.arange(min_leaf, n_node - min_leaf + 1)
+def _boundary_sizes(n_node: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rows left and right of each boundary, shaped (2, 1, 1,
+    bounds), and their squares."""
+    n_left = np.arange(1, n_node)
     sizes = np.stack([n_left, n_node - n_left])[:, None, None, :]
     squares = sizes * sizes
     for a in (sizes, squares):
@@ -124,7 +110,7 @@ def _boundary_sizes(n_node: int, min_leaf: int) -> tuple[np.ndarray, np.ndarray]
 
 def _best_split(
     x_cols: np.ndarray, y: np.ndarray, idx: np.ndarray, counts: np.ndarray,
-    feats: np.ndarray, min_leaf: int, n_classes: int,
+    feats: np.ndarray, n_classes: int,
 ) -> list:
     """Best (gain, feature, threshold, left rows, right rows), or None, for
     each of B nodes of n_node rows: ``idx`` (B, n_node), ``counts``
@@ -132,19 +118,17 @@ def _best_split(
 
     One argsort of the ``(B, mtry, n_node)`` block (sorted in place for its
     values) and running counts of every class but the last score every
-    boundary between distinct sorted values with ``min_leaf`` rows on either
-    side.  A node's pick is its first maximum in sampled-feature order with
-    thresholds ascending, taken only if its gain is > 0.  The sort need not
-    be stable: rows tied on a value only reorder counts at boundaries inside
-    the tie, which are never candidates, so the children (the winning
-    column's sort cut at the boundary) are exactly the rows at or below and
-    above the threshold.  ``_BLOCK_CELLS`` bounds the block of one pass.
+    boundary between distinct sorted values.  A node's pick is its first
+    maximum in sampled-feature order with thresholds ascending, taken only
+    if its gain is > 0.  The sort need not be stable: rows tied on a value
+    only reorder counts at boundaries inside the tie, which are never
+    candidates, so the children (the winning column's sort cut at the
+    boundary) are exactly the rows at or below and above the threshold.
+    ``_BLOCK_CELLS`` bounds the block of one pass.
     """
     n_nodes, n_node = idx.shape
-    if n_node < 2 * min_leaf:
-        return [None] * n_nodes
-    first, end = min_leaf - 1, n_node - min_leaf  # the candidate boundaries
-    sizes, sizes_sq = _boundary_sizes(n_node, min_leaf)
+    end = n_node - 1  # the candidate boundaries
+    sizes, sizes_sq = _boundary_sizes(n_node)
     out = []
     step = _BLOCK_CELLS // (feats.shape[1] * n_node) or 1
     for lo in range(0, n_nodes, step):
@@ -161,20 +145,18 @@ def _best_split(
         c = np.empty((2, *onehot.shape), dtype=np.int64)
         onehot.cumsum(axis=3, out=c[0])
         np.subtract(cnt.T[:-1, :, None, None].astype(np.int64), c[0], out=c[1])
-        c = c[..., first:]
         rest = sizes - c.sum(axis=1)  # the last class
         side = sizes * (1.0 - ((c * c).sum(axis=1) + rest * rest) / sizes_sq)
         gini = 1.0 - (cnt * cnt).sum(axis=1) / (n_node * n_node)
         gain = gini[:, None, None] - (side[0] + side[1]) / n_node
-        np.putmask(gain, block[..., first:end] == block[..., first + 1 : end + 1], -np.inf)
+        np.putmask(gain, block[..., :end] == block[..., 1:], -np.inf)
         picks = gain.reshape(len(ix), -1).argmax(axis=1)
         for node, pick in enumerate(picks.tolist()):
-            f_pos, b = divmod(pick, end - first)
+            f_pos, b = divmod(pick, end)
             best = float(gain[node, f_pos, b])
             if best <= 0.0:
                 out.append(None)
                 continue
-            b += first
             v_lo, v_hi = block[node, f_pos, b], block[node, f_pos, b + 1]
             thr = (v_lo + v_hi) / 2.0
             if thr >= v_hi:  # adjacent floats, or a sum that overflows: split at lo
@@ -187,9 +169,13 @@ def _best_split(
 class _Growing:
     """A forest until its last tree closes: node arrays, and each tree's stream, stack and gains."""
 
-    def __init__(self, index, n, present, rngs, root_counts, n_open) -> None:
-        shape = (len(rngs), 2 * n - 1)  # a bootstrap of n rows makes at most 2n - 1 nodes
-        self.index, self.n, self.present, self.rngs, self.open = index, n, present, rngs, n_open
+    def __init__(self, index, boots, present, rngs, root_counts, n_open) -> None:
+        # Copies of a row never part, so a tree on d distinct rows has at most
+        # d leaves and 2d - 1 nodes.
+        distinct = 1 + np.count_nonzero(np.diff(np.sort(boots, axis=1), axis=1), axis=1).max()
+        shape = (len(rngs), 2 * int(distinct) - 1)
+        self.index, self.n, self.present, self.rngs, self.open = (
+            index, boots.shape[1], present, rngs, n_open)
         self.feature, self.left, self.right = np.full((3, *shape), -1, dtype=np.int32)
         self.threshold = np.zeros(shape, dtype=np.float64)
         self.counts = np.zeros((*shape, root_counts.shape[1]), dtype=np.int32)
@@ -223,8 +209,9 @@ def _grow(
     class_index = {c: i for i, c in enumerate(classes)}
     y = np.asarray([class_index[v] for v in label_list], dtype=np.int64)
     p, n_classes, finite = x.shape[1], len(classes), np.isfinite(x).all(axis=1)
-    mtry, min_leaf = params.resolve_mtry(p), params.min_leaf
-    max_depth = params.max_depth or math.inf
+    if p < 1:
+        raise BadParameters("training needs at least one feature column")
+    mtry = max(1, int(math.sqrt(p)))
     results: list = [None] * len(forests)
 
     def close(g: _Growing) -> None:
@@ -244,7 +231,7 @@ def _grow(
 
     def advance(searched: list, found: list) -> list:
         # Each searched node's split, then each of those trees' next node.
-        for (g, t, idx, depth, nid), split in zip(searched, found):
+        for (g, t, idx, nid), split in zip(searched, found):
             if split is None:
                 continue
             gain, f, thr, rows_left, rows_right = split
@@ -252,19 +239,18 @@ def _grow(
             i = g.n_nodes[t]
             g.feature[t, nid], g.threshold[t, nid] = f, thr
             g.left[t, nid], g.right[t, nid] = i, i + 1
-            g.stacks[t] += [(rows_right, depth + 1, i + 1), (rows_left, depth + 1, i)]
+            g.stacks[t] += [(rows_right, i + 1), (rows_left, i)]
             g.n_nodes[t] = i + 2
-        nodes = []  # (forest, tree, rows, depth, node id, features, class counts)
+        nodes = []  # (forest, tree, rows, node id, features, class counts)
         for g, t, *_ in searched:
             stack = g.stacks[t]
             while stack:
-                idx, depth, nid = stack.pop()
+                idx, nid = stack.pop()
                 node_counts = g.counts[t, nid]
                 node_counts[:] = np.bincount(y[idx], minlength=n_classes)
-                mixed = np.count_nonzero(node_counts) > 1
-                if mixed and idx.size >= 2 * min_leaf and depth < max_depth:
+                if np.count_nonzero(node_counts) > 1:  # two classes, so two rows or more
                     feats = g.rngs[t].choice(p, size=mtry, replace=False)
-                    nodes.append((g, t, idx, depth, nid, feats, node_counts))
+                    nodes.append((g, t, idx, nid, feats, node_counts))
                     break
             else:  # the tree is closed
                 g.rngs[t], g.open = None, g.open - 1
@@ -284,25 +270,24 @@ def _grow(
         rngs = [np.random.default_rng((seed & _SEED_MASK, t)) for t in range(params.n_trees)]
         boots = rows[np.stack([rng.integers(0, n, size=n) for rng in rngs])]
         root_counts = (y[boots][:, :, None] == np.arange(n_classes)).sum(axis=1)
-        # Roots that are not pure and hold 2 * min_leaf rows; none is depth-capped.
-        roots = np.flatnonzero((np.count_nonzero(root_counts, axis=1) > 1) & (n >= 2 * min_leaf))
+        roots = np.flatnonzero(np.count_nonzero(root_counts, axis=1) > 1)  # not pure
         feats = np.array([rngs[t].choice(p, mtry, replace=False) for t in roots], dtype=np.int64)
         found = _best_split(x, y, boots[roots], root_counts[roots], feats.reshape(-1, mtry),
-                            min_leaf, n_classes)
-        g = _Growing(i, n, present, rngs, root_counts, roots.size)
+                            n_classes)
+        g = _Growing(i, boots, present, rngs, root_counts, roots.size)
         if not g.open:
             close(g)
-        nodes += advance([(g, t, boots[t], 0, 0) for t in roots.tolist()], found)
+        nodes += advance([(g, t, boots[t], 0) for t in roots.tolist()], found)
     while nodes:
         by_size: dict[int, list] = {}
         for node in nodes:
             by_size.setdefault(node[2].size, []).append(node)
         searched, found = [], []
         for group in by_size.values():
-            g, t, idx, depth, nid, feats, counts = zip(*group)
+            g, t, idx, nid, feats, counts = zip(*group)
             counts = np.stack(counts, dtype=np.int64)  # squared int32 counts could wrap
-            found += _best_split(x, y, np.stack(idx), counts, np.stack(feats), min_leaf, n_classes)
-            searched += zip(g, t, idx, depth, nid)
+            found += _best_split(x, y, np.stack(idx), counts, np.stack(feats), n_classes)
+            searched += zip(g, t, idx, nid)
         nodes = advance(searched, found)
     return results
 

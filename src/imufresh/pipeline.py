@@ -95,9 +95,6 @@ class PipelineConfig:
     seed: int = 0
     workers: int = 1
     n_trees: int = 100
-    min_leaf: int = 1
-    max_depth: int | None = None
-    mtry: int | None = None
     cv_folds: int = 10
     virtual_sensors: tuple[VirtualSensorSpec, ...] = ()
     auto_pair: tuple[str, str] | None = None
@@ -120,17 +117,10 @@ class PipelineConfig:
         self.forest_params()  # raises BadParameters, a ConfigError, before any step runs
 
     def forest_params(self) -> ForestParams:
-        return ForestParams(
-            n_trees=self.n_trees,
-            mtry=self.mtry,
-            min_leaf=self.min_leaf,
-            max_depth=self.max_depth,
-            seed=self.seed,
-        )
+        return ForestParams(n_trees=self.n_trees, seed=self.seed)
 
 
-_INT_KEYS = {"top_k", "repeats", "seed", "workers", "n_trees", "min_leaf",
-             "max_depth", "mtry", "cv_folds"}
+_INT_KEYS = {"top_k", "repeats", "seed", "workers", "n_trees", "cv_folds"}
 _FLOAT_KEYS = {"window_seconds", "q"}
 _PATH_KEYS = {"recording", "labels", "output_dir", "settings_file"}
 
@@ -185,10 +175,9 @@ def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
     raw["virtual_sensors"] = tuple(specs)
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
-    if "recording" not in raw:
-        raise ConfigError(f"{path}: missing required key 'recording'")
-    if "output_dir" not in raw:
-        raise ConfigError(f"{path}: missing required key 'output_dir'")
+    for key in ("recording", "output_dir"):
+        if raw.get(key) is None:  # an empty path value is None too
+            raise ConfigError(f"{path}: missing or empty required key {key!r}")
     try:
         return PipelineConfig(**raw)  # type: ignore[arg-type]
     except TypeError as exc:

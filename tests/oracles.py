@@ -413,7 +413,7 @@ def select_features(matrix, target, q=0.05, method="by"):
 
 # --- forest split search -----------------------------------------------------
 
-def best_split(x_cols, y, idx, counts, feats, min_leaf, n_classes):
+def best_split(x_cols, y, idx, counts, feats, n_classes):
     """Best (gain, feature, threshold) over the sampled features, or None.
 
     One feature at a time, in sampled order with thresholds ascending; a
@@ -433,11 +433,6 @@ def best_split(x_cols, y, idx, counts, feats, min_leaf, n_classes):
         if boundaries.size == 0:
             continue
         n_left = boundaries + 1
-        ok = (n_left >= min_leaf) & (n_node - n_left >= min_leaf)
-        boundaries = boundaries[ok]
-        if boundaries.size == 0:
-            continue
-        n_left = n_left[ok]
         cum = np.cumsum(ys[:, None] == class_eye, axis=0)
         c_left = cum[boundaries]
         c_right = counts - c_left
@@ -458,11 +453,11 @@ def best_split(x_cols, y, idx, counts, feats, min_leaf, n_classes):
     return best_gain, best[0], best[1]
 
 
-def grow_tree(x, y, n_classes, params, rng, importance_acc):
+def grow_tree(x, y, n_classes, rng, importance_acc):
     """The grower with per-node Python lists, calling ``best_split`` and
     partitioning each node by comparing its rows with the threshold."""
     n, p = x.shape
-    mtry = params.resolve_mtry(p)
+    mtry = max(1, math.isqrt(p))  # floor(sqrt(p)) features per node
     boot = rng.integers(0, n, size=n)
 
     feature, threshold, left, right, counts_list = [], [], [], [], []
@@ -476,18 +471,16 @@ def grow_tree(x, y, n_classes, params, rng, importance_acc):
         return len(feature) - 1
 
     root = new_node()
-    stack = [(boot, 0, root)]
+    stack = [(boot, root)]
     while stack:
-        idx, depth, nid = stack.pop()
+        idx, nid = stack.pop()
         node_counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
         counts_list[nid] = node_counts
         n_node = idx.size
-        pure = int(np.count_nonzero(node_counts)) <= 1
-        depth_capped = params.max_depth is not None and depth >= params.max_depth
-        if pure or n_node < 2 * params.min_leaf or depth_capped:
+        if int(np.count_nonzero(node_counts)) <= 1:  # pure
             continue
         feats = rng.choice(p, size=mtry, replace=False)
-        split = best_split(x, y, idx, node_counts, feats, params.min_leaf, n_classes)
+        split = best_split(x, y, idx, node_counts, feats, n_classes)
         if split is None:
             continue
         gain, f, thr = split
@@ -499,8 +492,8 @@ def grow_tree(x, y, n_classes, params, rng, importance_acc):
         threshold[nid] = thr
         left[nid] = lid
         right[nid] = rid
-        stack.append((idx[~go_left], depth + 1, rid))
-        stack.append((idx[go_left], depth + 1, lid))
+        stack.append((idx[~go_left], rid))
+        stack.append((idx[go_left], lid))
 
     return Tree(
         feature=np.asarray(feature, dtype=np.int32),

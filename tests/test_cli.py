@@ -142,14 +142,35 @@ def test_top_k_zero_is_a_config_error(workspace):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["n_trees", "min_leaf", "mtry", "max_depth"])
-def test_forest_param_zero_is_a_config_error(workspace, key):
-    cfg = workspace / f"{key}0.cfg"
-    cfg.write_text((workspace / "pipe.cfg").read_text() + f"{key} = 0\n")
-    out = workspace / f"{key}0"
-    rc = main(["run", "--config", str(cfg), "--out", str(out)])
-    assert rc == 2
+def test_n_trees_zero_is_a_config_error(workspace):
+    cfg = workspace / "n_trees0.cfg"
+    cfg.write_text((workspace / "pipe.cfg").read_text() + "n_trees = 0\n")
+    out = workspace / "n_trees0"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["min_leaf", "mtry", "max_depth"])
+def test_retired_forest_key_is_an_unknown_config_key(workspace, capsys, key):
+    # Every tree grows until its leaves are pure, with floor(sqrt(p))
+    # features per node; no key tunes that any more.
+    cfg = workspace / f"{key}.cfg"
+    cfg.write_text((workspace / "pipe.cfg").read_text() + f"{key} = 2\n")
+    out = workspace / key
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["recording", "output_dir"])
+def test_empty_required_path_is_a_config_error(workspace, tmp_path, capsys, key):
+    paths = {"recording": workspace / "rec.csv", "labels": workspace / "labels.csv",
+             "output_dir": tmp_path / "out", key: ""}
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in paths.items()))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"missing or empty required key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_corrupt_model_exit_code(workspace, artifacts, tmp_path):

@@ -112,10 +112,10 @@ class TestTrain:
         with pytest.raises(DegenerateTarget):
             train_forest(matrix, ["same"] * matrix.n_rows, ForestParams(seed=0))
 
-    def test_mtry_bounds(self):
-        matrix, labels = _separable()
-        with pytest.raises(BadParameters):
-            train_forest(matrix, labels, ForestParams(mtry=5, seed=0))
+    def test_no_feature_column_rejected(self):
+        matrix = _matrix(np.zeros((4, 0)))
+        with pytest.raises(BadParameters, match="at least one feature column"):
+            train_forest(matrix, ["a", "b"] * 2, ForestParams(seed=0))
 
     def test_multiclass(self):
         rng = np.random.default_rng(11)
@@ -152,7 +152,6 @@ def _columns(rng, n_rows, p):
 def _split_problem(rng, case):
     """A seeded node for the split search, drawn with repeated rows."""
     n_classes = 2 + case % 4
-    min_leaf = 1 + (case // 4) % 3
     n_rows = int(rng.integers(2, 40))
     n_node = 2 if case % 7 == 0 else int(rng.integers(2, 40))
     p = int(rng.integers(1, 9))
@@ -161,14 +160,14 @@ def _split_problem(rng, case):
     idx = rng.integers(0, n_rows, size=n_node)
     counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
     feats = rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
-    return x, y, idx, counts, feats, min_leaf, n_classes
+    return x, y, idx, counts, feats, n_classes
 
 
-def _search(x, y, idx, counts, feats, min_leaf, n_classes):
+def _search(x, y, idx, counts, feats, n_classes):
     """``forest._best_split`` on B nodes, as (gain, feature, threshold) per
     node, after checking that each node's children are its rows at or below
     and above the threshold."""
-    found = forest._best_split(x, y, idx, counts, feats, min_leaf, n_classes)
+    found = forest._best_split(x, y, idx, counts, feats, n_classes)
     assert len(found) == idx.shape[0]
     out = []
     for node_rows, got in zip(idx, found):
@@ -188,9 +187,9 @@ class TestSplitSearch:
         rng = np.random.default_rng(31)
         found = 0
         for case in range(400):
-            x, y, idx, counts, feats, min_leaf, n_classes = _split_problem(rng, case)
-            want = oracles.best_split(x, y, idx, counts, feats, min_leaf, n_classes)
-            got = _search(x, y, idx[None], counts[None], feats[None], min_leaf, n_classes)
+            x, y, idx, counts, feats, n_classes = _split_problem(rng, case)
+            want = oracles.best_split(x, y, idx, counts, feats, n_classes)
+            got = _search(x, y, idx[None], counts[None], feats[None], n_classes)
             assert got == [want], case
             found += want is not None
         assert 0 < found < 400
@@ -204,7 +203,6 @@ class TestSplitSearch:
         found = 0
         for case in range(160):
             n_classes = 2 + case % 4
-            min_leaf = 1 + (case // 4) % 3
             n_nodes = 1 + case % 8
             n_rows = int(rng.integers(2, 30))
             n_node = int(rng.integers(2, 30))
@@ -218,10 +216,10 @@ class TestSplitSearch:
             counts = np.stack([np.bincount(y[i], minlength=n_classes) for i in idx]).astype(float)
             feats = np.stack([rng.choice(p, size=mtry, replace=False) for _ in idx])
             want = [
-                oracles.best_split(x, y, i, c, f, min_leaf, n_classes)
+                oracles.best_split(x, y, i, c, f, n_classes)
                 for i, c, f in zip(idx, counts, feats)
             ]
-            assert _search(x, y, idx, counts, feats, min_leaf, n_classes) == want, case
+            assert _search(x, y, idx, counts, feats, n_classes) == want, case
             found += sum(w is not None for w in want)
         assert found > 150
 
@@ -232,7 +230,7 @@ class TestSplitSearch:
         idx = np.arange(4)[None]
         counts = np.asarray([[2.0, 2.0]])
         for feats in ([2, 0, 1], [1, 2, 0]):
-            got = _search(x, y, idx, counts, np.asarray([feats]), 1, 2)
+            got = _search(x, y, idx, counts, np.asarray([feats]), 2)
             assert got == [(0.5, feats[0], 1.5)]
 
 
@@ -252,7 +250,7 @@ def _forest_and_oracle(x, y, params):
     model = train_forest(_matrix(x), [f"c{v}" for v in y], params)
     acc = np.zeros(x.shape[1])
     trees = [
-        oracles.grow_tree(x, y, classes.size, params, np.random.default_rng((params.seed, t)), acc)
+        oracles.grow_tree(x, y, classes.size, np.random.default_rng((params.seed, t)), acc)
         for t in range(params.n_trees)
     ]
     total = float(acc.sum())
@@ -261,29 +259,33 @@ def _forest_and_oracle(x, y, params):
     return got, ([_tree_bits(t) for t in trees], importances.tobytes()), model
 
 
+def _grower_problem(rng, n_rows, n_classes, stumps):
+    """Columns and labels holding two classes or more; with *stumps*, two
+    classes that every column separates, so each tree is a stump or a lone
+    leaf."""
+    p = int(rng.integers(1, 9))
+    if stumps:
+        y = np.arange(n_rows) % 2
+        return y[:, None] + 0.5 * rng.random((n_rows, p)), y
+    x = _columns(rng, n_rows, p)
+    y = rng.integers(0, n_classes, size=n_rows)
+    y[:2] = (0, 1)  # training needs two classes
+    return x, y
+
+
 class TestGrower:
     def test_matches_list_based_grower(self):
         rng = np.random.default_rng(57)
-        depths = (None, 1, 3)
-        n_split = 0
+        sizes = []
         for case in range(50):
-            n_classes = 2 + case % 4
             n_rows = int(rng.integers(2, 40))
-            p = int(rng.integers(1, 9))
-            x = _columns(rng, n_rows, p)
-            y = rng.integers(0, n_classes, size=n_rows)
-            y[:2] = (0, 1)  # training needs two classes
-            params = ForestParams(
-                n_trees=1 + case % 6,
-                mtry=int(rng.integers(1, p + 1)),
-                min_leaf=1 + (case // 4) % 3,
-                max_depth=depths[case % 3],
-                seed=case,
-            )
+            x, y = _grower_problem(rng, n_rows, 2 + case % 4, stumps=case % 3 == 1)
+            params = ForestParams(n_trees=1 + case % 6, seed=case)
             got, want, model = _forest_and_oracle(x, y, params)
             assert got == want, case
-            n_split += sum(t.n_nodes > 1 for t in model.trees)
-        assert n_split > 50
+            sizes += [t.n_nodes for t in model.trees]
+        assert sizes.count(3) > 40  # stumps
+        assert sum(k > 3 for k in sizes) > 40  # deeper trees
 
     @pytest.mark.parametrize("cells", [forest._BLOCK_CELLS, 64, 1])
     def test_lockstep_forests_match_list_based_grower(self, monkeypatch, cells):
@@ -299,59 +301,57 @@ class TestGrower:
 
         monkeypatch.setattr(forest, "_best_split", spy)
         rng = np.random.default_rng(61)
-        depths = (None, 1, 3)
         shared = 0  # searches of several inner nodes
         for case in range(12):
-            n_classes = 2 + case % 4
-            n_rows = int(rng.integers(12, 40))
-            p = int(rng.integers(1, 9))
-            x = _columns(rng, n_rows, p)
-            y = rng.integers(0, n_classes, size=n_rows)
-            y[:2] = (0, 1)  # training needs two classes
-            params = ForestParams(
-                n_trees=int(rng.integers(20, 61)),
-                mtry=int(rng.integers(1, p + 1)),
-                min_leaf=1 + case % 3,
-                max_depth=depths[case // 4],
-                seed=100 + case,
-            )
+            stumps = 4 <= case < 8
+            x, y = _grower_problem(rng, int(rng.integers(12, 40)), 2 + case % 4, stumps)
+            params = ForestParams(n_trees=int(rng.integers(20, 61)), seed=100 + case)
             del batch_sizes[:]
             got, want, model = _forest_and_oracle(x, y, params)
             assert got == want, case
             shared += sum(b > 1 for b in batch_sizes[1:])
-            assert len(batch_sizes) == 1 or params.max_depth != 1, case
+            assert len(batch_sizes) == 1 or not stumps, case  # a stump forest's roots
         assert shared > 20
 
-    def test_tree_that_isolates_every_bootstrap_row(self):
-        # A permutation bootstrap of n distinct values whose labels alternate
-        # along the one feature: every row ends in its own leaf, so the tree
-        # has the 2n - 1 nodes its arrays are sized for.
+    @pytest.mark.parametrize("permutation", [True, False], ids=["permutation", "copies"])
+    def test_tree_that_isolates_every_bootstrap_row(self, monkeypatch, permutation):
+        # Labels alternate along the d distinct rows the one bootstrap drew,
+        # on one feature: the tree isolates each of them and fills the 2d - 1
+        # slots of its node arrays, since copies of a row never part.  A
+        # permutation bootstrap has d = n.
         n = 5
-        seed = next(
-            s for s in range(10_000)
-            if np.unique(np.random.default_rng((s, 0)).integers(0, n, size=n)).size == n
-        )
+        for seed in range(10_000):
+            drawn = np.unique(np.random.default_rng((seed, 0)).integers(0, n, size=n))
+            if (drawn.size == n) == permutation and drawn.size > 1:
+                break
+        y = np.zeros(n, dtype=np.int64)
+        y[drawn] = np.arange(drawn.size) % 2
+        slots = []
+
+        class Spy(forest._Growing):
+            def __init__(self, *args):
+                super().__init__(*args)
+                slots.append(self.feature.shape[1])
+
+        monkeypatch.setattr(forest, "_Growing", Spy)
         x = np.arange(n, dtype=np.float64)[:, None]
-        y = np.arange(n) % 2
         got, want, model = _forest_and_oracle(x, y, ForestParams(n_trees=1, seed=seed))
         assert got == want
-        assert model.trees[0].n_nodes == 2 * n - 1
+        assert model.trees[0].n_nodes == slots[0] == 2 * drawn.size - 1
 
     @pytest.mark.parametrize(
-        "y, min_leaf, max_depth, n_trees, seed, root_leaves",
+        "y, n_trees, seed, root_leaves",
         [
-            ([0, 0, 0, 0, 1], 1, None, 30, 2, "some"),  # some bootstraps hold one class
-            ([0, 0, 0, 0, 1], 1, 1, 30, 2, "some"),
-            ([0, 1, 0, 1, 2, 2], 2, None, 1, 2, "none"),
-            ([0, 1], 1, None, 1, 0, "all"),  # the one bootstrap is row 1 twice
-            ([0, 1, 0], 2, None, 12, 2, "all"),  # 3 rows < 2 * min_leaf
-            ([0, 1], 2, 1, 5, 2, "all"),
+            ([0, 0, 0, 0, 1], 30, 2, "some"),  # some bootstraps hold one class
+            ([0, 1, 0, 1, 2, 2], 1, 2, "none"),
+            ([0, 1], 1, 0, "all"),  # the one bootstrap is row 1 twice
+            ([0, 0, 0, 1], 4, 38, "all"),  # every bootstrap holds one class
         ],
     )
-    def test_unsplittable_roots(self, y, min_leaf, max_depth, n_trees, seed, root_leaves):
+    def test_unsplittable_roots(self, y, n_trees, seed, root_leaves):
         y = np.asarray(y)
         x = np.column_stack([np.arange(y.size, dtype=np.float64), y * 0.5])
-        params = ForestParams(n_trees=n_trees, min_leaf=min_leaf, max_depth=max_depth, seed=seed)
+        params = ForestParams(n_trees=n_trees, seed=seed)
         got, want, model = _forest_and_oracle(x, y, params)
         assert got == want
         leaves = sum(t.n_nodes == 1 for t in model.trees)
@@ -438,34 +438,33 @@ class TestRootSearch:
         batch_sizes = []
         real = forest._best_split
 
-        def spy(x_cols, y, idx, counts, feats, min_leaf, n_classes):
+        def spy(x_cols, y, idx, counts, feats, n_classes):
             # Each node's class counts are those of its own rows.
             want = [np.bincount(y[rows], minlength=n_classes) for rows in idx]
             assert np.array_equal(counts, np.reshape(want, counts.shape))
             batch_sizes.append(idx.shape[0])
-            return real(x_cols, y, idx, counts, feats, min_leaf, n_classes)
+            return real(x_cols, y, idx, counts, feats, n_classes)
 
         monkeypatch.setattr(forest, "_best_split", spy)
         return batch_sizes
 
     def test_stump_forest_makes_one_call(self, monkeypatch):
         batch_sizes = self._spy(monkeypatch)
-        matrix, labels = _separable(n=40, noise=0.8, seed=12)
-        model = train_forest(matrix, labels, ForestParams(n_trees=25, max_depth=1, seed=3))
+        x, y = _grower_problem(np.random.default_rng(12), 40, 2, stumps=True)
+        model = train_forest(_matrix(x), [f"c{v}" for v in y], ForestParams(n_trees=25, seed=3))
         assert batch_sizes == [25]
         assert all(t.n_nodes == 3 for t in model.trees)
 
     def test_inner_nodes_share_searches_across_trees(self, monkeypatch):
         batch_sizes = self._spy(monkeypatch)
         matrix, labels = _separable(n=40, noise=0.8, seed=12)
-        params = ForestParams(n_trees=30, min_leaf=2, seed=3)
+        params = ForestParams(n_trees=30, seed=3)
         model = train_forest(matrix, labels, params)
-        roots = searched = 0  # nodes that hold two classes and 2 * min_leaf rows
+        roots = searched = 0  # nodes that hold two classes
         for tree in model.trees:
             mixed = np.count_nonzero(tree.counts, axis=1) > 1
-            found = mixed & (tree.counts.sum(axis=1) >= 2 * params.min_leaf)
-            roots += int(found[0])
-            searched += int(found[1:].sum())
+            roots += int(mixed[0])
+            searched += int(mixed[1:].sum())
         assert searched > params.n_trees
         assert batch_sizes[0] == roots
         assert sum(batch_sizes) == roots + searched
@@ -496,11 +495,12 @@ class TestPredictProba:
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
 
     def test_memorization_on_pure_leaves(self):
-        # with all features visible per node, every tree splits on the
-        # separating feature and every training row hits a pure leaf
+        # with the separating feature alone, every tree splits on it and
+        # every training row hits a pure leaf
         matrix, labels = _separable(noise=0.01, seed=8)
-        model = train_forest(matrix, labels, ForestParams(n_trees=40, mtry=2, seed=3))
-        probs = predict_proba(model, matrix.values)
+        values = matrix.values[:, :1]
+        model = train_forest(_matrix(values), labels, ForestParams(n_trees=40, seed=3))
+        probs = predict_proba(model, values)
         class_index = {c: i for i, c in enumerate(model.classes)}
         for row, label in enumerate(labels):
             assert probs[row, class_index[label]] == 1.0
@@ -528,21 +528,22 @@ class TestPredictProba:
         return got
 
     @pytest.mark.parametrize(
-        "params, noise, n_classes",
+        "params, noise, n_classes, p",
         [
-            (ForestParams(n_trees=30, mtry=2, seed=1), 0.05, 2),  # stumps
-            (ForestParams(n_trees=30, min_leaf=1, seed=2), 3.0, 4),  # deep trees
-            (ForestParams(n_trees=30, min_leaf=2, max_depth=3, seed=3), 1.0, 3),
+            (ForestParams(n_trees=30, seed=1), 0.05, 2, 1),  # stumps
+            (ForestParams(n_trees=30, seed=2), 3.0, 4, 2),  # deep trees
+            (ForestParams(n_trees=30, seed=3), 1.0, 3, 2),
         ],
     )
-    def test_matches_per_tree_oracle(self, params, noise, n_classes):
+    def test_matches_per_tree_oracle(self, params, noise, n_classes, p):
         rng = np.random.default_rng(60)
         n = 60
         y = np.arange(n) % n_classes
         values = np.column_stack([y + noise * rng.standard_normal(n), rng.standard_normal(n)])
+        values = values[:, :p]
         labels = [f"c{v}" for v in y]
         model = train_forest(_matrix(values), labels, params)
-        probe = np.vstack([values, rng.standard_normal((40, 2)) * 2.0])
+        probe = np.vstack([values, rng.standard_normal((40, p)) * 2.0])
         self._assert_oracle_bits(model, probe)
         sizes = {t.n_nodes for t in model.trees}
         assert sizes == {3} if noise < 0.1 else max(sizes) > 3
@@ -565,7 +566,7 @@ class TestPredictProba:
 
     def test_row_shapes(self):
         matrix, labels = _separable(noise=0.6, seed=61)
-        model = train_forest(matrix, labels, ForestParams(n_trees=25, min_leaf=1, seed=8))
+        model = train_forest(matrix, labels, ForestParams(n_trees=25, seed=8))
         rng = np.random.default_rng(62)
         many = rng.standard_normal((675, 2))
         got = self._assert_oracle_bits(model, many)
@@ -659,7 +660,7 @@ class TestBlocks:
             fold = forest._group_folds(groups, 5)
         else:
             fold = forest._stratified_folds(labels, 5, 4)
-        params = ForestParams(n_trees=15, min_leaf=1 + grouped, seed=4)
+        params = ForestParams(n_trees=15, seed=4)
         train = [(np.flatnonzero(fold != f), params.seed) for f in range(5)]
         calls = TestRootSearch._spy(monkeypatch)
         block = forest._grow(matrix, labels, train, params, lambda i, model: model)

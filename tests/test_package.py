@@ -15,7 +15,14 @@ REMOVED = [
     "imufresh.extraction.load_matrix",
     "imufresh.extraction.load_matrix_csv",
     "imufresh.extraction._parse_cell",
+    "imufresh.forest.ForestParams.min_leaf",
+    "imufresh.forest.ForestParams.max_depth",
+    "imufresh.forest.ForestParams.mtry",
+    "imufresh.forest.ForestParams.resolve_mtry",
     "imufresh.names.encode_feature_name",
+    "imufresh.pipeline.PipelineConfig.min_leaf",
+    "imufresh.pipeline.PipelineConfig.max_depth",
+    "imufresh.pipeline.PipelineConfig.mtry",
     "imufresh.selection.is_binary",
     "imufresh.timeseries.Recording.sample_time",
     "imufresh.timeseries.Recording.duration_s",

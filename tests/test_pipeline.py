@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 from pathlib import Path
@@ -152,6 +153,21 @@ class TestConfig:
         cfg_path.write_text("output_dir = out\n")
         with pytest.raises(ConfigError):
             load_config(str(cfg_path))
+
+    def test_out_override_fills_an_empty_output_dir(self, tmp_path):
+        cfg_path = tmp_path / "pipe.cfg"
+        cfg_path.write_text("recording = r.csv\noutput_dir =\n")
+        with pytest.raises(ConfigError, match="missing or empty required key 'output_dir'"):
+            load_config(str(cfg_path))
+        config = load_config(str(cfg_path), {"output_dir": str(tmp_path / "o")})
+        assert config.output_dir == str(tmp_path / "o")
+
+    def test_key_tables_name_every_field(self):
+        # One key per field; repeated ``virtual_sensor`` lines fill the
+        # ``virtual_sensors`` field.
+        keys = [*pipeline._INT_KEYS, *pipeline._FLOAT_KEYS, *pipeline._PATH_KEYS,
+                "virtual_sensors", "auto_pair"]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(PipelineConfig))
 
     @pytest.mark.parametrize(
         "key, value",
