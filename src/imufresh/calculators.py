@@ -562,9 +562,6 @@ class ExtractionSettings:
     def kinds(self) -> tuple[str, ...]:
         return tuple(sorted({f.kind for f in self.features}))
 
-    def feature_names(self) -> tuple[FeatureName, ...]:
-        return self.features
-
     def canonical_names(self) -> tuple[str, ...]:
         return tuple(f.canonical() for f in self.features)
 

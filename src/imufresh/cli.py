@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: ``synth`` (generate a synthetic recording + labels), ``run``
-(full five-step pipeline), ``predict`` (restricted extraction + timeline),
+(full five-step pipeline), ``predict`` (restricted extraction + timeline
+from one run's ``model.txt`` and ``manifest.txt``),
 ``benchmark`` (a training run into a temporary directory plus ``predict``
 on its recording; prints their stage times as one JSON object),
 ``inspect`` (pretty-print artifacts).
 
 Exit codes: 0 success, 2 configuration error (a config file that is not
 UTF-8 included), 3 data error (any other input that is not UTF-8
-included), 4 nothing selected at the configured FDR level.
+included, and a ``model.txt`` whose feature lines are out of canonical
+order), 4 nothing selected at the configured FDR level.
 """
 
 from __future__ import annotations
@@ -72,11 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output directory override")
 
     p_pred = sub.add_parser("predict", help="restricted extraction + prediction timeline")
-    p_pred.add_argument("--artifacts", default=None,
-                        help="run output directory (provides model/settings/manifest)")
-    p_pred.add_argument("--model", default=None)
-    p_pred.add_argument("--settings", default=None)
-    p_pred.add_argument("--manifest", default=None)
+    p_pred.add_argument("--artifacts", required=True,
+                        help="run output directory (provides model.txt and manifest.txt)")
     p_pred.add_argument("--recording", required=True)
     p_pred.add_argument("--labels", default=None, help="optional truth for flags")
     p_pred.add_argument("--out", required=True, help="timeline CSV path")
@@ -144,20 +143,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    if args.artifacts:
-        art = Path(args.artifacts)
-        model = args.model or str(art / "model.txt")
-        settings = args.settings or str(art / "settings_topk.txt")
-        manifest = args.manifest or str(art / "manifest.txt")
-    else:
-        if not (args.model and args.settings and args.manifest):
-            raise ConfigError("predict needs --artifacts or --model/--settings/--manifest")
-        model, settings, manifest = args.model, args.settings, args.manifest
+    art = Path(args.artifacts)
     timeline = predict(
-        model_path=model,
-        settings_path=settings,
+        model_path=str(art / "model.txt"),
+        settings_path=None,
         recording_path=args.recording,
-        manifest_path=manifest,
+        manifest_path=str(art / "manifest.txt"),
         labels_path=args.labels,
         out_path=args.out,
     )

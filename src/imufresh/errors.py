@@ -113,7 +113,3 @@ class ShapeMismatch(DataError):
 
 class NothingSelected(ImufreshError):
     """No feature survived FDR selection; the pipeline cannot continue."""
-
-
-class FeatureSetMismatch(ConfigError):
-    """Restricted extraction settings do not match the model's feature list."""

@@ -120,7 +120,7 @@ def extract(
         )
     window_ids = windows.window_ids
 
-    features = settings.feature_names()
+    features = settings.features
     # kind -> calculator -> (validated params list, column indices), in column order
     plan: dict[str, dict[str, tuple[list[dict], list[int]]]] = {}
     for col, feature in enumerate(features):

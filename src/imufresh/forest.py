@@ -499,8 +499,9 @@ _MODEL_MAGIC = "imufresh-forest v1"
 def save_model(model: ForestModel, stream: TextIO) -> None:
     """Self-describing text dump; load(save(m)) predicts identically.
 
-    Grammar: header, class lines, ``feature <name> <importance>`` lines,
-    then per tree one ``tree <n_nodes>`` line followed by node records
+    Grammar: header, class lines, ``<name> <importance>`` feature lines
+    in ascending canonical order (``load_model`` refuses any other), then
+    per tree one ``tree <n_nodes>`` line followed by node records
     ``split <feature_idx> <threshold> <left> <right>`` or
     ``leaf <count_per_class...>`` in node-id order.
     """
@@ -565,6 +566,10 @@ def load_model(stream: TextIO) -> ForestModel:
         parts = next_line().rsplit(" ", 1)
         names.append(decode_feature_name(parts[0]))
         importances.append(_token(float, parts, 1, "feature importance"))
+    # Split records index the columns ``extract`` makes, in this order.
+    canonical = [name.canonical() for name in names]
+    if any(a >= b for a, b in zip(canonical, canonical[1:])):
+        raise DataError("model file: feature lines must be unique and in ascending canonical order")
     header = next_line().split()
     if header[:1] != ["trees"]:
         raise DataError("model file: expected trees header")

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .calculators import (
+    ExtractionSettings,
     default_settings,
     read_settings_file,
     settings_from_feature_names,
@@ -42,7 +43,6 @@ from .errors import (
     BadParameters,
     ConfigError,
     DataError,
-    FeatureSetMismatch,
     InvalidKindName,
     NothingSelected,
 )
@@ -123,18 +123,21 @@ class PipelineConfig:
 _INT_KEYS = {"top_k", "repeats", "seed", "workers", "n_trees", "cv_folds"}
 _FLOAT_KEYS = {"window_seconds", "q"}
 _PATH_KEYS = {"recording", "labels", "output_dir", "settings_file"}
+_REQUIRED_KEYS = ("recording", "output_dir")  # an override may fill them
 
 
 def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
     """Parse a flat ``key = value`` config file; *overrides* win over the file.
 
     Repeated ``virtual_sensor`` keys accumulate (one spec per line, e.g.
-    ``abs_diff accel_x_l accel_x_r accel_x_diff``); ``auto_pair`` takes two
-    suffixes (``_l _r``).  Relative paths resolve against the config file's
-    directory.
+    ``abs_diff accel_x_l accel_x_r accel_x_diff``); any other key given
+    twice is a ConfigError, as is an empty ``labels`` or ``settings_file``.
+    ``auto_pair`` takes two suffixes (``_l _r``).  Relative paths resolve
+    against the config file's directory.
     """
     base = Path(path).resolve().parent
     raw: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     specs: list[VirtualSensorSpec] = []
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -152,6 +155,9 @@ def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
         if key == "virtual_sensor":
             specs.append(VirtualSensorSpec.from_line(value))
             continue
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: {key} given twice (first on line {first_line[key]})")
+        first_line[key] = lineno
         if key == "auto_pair":
             parts = value.split()
             if len(parts) != 2:
@@ -169,13 +175,15 @@ def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: {key} must be a number") from None
         elif key in _PATH_KEYS:
+            if not value and key not in _REQUIRED_KEYS:
+                raise ConfigError(f"{path}:{lineno}: {key} is empty")
             raw[key] = str((base / value).resolve()) if value else None
         else:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
     raw["virtual_sensors"] = tuple(specs)
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
-    for key in ("recording", "output_dir"):
+    for key in _REQUIRED_KEYS:
         if raw.get(key) is None:  # an empty path value is None too
             raise ConfigError(f"{path}: missing or empty required key {key!r}")
     try:
@@ -475,27 +483,28 @@ def save_timeline(timeline: PredictionTimeline, stream: TextIO) -> None:
 
 def predict(
     model_path: str,
-    settings_path: str,
+    settings_path: str | None,
     recording_path: str,
     manifest_path: str,
     labels_path: str | None = None,
     out_path: str | None = None,
     workers: int = 1,
 ) -> PredictionTimeline:
-    """Deployment path: restricted extraction driven by parsed feature names.
+    """Deployment path: restricted extraction planned from the model alone.
 
     Replays the manifest's window length, and those of its virtual sensors
     that the model's features reference, on the new recording, extracts
-    exactly the model's features, and predicts per window.  When a labels
-    file is supplied (overlaps raise OverlappingLabels), true labels and
-    misclassification flags are attached to every window whose span lies
-    in a label interval.  The timeline's ``step_seconds`` holds the wall
-    time of each stage: load, ingest, virtual_sensors, segment, extract,
-    predict, timeline.  A manifest ``window_seconds`` that is not a finite
+    exactly the features ``model.txt`` names, and predicts per window.
+    When a labels file is supplied (overlaps raise OverlappingLabels), true
+    labels and misclassification flags are attached to every window whose
+    span lies in a label interval.  The timeline's ``step_seconds`` holds
+    the wall time of each stage: load, ingest, virtual_sensors, segment,
+    extract, predict, timeline.  A manifest ``window_seconds`` that is not a finite
     number > 0, or a ``virtual_sensor`` line that does not parse, raises
-    DataError before the recording is read.  ``workers`` is unused and
-    stays only because ``perfbench/workloads.py`` passes it; a count below
-    1 still raises BadParameters before any file is read.
+    DataError before the recording is read.  ``settings_path`` (never
+    opened) and ``workers`` stay only because ``perfbench/workloads.py``
+    passes them; a ``workers`` count below 1 still raises BadParameters
+    before any file is read.
     """
     check_workers(workers)
     timings: dict[str, float] = {}
@@ -503,12 +512,7 @@ def predict(
         manifest = read_manifest(manifest_path)
         window_seconds, specs = _deployment_keys(manifest)
         model = load_model_file(model_path)
-        with open_utf8(settings_path, "settings file") as fh:
-            settings = read_settings_file(fh)
-        if settings.canonical_names() != tuple(f.canonical() for f in model.feature_names):
-            raise FeatureSetMismatch(
-                "restricted settings do not match the model's feature list"
-            )
+        settings = ExtractionSettings(features=model.feature_names)
     with _timed(timings, "ingest"):
         recording = load_recording(recording_path)
     with _timed(timings, "virtual_sensors"):
@@ -561,8 +565,5 @@ def benchmark(config: PipelineConfig) -> dict[str, dict[str, float]]:
     """
     with tempfile.TemporaryDirectory() as tmp:
         result = run_full_pipeline(replace(config, output_dir=tmp))
-        timeline = predict(
-            result.model_path, result.settings_path, config.recording,
-            result.manifest_path,
-        )
+        timeline = predict(result.model_path, None, config.recording, result.manifest_path)
     return {"run": result.step_seconds, "predict": timeline.step_seconds}

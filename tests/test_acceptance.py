@@ -260,7 +260,7 @@ def test_criterion_6_group_cv_analogue():
         labels.extend(matrix.labels)
         groups.extend([f"person{person}"] * matrix.n_rows)
     stacked = FeatureMatrix(
-        feature_names=settings.feature_names(),
+        feature_names=settings.features,
         values=np.vstack(matrices),
         window_ids=np.arange(sum(m.shape[0] for m in matrices)),
         labels=tuple(labels),

@@ -217,7 +217,7 @@ class TestDefaultGrid:
 
     def test_change_quantiles_combinations(self):
         settings = default_settings(["a"])
-        cq = [f for f in settings.feature_names() if f.calculator == "change_quantiles"]
+        cq = [f for f in settings.features if f.calculator == "change_quantiles"]
         assert len(cq) == 60  # 15 (ql, qh) pairs x 2 isabs x 2 f_agg
         for f in cq:
             p = f.param_dict()
@@ -225,7 +225,7 @@ class TestDefaultGrid:
 
     def test_agg_linear_trend_combinations(self):
         settings = default_settings(["a"])
-        alt = [f for f in settings.feature_names() if f.calculator == "agg_linear_trend"]
+        alt = [f for f in settings.features if f.calculator == "agg_linear_trend"]
         assert len(alt) == 36  # 3 chunk lengths x 3 aggregates x 4 attributes
 
     def test_grid_is_pinned(self):
@@ -331,7 +331,7 @@ def test_nan_only_in_documented_cases():
     settings = default_settings(["k"])
     for n in (5, 9, 20, 50):
         x = rng.standard_normal(n)
-        for f in settings.feature_names():
+        for f in settings.features:
             got = compute_feature(x, f.calculator, f.param_dict())
             p = f.param_dict()
             if f.calculator == "agg_linear_trend":
@@ -352,7 +352,7 @@ def test_no_grid_calculator_raises_on_a_finite_window():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     grid: dict[str, list[dict]] = {}
-    for f in default_settings(["k"]).feature_names():
+    for f in default_settings(["k"]).features:
         grid.setdefault(f.calculator, []).append(f.param_dict())
     values = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),

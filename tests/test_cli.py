@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -42,6 +43,15 @@ def artifacts(workspace):
     rc = main(["run", "--config", str(workspace / "pipe.cfg"), "--seed", "5"])
     assert rc == 0
     return workspace / "artifacts"
+
+
+def _artifacts_copy(artifacts, dest, name=None, data=b""):
+    """A copy of the run's artifacts directory, with file *name*, if given,
+    holding *data*."""
+    shutil.copytree(artifacts, dest)
+    if name is not None:
+        (dest / name).write_bytes(data)
+    return dest
 
 
 def test_synth_writes_files(workspace):
@@ -173,35 +183,79 @@ def test_empty_required_path_is_a_config_error(workspace, tmp_path, capsys, key)
     assert not (tmp_path / "out").exists()
 
 
+def _predict_from(art, workspace, tmp_path):
+    return main([
+        "predict",
+        "--artifacts", str(art),
+        "--recording", str(workspace / "rec.csv"),
+        "--out", str(tmp_path / "timeline.csv"),
+    ])
+
+
 def test_corrupt_model_exit_code(workspace, artifacts, tmp_path):
     lines = (artifacts / "model.txt").read_text().splitlines()
     split = next(i for i, line in enumerate(lines) if line.startswith("split "))
     parts = lines[split].split()
     lines[split] = " ".join(parts[:3] + ["999", parts[4]])
-    (tmp_path / "model.txt").write_text("\n".join(lines) + "\n")
-    rc = main([
-        "predict",
-        "--model", str(tmp_path / "model.txt"),
-        "--settings", str(artifacts / "settings_topk.txt"),
-        "--manifest", str(artifacts / "manifest.txt"),
-        "--recording", str(workspace / "rec.csv"),
-        "--out", str(tmp_path / "timeline.csv"),
-    ])
-    assert rc == 3
+    art = _artifacts_copy(artifacts, tmp_path / "art", "model.txt",
+                          ("\n".join(lines) + "\n").encode())
+    assert _predict_from(art, workspace, tmp_path) == 3
 
 
 def test_non_numeric_model_token_exit_code(workspace, artifacts, tmp_path):
     text = (artifacts / "model.txt").read_text()
-    (tmp_path / "model.txt").write_text(re.sub(r"^tree \d+$", "tree x", text, count=1, flags=re.M))
-    rc = main([
-        "predict",
-        "--model", str(tmp_path / "model.txt"),
-        "--settings", str(artifacts / "settings_topk.txt"),
-        "--manifest", str(artifacts / "manifest.txt"),
-        "--recording", str(workspace / "rec.csv"),
-        "--out", str(tmp_path / "timeline.csv"),
-    ])
-    assert rc == 3
+    text = re.sub(r"^tree \d+$", "tree x", text, count=1, flags=re.M)
+    art = _artifacts_copy(artifacts, tmp_path / "art", "model.txt", text.encode())
+    assert _predict_from(art, workspace, tmp_path) == 3
+
+
+@pytest.mark.parametrize("change", ["swap", "repeat"])
+def test_model_feature_lines_out_of_order_exit_code(workspace, artifacts, tmp_path, capsys,
+                                                    change):
+    lines = (artifacts / "model.txt").read_text().splitlines()
+    first = lines.index(next(line for line in lines if line.startswith("features "))) + 1
+    if change == "swap":
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    else:
+        lines[first + 1] = lines[first]
+    art = _artifacts_copy(artifacts, tmp_path / "art", "model.txt",
+                          ("\n".join(lines) + "\n").encode())
+    assert _predict_from(art, workspace, tmp_path) == 3
+    assert "feature lines must be unique and in ascending canonical order" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "timeline.csv").exists()
+
+
+def test_predict_without_settings_file_writes_the_same_timeline(workspace, artifacts, tmp_path):
+    art = _artifacts_copy(artifacts, tmp_path / "art")
+    (art / "settings_topk.txt").unlink()
+    timelines = []
+    for name, directory in (("with.csv", artifacts), ("without.csv", art)):
+        rc = main([
+            "predict",
+            "--artifacts", str(directory),
+            "--recording", str(workspace / "rec.csv"),
+            "--labels", str(workspace / "labels.csv"),
+            "--out", str(tmp_path / name),
+        ])
+        assert rc == 0
+        timelines.append((tmp_path / name).read_bytes())
+    assert timelines[0] == timelines[1]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--settings", "x", "--artifacts", "."], "unrecognized arguments: --settings x"),
+     (["--model", "x", "--artifacts", "."], "unrecognized arguments: --model x"),
+     (["--manifest", "x", "--artifacts", "."], "unrecognized arguments: --manifest x"),
+     ([], "the following arguments are required: --artifacts")],
+    ids=["settings", "model", "manifest", "no-artifacts"],
+)
+def test_predict_reads_only_an_artifacts_directory(tmp_path, args, message):
+    rc, err = _cli_process(tmp_path, "predict", *args, "--recording", "rec.csv", "--out", "t.csv")
+    assert rc == 2, err
+    assert message in err
 
 
 def test_benchmark_prints_stage_times_as_json(workspace, capsys):
@@ -230,12 +284,11 @@ def test_bad_manifest_value_is_a_data_error(artifacts, tmp_path, capsys, key, va
         line for line in (artifacts / "manifest.txt").read_text().splitlines()
         if not line.startswith(f"{key} =")
     ]
-    (tmp_path / "manifest.txt").write_text("\n".join([*lines, f"{key} = {value}", ""]))
+    art = _artifacts_copy(artifacts, tmp_path / "art", "manifest.txt",
+                          "\n".join([*lines, f"{key} = {value}", ""]).encode())
     rc = main([
         "predict",
-        "--model", str(artifacts / "model.txt"),
-        "--settings", str(artifacts / "settings_topk.txt"),
-        "--manifest", str(tmp_path / "manifest.txt"),
+        "--artifacts", str(art),
         # Missing, so reading it first would fail with another message.
         "--recording", str(tmp_path / "missing.csv"),
         "--out", str(tmp_path / "timeline.csv"),
@@ -296,16 +349,19 @@ def _cli_process(cwd, *args):
         (["inspect", "manifest.txt"], 3),
         (["inspect", "model.txt"], 3),
         (["inspect", "table.csv"], 3),
-        (["predict", "--manifest", "manifest.txt", "--model", "model.txt",
-          "--settings", "s.txt", "--recording", "rec.csv", "--out", "t.csv"], 3),
-        (["predict", "--manifest", "good_manifest.txt", "--model", "model.txt",
-          "--settings", "s.txt", "--recording", "rec.csv", "--out", "t.csv"], 3),
+        (["predict", "--artifacts", "bad_manifest", "--recording", "rec.csv",
+          "--out", "t.csv"], 3),
+        (["predict", "--artifacts", "bad_model", "--recording", "rec.csv",
+          "--out", "t.csv"], 3),
     ],
 )
-def test_input_that_is_not_utf8_exit_code(tmp_path, args, code):
+def test_input_that_is_not_utf8_exit_code(artifacts, tmp_path, args, code):
+    not_utf8 = b"key = caf\xe9\n"
     for name in ("bad.cfg", "manifest.txt", "model.txt", "table.csv"):
-        (tmp_path / name).write_bytes(b"key = caf\xe9\n")
-    (tmp_path / "good_manifest.txt").write_text("window_seconds = 4.0\n")
+        (tmp_path / name).write_bytes(not_utf8)
+    if args[0] == "predict":
+        for name in ("manifest", "model"):
+            _artifacts_copy(artifacts, tmp_path / f"bad_{name}", f"{name}.txt", not_utf8)
     rc, err = _cli_process(tmp_path, *args)
     assert rc == code, err
     assert "can't decode" in err

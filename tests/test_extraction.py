@@ -378,7 +378,7 @@ class TestFeatureMatrix:
     def test_header_contains_exact_canonical_names(self):
         name = 'a__change_quantiles__f_agg_"var"__isabs_True__qh_1.0__ql_0.0'
         m = FeatureMatrix(
-            settings_from_feature_names([name]).feature_names(),
+            settings_from_feature_names([name]).features,
             np.asarray([[1.0]]),
             np.asarray([0]),
             None,

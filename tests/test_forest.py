@@ -892,6 +892,22 @@ def test_corrupt_node_records_rejected(line, record):
         load_model(io.StringIO("\n".join(lines) + "\n"))
 
 
+@pytest.mark.parametrize(
+    "features",
+    [["k__minimum 0.5", "k__maximum 0.5"], ["k__minimum 0.5", "k__minimum 0.5"]],
+    ids=["swapped", "repeated"],
+)
+def test_feature_lines_out_of_canonical_order_rejected(features):
+    # ``extract`` writes columns in ascending canonical order, which is the
+    # column order the split records index.
+    lines = [*_MODEL_LINES[:4], "features 2", *features, *_MODEL_LINES[6:]]
+    with pytest.raises(DataError, match="unique and in ascending canonical order"):
+        load_model(io.StringIO("\n".join(lines) + "\n"))
+    in_order = [*_MODEL_LINES[:4], "features 2", "k__maximum 0.5", "k__minimum 0.5",
+                *_MODEL_LINES[6:]]
+    assert load_model(io.StringIO("\n".join(in_order) + "\n")).n_features == 2
+
+
 def test_model_without_trees_rejected():
     lines = _MODEL_LINES[:6] + ["trees 0", "end"]
     with pytest.raises(DataError, match="at least one tree"):

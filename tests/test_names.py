@@ -198,7 +198,7 @@ class TestRenderedOnce:
         assert repr(f) == "FeatureName(kind='k', calculator='quantile', params=(('q', 0.5),))"
 
     def test_pickled_feature_matrix_keeps_its_names(self):
-        names = settings_from_feature_names(KNOWN_FEATURE_NAMES).feature_names()
+        names = settings_from_feature_names(KNOWN_FEATURE_NAMES).features
         matrix = FeatureMatrix(
             feature_names=names,
             values=np.arange(2.0 * len(names)).reshape(2, len(names)),

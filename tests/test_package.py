@@ -12,6 +12,8 @@ MODULES = sorted(PACKAGE_DIR.glob("*.py"))
 
 # Names that were removed for having no caller.
 REMOVED = [
+    "imufresh.calculators.ExtractionSettings.feature_names",
+    "imufresh.errors.FeatureSetMismatch",
     "imufresh.extraction.load_matrix",
     "imufresh.extraction.load_matrix_csv",
     "imufresh.extraction._parse_cell",

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from imufresh.errors import (
     BadParameters,
     ConfigError,
     DataError,
-    FeatureSetMismatch,
     NothingSelected,
     OverlappingLabels,
 )
@@ -127,12 +127,13 @@ class TestConfig:
             "top_k = 5\n"
             "virtual_sensor = abs_diff a b c\n"
             "auto_pair = _l _r\n"
+            "virtual_sensor = derivative c d\n"
         )
         config = load_config(str(cfg_path))
         assert config.recording == str(tmp_path / "rec.csv")
         assert config.window_seconds == 2.5
         assert config.q == 0.01
-        assert len(config.virtual_sensors) == 1
+        assert [spec.output for spec in config.virtual_sensors] == ["c", "d"]
         assert config.auto_pair == ("_l", "_r")
 
     def test_overrides_win(self, tmp_path):
@@ -177,6 +178,24 @@ class TestConfig:
     def test_invalid_q_or_window_seconds(self, key, value):
         with pytest.raises(ConfigError):
             PipelineConfig(recording="r", output_dir="o", **{key: value})
+
+    @pytest.mark.parametrize("key", ["labels", "settings_file"])
+    def test_empty_optional_path_names_its_line(self, tmp_path, key):
+        cfg_path = tmp_path / "pipe.cfg"
+        cfg_path.write_text(f"recording = r.csv\noutput_dir = out\n{key} =\n")
+        with pytest.raises(ConfigError, match=f"pipe.cfg:3: {key} is empty"):
+            load_config(str(cfg_path))
+
+    @pytest.mark.parametrize(
+        "key, first, second",
+        [("seed", "1", "2"), ("auto_pair", "_l _r", "_a _b"), ("labels", "a.csv", "b.csv"),
+         ("output_dir", "", "out")],
+    )
+    def test_repeated_key_names_both_lines(self, tmp_path, key, first, second):
+        cfg_path = tmp_path / "pipe.cfg"
+        cfg_path.write_text(f"recording = r.csv\n{key} = {first}\nq = 0.1\n{key} = {second}\n")
+        with pytest.raises(ConfigError, match=f"pipe.cfg:4: {key} given twice \\(first on line 2\\)"):
+            load_config(str(cfg_path), {"output_dir": str(tmp_path / "o")})
 
     def test_top_k_zero_rejected(self, tmp_path):
         cfg_path = tmp_path / "pipe.cfg"
@@ -313,17 +332,21 @@ class TestPredict:
             assert abs(sum(row.probabilities) - 1.0) <= 1e-9
             assert row.true_label is None
 
-    def test_feature_set_mismatch(self, run_result, train_data, tmp_path):
-        rec_path, _ = train_data
-        wrong = tmp_path / "wrong_settings.txt"
-        wrong.write_text("accel_x_l__minimum\n")
-        with pytest.raises(FeatureSetMismatch):
-            predict(
-                run_result.model_path,
-                str(wrong),
-                str(rec_path),
-                run_result.manifest_path,
-            )
+    def test_run_directory_without_settings_file_predicts_the_same(
+        self, run_result, train_data, tmp_path
+    ):
+        # ``settings_topk.txt`` is written for the record; the model alone
+        # plans the extraction, so the slot's path is never opened.
+        rec_path, lab_path = train_data
+        art = tmp_path / "art"
+        shutil.copytree(run_result.config.output_dir, art)
+        paths = (str(art / "model.txt"), str(art / "settings_topk.txt"), str(rec_path),
+                 str(art / "manifest.txt"))
+        with_file = predict(*paths, str(lab_path), str(tmp_path / "with.csv"))
+        (art / "settings_topk.txt").unlink()
+        without = predict(*paths, str(lab_path), str(tmp_path / "without.csv"))
+        assert with_file == without
+        assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
 
     def test_overlapping_labels_rejected(self, run_result, train_data, tmp_path):
         rec_path, _ = train_data
@@ -390,12 +413,6 @@ class TestInputThatIsNotUtf8:
                          settings_file=self._not_utf8(tmp_path, "settings.txt"))
         with pytest.raises(DataError, match="settings file .* can't decode"):
             run_full_pipeline(config)
-
-    def test_predict_settings_file(self, run_result, train_data, tmp_path):
-        rec_path, _ = train_data
-        with pytest.raises(DataError, match="settings file .* can't decode"):
-            predict(run_result.model_path, self._not_utf8(tmp_path, "settings.txt"),
-                    str(rec_path), run_result.manifest_path)
 
 
 class TestDeterminism:

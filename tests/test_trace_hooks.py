@@ -45,25 +45,31 @@ def test_tracer_restores_every_wrapped_attribute():
     assert tracer.spans == []
 
 
-def test_traced_run_and_predict_span_every_stage_call(tmp_path):
-    """A traced run and predict record each call the harness times, and the
-    rank step's anchors keep their order: ``save_report`` ends before
-    ``aggregate_importances`` starts, ``write_settings_file`` before
-    ``cross_validate``.  The files are laid out as a benchmark work
-    directory, with the training recording as the hold-out, so that the
-    deploy workload's per-family timing can read them too."""
-    spans = _load_spans()
+def _work_config(work):
+    """A training config laid out as a benchmark work directory, with the
+    training recording as the hold-out, so that the deploy workload's calls
+    can read what the run writes into ``work / "model"``."""
     data = synth_walk_run(duration_s=120.0, sample_rate_hz=50.0, seed=7)
-    save_recording(data.recording, str(tmp_path / "holdout.csv"))
-    save_labels(data.labels, str(tmp_path / "labels.csv"))
-    config = pipeline.PipelineConfig(
-        recording=str(tmp_path / "holdout.csv"),
-        labels=str(tmp_path / "labels.csv"),
-        output_dir=str(tmp_path / "model"),
+    save_recording(data.recording, str(work / "holdout.csv"))
+    save_labels(data.labels, str(work / "holdout_labels.csv"))
+    return pipeline.PipelineConfig(
+        recording=str(work / "holdout.csv"),
+        labels=str(work / "holdout_labels.csv"),
+        output_dir=str(work / "model"),
         repeats=1,
         n_trees=10,
         top_k=5,
     )
+
+
+def test_traced_run_and_predict_span_every_stage_call(tmp_path):
+    """A traced run and predict record each call the harness times, and the
+    rank step's anchors keep their order: ``save_report`` ends before
+    ``aggregate_importances`` starts, ``write_settings_file`` before
+    ``cross_validate``.  The deploy workload's per-family timing reads the
+    run's files too."""
+    spans = _load_spans()
+    config = _work_config(tmp_path)
     with spans.Tracer("hooks") as tracer:
         result = tracer.call("pipeline.run_full_pipeline", pipeline.run_full_pipeline, config)
         timeline = tracer.call(
@@ -94,3 +100,16 @@ def test_traced_run_and_predict_span_every_stage_call(tmp_path):
     seconds = bench.family_seconds(deploy, tmp_path)
     assert set(seconds) == {f"calculators.{family}.s" for family in bench.CALCULATOR_FAMILIES}
     assert sum(seconds.values()) > 0
+
+
+def test_deploy_predict_call_writes_the_same_timeline_without_settings_file(tmp_path):
+    """The deploy workload passes the run's ``settings_topk.txt`` to
+    ``predict`` positionally; ``predict`` plans from ``model.txt`` alone, so
+    the call writes the same timeline once the file is deleted."""
+    pipeline.run_full_pipeline(_work_config(tmp_path))
+    deploy = bench.WORKLOADS["deploy"]
+    deploy.predict_call(tmp_path)()
+    with_settings = (tmp_path / "timeline.csv").read_bytes()
+    (tmp_path / "model" / "settings_topk.txt").unlink()
+    deploy.predict_call(tmp_path)()
+    assert (tmp_path / "timeline.csv").read_bytes() == with_settings
