@@ -32,7 +32,7 @@ from .pipeline import (
     run_full_pipeline,
 )
 from .synth import synth_multi_activity, synth_walk_run
-from .timeseries import save_labels, save_recording
+from .timeseries import open_utf8, save_labels, save_recording
 
 logger = logging.getLogger("imufresh")
 
@@ -190,7 +190,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             print(f"  {importance:8.5f}  {name.canonical()}")
         return EXIT_OK
     # selection.csv / importance.csv / timelines: show head
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(str(path), "file") as fh:
         for i, line in enumerate(fh):
             if i >= 21:
                 print("...")
@@ -229,9 +229,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except UnicodeDecodeError as exc:
-        print(f"data error: input is not UTF-8: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

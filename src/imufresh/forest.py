@@ -83,6 +83,8 @@ class ForestModel:
         self.importances = np.asarray(self.importances, dtype=np.float64)
         if self.importances.shape != (len(self.feature_names),):
             raise DataError("importances must have one entry per feature")
+        if not (np.isfinite(self.importances) & (self.importances >= 0)).all():
+            raise DataError("importances must be finite and non-negative")
         total = float(self.importances.sum())
         if total > 0 and abs(total - 1.0) > 1e-9:
             raise DataError(f"importances must sum to 1, got {total}")

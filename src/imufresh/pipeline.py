@@ -63,7 +63,6 @@ from .names import FeatureName
 from .parallel import check_workers
 from .selection import SelectionReport, save_report, select_features
 from .timeseries import (
-    check_intervals,
     load_labels,
     load_recording,
     open_utf8,
@@ -528,23 +527,10 @@ def predict(
     # The timeline holds *timings* itself, so it gains the "timeline"
     # entry when this block ends.
     with _timed(timings, "timeline"):
-        intervals = check_intervals(load_labels(labels_path)) if labels_path else []
-        rows = []
         starts, ends = windows.times()
-        for i, (window_id, start_s, end_s) in enumerate(
-            zip(windows.window_ids.tolist(), starts.tolist(), ends.tolist())
-        ):
-            true = resolve_label(start_s, end_s, intervals) if intervals else None
-            rows.append(
-                TimelineRow(
-                    window_id=window_id,
-                    start_s=start_s,
-                    end_s=end_s,
-                    probabilities=tuple(float(p) for p in probs[i]),
-                    predicted=predicted[i],
-                    true_label=true,
-                )
-            )
+        truth = resolve_label(starts, ends, load_labels(labels_path) if labels_path else [])
+        rows = map(TimelineRow, windows.window_ids.tolist(), starts.tolist(), ends.tolist(),
+                   map(tuple, probs.tolist()), predicted, truth)
         timeline = PredictionTimeline(model.classes, tuple(rows), step_seconds=timings)
         if out_path is not None:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:

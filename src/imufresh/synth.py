@@ -168,6 +168,8 @@ def synth_multi_activity(
     The person index perturbs amplitudes, frequencies, and phases, so models
     must generalize across persons rather than memorize one parameterization.
     """
+    if person < 0:
+        raise BadParameters(f"person must be >= 0, got {person}")
     person_rng = np.random.default_rng((seed & ((1 << 64) - 1), _PERSON_SALT, person))
     amp_mult = 1.0 + 0.10 * float(person_rng.uniform(-1.0, 1.0))
     freq_mult = 1.0 + 0.05 * float(person_rng.uniform(-1.0, 1.0))

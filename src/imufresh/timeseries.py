@@ -666,11 +666,8 @@ def open_utf8(path: str, what: str, newline: str | None = None) -> Iterator[Text
 
 
 def load_labels(path: str) -> list[tuple[float, float, str]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            return load_labels_csv(fh)
-        except UnicodeDecodeError as exc:
-            raise InvalidValue(f"labels CSV {path!r} is not UTF-8: {exc.reason}") from None
+    with open_utf8(path, "labels CSV", newline="") as fh:
+        return load_labels_csv(fh)
 
 
 def save_labels(intervals: Iterable[tuple[float, float, str]], path: str) -> None:
@@ -684,23 +681,22 @@ def save_labels(intervals: Iterable[tuple[float, float, str]], path: str) -> Non
 # Segmentation
 # ---------------------------------------------------------------------------
 
-def check_intervals(labels: Sequence[tuple[float, float, str]]) -> list[tuple[float, float, str]]:
-    """Label intervals sorted by start; raises OverlappingLabels if two overlap."""
-    ordered = sorted(labels, key=lambda iv: (iv[0], iv[1]))
+def resolve_label(
+    starts: np.ndarray, ends: np.ndarray, intervals: Sequence[tuple[float, float, str]]
+) -> tuple[str | None, ...]:
+    """Label of each window ``[starts[i], ends[i]]``: that of the first
+    interval, by start, holding it within the edge slack, else None.  Raises
+    OverlappingLabels if two intervals overlap by more than the slack."""
+    ordered = sorted(intervals, key=lambda iv: (iv[0], iv[1]))
     for (s0, e0, _), (s1, _, _) in zip(ordered, ordered[1:]):
         if s1 < e0 - _LABEL_EDGE_EPS:
             raise OverlappingLabels(f"label intervals overlap near t={s1}")
-    return ordered
-
-
-def resolve_label(
-    start_s: float, end_s: float, intervals: Sequence[tuple[float, float, str]]
-) -> str | None:
-    """Label of the interval fully containing [start_s, end_s], else None."""
-    for iv_start, iv_end, label in intervals:
-        if start_s >= iv_start - _LABEL_EDGE_EPS and end_s <= iv_end + _LABEL_EDGE_EPS:
-            return label
-    return None
+    which = np.full(starts.shape, -1)  # -1 picks the None after the labels
+    for k, (iv_start, iv_end, _) in enumerate(ordered):
+        inside = (starts >= iv_start - _LABEL_EDGE_EPS) & (ends <= iv_end + _LABEL_EDGE_EPS)
+        which[inside & (which < 0)] = k
+    names = [label for _, _, label in ordered] + [None]
+    return tuple(names[k] for k in which.tolist())
 
 
 def segment_fixed(
@@ -729,10 +725,4 @@ def segment_fixed(
     tiles = WindowSet(recording, w)
     if labels is None:
         return tiles
-    intervals = check_intervals(labels)
-    starts, ends = tiles.times()
-    window_labels = tuple(
-        resolve_label(start_s, end_s, intervals)
-        for start_s, end_s in zip(starts.tolist(), ends.tolist())
-    )
-    return WindowSet(recording, w, window_labels)
+    return WindowSet(recording, w, resolve_label(*tiles.times(), labels))

@@ -376,6 +376,26 @@ def test_inspect_empty_manifest_exit_code(tmp_path):
     assert "Traceback" not in err
 
 
+def test_inspect_model_with_an_importance_that_is_not_finite_exits_3(artifacts, tmp_path):
+    lines = (artifacts / "model.txt").read_text().splitlines()
+    first = lines.index(next(line for line in lines if line.startswith("features "))) + 1
+    lines[first] = lines[first].rsplit(" ", 1)[0] + " nan"
+    (tmp_path / "model.txt").write_text("\n".join(lines) + "\n")
+    rc, err = _cli_process(tmp_path, "inspect", "model.txt")
+    assert rc == 3, err
+    assert "finite and non-negative" in err
+    assert "Traceback" not in err
+
+
+def test_synth_negative_person_is_a_config_error(tmp_path):
+    rc, err = _cli_process(tmp_path, "synth", "--profile", "multi", "--person", "-1",
+                           "--out-recording", "rec.csv", "--out-labels", "labels.csv")
+    assert rc == 2, err
+    assert "person must be >= 0" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_predict_on_a_long_recording_exits_3(workspace, artifacts, tmp_path):
     # the long layout, one row per sample, of the workspace's recording
     rec = load_recording(str(workspace / "rec.csv"))

@@ -908,6 +908,18 @@ def test_feature_lines_out_of_canonical_order_rejected(features):
     assert load_model(io.StringIO("\n".join(in_order) + "\n")).n_features == 2
 
 
+@pytest.mark.parametrize(
+    "importances", [["nan"], ["inf"], ["1.5", "-0.5"]], ids=["nan", "inf", "signed"]
+)
+def test_importances_that_are_not_finite_and_non_negative_rejected(importances):
+    # A nan fails no comparison and a signed pair can sum to 1.
+    names = ["k__minimum"] if len(importances) == 1 else ["k__maximum", "k__minimum"]
+    features = [f"{name} {value}" for name, value in zip(names, importances)]
+    lines = [*_MODEL_LINES[:4], f"features {len(features)}", *features, *_MODEL_LINES[6:]]
+    with pytest.raises(DataError, match="finite and non-negative"):
+        load_model(io.StringIO("\n".join(lines) + "\n"))
+
+
 def test_model_without_trees_rejected():
     lines = _MODEL_LINES[:6] + ["trees 0", "end"]
     with pytest.raises(DataError, match="at least one tree"):

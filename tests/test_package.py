@@ -25,10 +25,12 @@ REMOVED = [
     "imufresh.pipeline.PipelineConfig.min_leaf",
     "imufresh.pipeline.PipelineConfig.max_depth",
     "imufresh.pipeline.PipelineConfig.mtry",
+    "imufresh.pipeline.check_intervals",
     "imufresh.selection.is_binary",
     "imufresh.timeseries.Recording.sample_time",
     "imufresh.timeseries.Recording.duration_s",
     "imufresh.timeseries.WindowSet.label_domain",
+    "imufresh.timeseries.check_intervals",
 ]
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from imufresh import pipeline
 from imufresh.calculators import settings_from_feature_names, write_settings_file
 from imufresh.errors import (
@@ -29,6 +30,7 @@ from imufresh.pipeline import (
 from imufresh.synth import synth_multi_activity, synth_walk_run
 from imufresh.timeseries import (
     Recording,
+    load_labels,
     load_recording,
     save_labels,
     save_recording,
@@ -360,6 +362,20 @@ class TestPredict:
                 run_result.manifest_path,
                 labels_path=str(labels),
             )
+
+    def test_true_labels_are_the_oracles(self, run_result, train_data, tmp_path):
+        # The training labels shifted by 1 s and reversed: windows that
+        # straddle a shifted edge have no true label.
+        rec_path, lab_path = train_data
+        shifted = [(a + 1.0, b + 1.0, label)
+                   for a, b, label in reversed(load_labels(str(lab_path)))]
+        labels = tmp_path / "shifted.csv"
+        save_labels(shifted, str(labels))
+        timeline = predict(run_result.model_path, None, str(rec_path),
+                           run_result.manifest_path, labels_path=str(labels))
+        want = [label for *_, label in oracles.tiles(load_recording(str(rec_path)), 200, shifted)]
+        assert [row.true_label for row in timeline.rows] == want
+        assert None in want and {"walk", "run"} <= set(want)
 
     def test_windows_ordered_by_time(self, run_result, train_data):
         rec_path, _ = train_data

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from imufresh import timeseries
 from imufresh.errors import (
+    DataError,
     ImufreshError,
     InconsistentChannels,
     InvalidKindName,
@@ -779,11 +780,11 @@ def test_segment_fixed_matches_the_per_window_oracle():
             ))
             points.sort()
             # Consecutive points bound touching intervals; dropping some
-            # leaves gaps.  An end pushed by 1e-12 past the next start
-            # still counts as touching.
+            # leaves gaps.  An end pushed by 1e-12 or 5e-10 past the next
+            # start still counts as touching.
             keep = data.draw(st.lists(st.booleans(), min_size=len(points) - 1,
                                       max_size=len(points) - 1))
-            end_noise = data.draw(st.lists(st.sampled_from([0.0, 1e-12, -1e-12]),
+            end_noise = data.draw(st.lists(st.sampled_from([0.0, 1e-12, -1e-12, 5e-10]),
                                            min_size=len(points) - 1, max_size=len(points) - 1))
             labels = [
                 (a, b + e, f"c{i % 3}")
@@ -802,6 +803,32 @@ def test_segment_fixed_matches_the_per_window_oracle():
         assert ends.tolist() == [t0 + (start + w) / rate for start, _, _ in rows]
 
     check()
+
+
+def _touching(edges, t0):
+    return [(t0 + a, t0 + b, f"c{i % 3}") for i, (a, b) in enumerate(zip(edges, edges[1:]))]
+
+
+_RNG = np.random.default_rng(11)
+_EDGES = [0.0, 2.0, 6.0, 7.0, 7.5, 12.0, 20.0, 20.3, 31.0, 38.0, 44.0, 60.0]
+
+
+@pytest.mark.parametrize("labels", [
+    _touching(_EDGES, 3.3),
+    # each end 5e-10 past the next start: an overlap within the edge slack
+    [(a, b + 5e-10, label) for a, b, label in _touching(_EDGES, 3.3)],
+    [_touching(_EDGES, 3.3)[i] for i in _RNG.permutation(len(_EDGES) - 1)],
+    _touching(np.unique(np.r_[np.arange(0, 201, 2.0), _RNG.uniform(0, 100, 300)]), 3.3),
+], ids=["touching", "overlap_within_slack", "unsorted", "hundreds"])
+def test_segment_fixed_labels_fixed_interval_sets_as_the_oracle(labels):
+    """The one labelling call gives each window the oracle's label on interval
+    sets the drawn ones seldom reach: 2-s windows from t0 = 3.3 s, intervals
+    that touch, overlap by less than the edge slack, arrive out of order, or
+    number several hundred."""
+    rec = Recording(sample_rate_hz=10.0, channels={"a": np.zeros(2000)}, t0=3.3)
+    want = tuple(label for *_, label in oracles.tiles(rec, 20, labels))
+    assert segment_fixed(rec, 2.0, labels).window_labels == want
+    assert None in want and len(set(want)) > 2
 
 
 class TestSliceWindow:
@@ -861,8 +888,10 @@ class TestLabelsCsv:
     def test_file_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_bytes(b"start_s,end_s,label\n0,1,w\xffalk\n")
-        with pytest.raises(InvalidValue, match="not UTF-8"):
+        with pytest.raises(DataError, match="not UTF-8") as caught:
             timeseries.load_labels(str(path))
+        assert type(caught.value) is DataError
+        assert str(path) in str(caught.value)
 
 
 def test_malformed_labels_raise_only_documented_errors(tmp_path):

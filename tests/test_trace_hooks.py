@@ -66,15 +66,16 @@ def test_traced_run_and_predict_span_every_stage_call(tmp_path):
     """A traced run and predict record each call the harness times, and the
     rank step's anchors keep their order: ``save_report`` ends before
     ``aggregate_importances`` starts, ``write_settings_file`` before
-    ``cross_validate``.  The deploy workload's per-family timing reads the
-    run's files too."""
+    ``cross_validate``.  A predict given labels labels its timeline in one
+    ``resolve_label`` call.  The deploy workload's per-family timing reads
+    the run's files too."""
     spans = _load_spans()
     config = _work_config(tmp_path)
     with spans.Tracer("hooks") as tracer:
         result = tracer.call("pipeline.run_full_pipeline", pipeline.run_full_pipeline, config)
         timeline = tracer.call(
             "pipeline.predict", pipeline.predict, result.model_path, result.settings_path,
-            config.recording, result.manifest_path,
+            config.recording, result.manifest_path, config.labels,
         )
     assert list(timeline.step_seconds) == [
         "load", "ingest", "virtual_sensors", "segment", "extract", "predict", "timeline"
@@ -92,6 +93,7 @@ def test_traced_run_and_predict_span_every_stage_call(tmp_path):
     def starts(attr):
         return min(s.start for s in tracer.named(layer[attr]))
 
+    assert len(tracer.named("timeseries.resolve_label")) == 1
     assert ends("save_report") <= starts("aggregate_importances")
     assert ends("write_settings_file") <= starts("cross_validate")
 
