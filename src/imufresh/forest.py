@@ -3,11 +3,15 @@
 Trees are grown on bootstrap samples with per-node feature subsampling;
 split thresholds are midpoints between consecutive distinct sorted values
 (the lower value where the midpoint rounds to the upper one or overflows).
-Every random draw comes from a stream derived from (seed, tree index), so
-models are pure functions of (data, params) regardless of evaluation order:
+Every random draw is a pure function of (seed, tree, output index): a
+counter-based stream built on SplitMix64's finaliser (Steele, Lea & Flood,
+OOPSLA 2014), in the manner of Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3" (SC 2011).  So models are pure functions of (data, params)
+regardless of evaluation order, and depend on no numpy generator algorithm:
 all forests of a block (one worker's CV folds or importance repeats) grow in
-lockstep, sharing split searches across trees and forests, yet each tree
-equals the one grown alone.
+lockstep, drawing every tree's bootstrap or every node's features of a step
+in one array operation and sharing split searches across trees and forests,
+yet each tree equals the one grown alone.
 
 Importances are impurity decreases weighted by node sample fraction, summed
 per feature across the forest and normalized to 1.
@@ -38,6 +42,7 @@ from .timeseries import open_utf8, render_float
 _SEED_MASK = (1 << 64) - 1
 _CV_SALT = 0x5CF01D
 _BLOCK_CELLS = 1 << 12
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, odd
 
 
 @dataclass(frozen=True)
@@ -168,22 +173,73 @@ def _best_split(
     return out
 
 
-class _Growing:
-    """A forest until its last tree closes: node arrays, and each tree's stream, stack and gains."""
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser, a bijection of uint64, applied to *z* in place."""
+    with np.errstate(over="ignore"):
+        z ^= z >> 30
+        z *= 0xBF58476D1CE4E5B9
+        z ^= z >> 27
+        z *= 0x94D049BB133111EB
+        z ^= z >> 31
+    return z
 
-    def __init__(self, index, boots, present, rngs, root_counts, n_open) -> None:
+
+def _stream_starts(seed: int, n_trees: int) -> np.ndarray:
+    """Tree t's stream start ``mix(S + (t + 1) * gamma)``, S the seed's low
+    64 bits, for every tree of a forest."""
+    with np.errstate(over="ignore"):
+        z = np.arange(1, n_trees + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z += np.uint64(seed & _SEED_MASK)
+    return _mix(z)
+
+
+def _draws(
+    starts: np.ndarray, first: np.ndarray | int, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``(len(starts), count)`` outputs ``first`` to ``first + count - 1`` of
+    the streams at *starts*, in *out* if given: output i of the stream at s
+    is ``mix(s + (i + 1) * gamma)``, all mod 2**64."""
+    with np.errstate(over="ignore"):
+        base = (np.asarray(first, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
+        base += starts
+        z = np.arange(count, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z = np.add(base[:, None], z, out=out)
+    return _mix(z)
+
+
+def _sample_features(
+    starts: np.ndarray, first: np.ndarray | int, mtry: int, keys: np.ndarray
+) -> np.ndarray:
+    """Each node's ``mtry`` features: of the p keys ``first .. first + p - 1``
+    of its tree's stream, one per feature and computed into the
+    ``(len(starts), p)`` block *keys*, the smallest, in ascending key order
+    (the split search's tie order)."""
+    _draws(starts, first, keys.shape[1], out=keys)
+    picked = np.argpartition(keys, mtry - 1, axis=1)[:, :mtry]
+    order = np.take_along_axis(keys, picked, axis=1).argsort(axis=1)
+    return np.take_along_axis(picked, order, axis=1)
+
+
+class _Growing:
+    """A forest until its last tree closes: node arrays, and each tree's
+    stream start, searched-node count, stack and gains."""
+
+    def __init__(self, index, boots, present, starts, root_counts) -> None:
         # Copies of a row never part, so a tree on d distinct rows has at most
         # d leaves and 2d - 1 nodes.
         distinct = 1 + np.count_nonzero(np.diff(np.sort(boots, axis=1), axis=1), axis=1).max()
-        shape = (len(rngs), 2 * int(distinct) - 1)
-        self.index, self.n, self.present, self.rngs, self.open = (
-            index, boots.shape[1], present, rngs, n_open)
+        shape = (len(starts), 2 * int(distinct) - 1)
+        self.index, self.n, self.present, self.starts = index, boots.shape[1], present, starts
         self.feature, self.left, self.right = np.full((3, *shape), -1, dtype=np.int32)
         self.threshold = np.zeros(shape, dtype=np.float64)
         self.counts = np.zeros((*shape, root_counts.shape[1]), dtype=np.int32)
         self.counts[:, 0] = root_counts
-        self.n_nodes = [1] * len(rngs)
-        self.stacks, self.gains = [[] for _ in rngs], [[] for _ in rngs]
+        self.n_nodes = [1] * len(starts)
+        # Nodes searched so far: a splittable root is, before the lockstep.
+        self.searched = (np.count_nonzero(root_counts, axis=1) > 1).astype(int).tolist()
+        self.open = sum(self.searched)
+        self.stacks, self.gains = [[] for _ in starts], [[] for _ in starts]
 
 
 def _grow(
@@ -193,15 +249,20 @@ def _grow(
     """Grow one forest per ``(rows, seed)`` of *forests* on those rows; return
     each one's ``finish(i, model)``, or its importances, in forest order.
 
-    Forest by forest, tree t draws its bootstrap, its root's features and
-    then its other nodes' features in DFS order from its own stream
-    ``(seed, t)``, and the forest's splittable roots share one search.  The
-    open trees of all forests then grow in lockstep: in each step every tree
-    with work pops its stack to its next node that needs a search and draws
-    its features, and one search per node size scores these nodes.  So each
-    forest equals the one grown alone on a copy of its rows, with the
-    classes those rows hold (another class adds zeros to the exact Gini
-    sums) and importances summed in tree order and each tree's DFS order.
+    Tree t of a forest of n rows, p features and seed S draws from its
+    stream ``mix(S + (t + 1) * gamma)`` (``_stream_starts``): bootstrap slot
+    j takes row ``u(j) mod n`` of the stream's outputs u, and its k-th
+    searched node in DFS order (the root is k = 0) the ``mtry`` features
+    with the smallest keys ``u(n + k * p + f)``.  Forest by forest, one
+    array operation draws every tree's bootstrap and another its splittable
+    roots' features, and these roots share one search.  The open trees of
+    all forests then grow in lockstep: in each step every tree with work
+    pops its stack to its next node that needs a search, one array
+    operation draws all these nodes' features, and one search per node size
+    scores them.  So each forest equals the one grown alone on a copy of
+    its rows, with the classes those rows hold (another class adds zeros to
+    the exact Gini sums) and importances summed in tree order and each
+    tree's DFS order.
     """
     x = matrix.values
     label_list = [str(v) for v in labels]
@@ -215,6 +276,15 @@ def _grow(
         raise BadParameters("training needs at least one feature column")
     mtry = max(1, int(math.sqrt(p)))
     results: list = [None] * len(forests)
+    key_block = np.empty((0, p), dtype=np.uint64)
+
+    def sample_features(starts: np.ndarray, first: np.ndarray | int) -> np.ndarray:
+        # Every draw's keys go into one block, grown as needed and reused:
+        # a new block in each step measured slower.
+        nonlocal key_block
+        if len(key_block) < len(starts):
+            key_block = np.empty((len(starts), p), dtype=np.uint64)
+        return _sample_features(starts, first, mtry, key_block[: len(starts)])
 
     def close(g: _Growing) -> None:
         acc = np.zeros(p, dtype=np.float64)
@@ -243,7 +313,7 @@ def _grow(
             g.left[t, nid], g.right[t, nid] = i, i + 1
             g.stacks[t] += [(rows_right, i + 1), (rows_left, i)]
             g.n_nodes[t] = i + 2
-        nodes = []  # (forest, tree, rows, node id, features, class counts)
+        nodes = []  # (forest, tree, rows, node id, class counts, first key)
         for g, t, *_ in searched:
             stack = g.stacks[t]
             while stack:
@@ -251,11 +321,12 @@ def _grow(
                 node_counts = g.counts[t, nid]
                 node_counts[:] = np.bincount(y[idx], minlength=n_classes)
                 if np.count_nonzero(node_counts) > 1:  # two classes, so two rows or more
-                    feats = g.rngs[t].choice(p, size=mtry, replace=False)
-                    nodes.append((g, t, idx, nid, feats, node_counts))
+                    k = g.searched[t]
+                    g.searched[t] = k + 1
+                    nodes.append((g, t, idx, nid, node_counts, g.n + k * p))
                     break
             else:  # the tree is closed
-                g.rngs[t], g.open = None, g.open - 1
+                g.open -= 1
                 if not g.open:
                     close(g)
         return nodes
@@ -269,27 +340,33 @@ def _grow(
         if present.size < 2:
             raise DegenerateTarget("training requires at least 2 classes")
         n = rows.size
-        rngs = [np.random.default_rng((seed & _SEED_MASK, t)) for t in range(params.n_trees)]
-        boots = rows[np.stack([rng.integers(0, n, size=n) for rng in rngs])]
+        starts = _stream_starts(seed, params.n_trees)
+        slots = _draws(starts, 0, n)
+        slots %= np.uint64(n)
+        boots = rows[slots]
+        del slots
         root_counts = (y[boots][:, :, None] == np.arange(n_classes)).sum(axis=1)
         roots = np.flatnonzero(np.count_nonzero(root_counts, axis=1) > 1)  # not pure
-        feats = np.array([rngs[t].choice(p, mtry, replace=False) for t in roots], dtype=np.int64)
-        found = _best_split(x, y, boots[roots], root_counts[roots], feats.reshape(-1, mtry),
-                            n_classes)
-        g = _Growing(i, boots, present, rngs, root_counts, roots.size)
+        feats = sample_features(starts[roots], n)
+        found = _best_split(x, y, boots[roots], root_counts[roots], feats, n_classes)
+        g = _Growing(i, boots, present, starts, root_counts)
         if not g.open:
             close(g)
         nodes += advance([(g, t, boots[t], 0) for t in roots.tolist()], found)
     while nodes:
-        by_size: dict[int, list] = {}
-        for node in nodes:
-            by_size.setdefault(node[2].size, []).append(node)
+        g, t, idx, nid, counts, first = zip(*nodes)
+        starts = np.array([gi.starts[ti] for gi, ti in zip(g, t)], dtype=np.uint64)
+        feats = sample_features(starts, np.array(first, dtype=np.uint64))
+        by_size: dict[int, list[int]] = {}
+        for j, rows in enumerate(idx):
+            by_size.setdefault(rows.size, []).append(j)
         searched, found = [], []
         for group in by_size.values():
-            g, t, idx, nid, feats, counts = zip(*group)
-            counts = np.stack(counts, dtype=np.int64)  # squared int32 counts could wrap
-            found += _best_split(x, y, np.stack(idx), counts, np.stack(feats), n_classes)
-            searched += zip(g, t, idx, nid)
+            # int64, since squared int32 counts could wrap
+            node_counts = np.stack([counts[j] for j in group], dtype=np.int64)
+            found += _best_split(x, y, np.stack([idx[j] for j in group]), node_counts,
+                                 feats[group], n_classes)
+            searched += [(g[j], t[j], idx[j], nid[j]) for j in group]
         nodes = advance(searched, found)
     return results
 

@@ -491,12 +491,21 @@ def _header(fh: BinaryIO) -> tuple[bytes, bool]:
     return header, True
 
 
+def _bom_note(header: str) -> str:
+    """The reason to append to the refusal of *header* when it starts with a
+    UTF-8 byte-order mark, as spreadsheet tools write "CSV UTF-8"; else ''."""
+    if header.startswith("\ufeff"):
+        return ": the file starts with a UTF-8 byte-order mark (EF BB BF); save it without one"
+    return ""
+
+
 def _wide_kinds(header: bytes) -> tuple[str, ...]:
     """The kinds a wide header ``time,<kind>,...`` names: valid and distinct."""
     names = header.split(b",")
     if names[0] != b"time" or len(names) < 2:
         text = header.decode("utf-8", "replace")
-        raise InconsistentChannels(f"expected header 'time,<kind>,...', got {text!r}")
+        raise InconsistentChannels(
+            f"expected header 'time,<kind>,...', got {text!r}{_bom_note(text)}")
     kinds = tuple(validate_kind(name.decode("utf-8", "replace")) for name in names[1:])
     if len(set(kinds)) != len(kinds):
         raise InconsistentChannels(f"header names a kind twice: {header.decode()!r}")
@@ -631,8 +640,9 @@ def load_labels_csv(stream: TextIO) -> list[tuple[float, float, str]]:
     if header is None:
         raise InconsistentChannels("labels CSV is empty")
     if header != ["start_s", "end_s", "label"]:
+        text = ",".join(header)
         raise InconsistentChannels(
-            f"expected header 'start_s,end_s,label', got {','.join(header)!r}"
+            f"expected header 'start_s,end_s,label', got {text!r}{_bom_note(text)}"
         )
     out: list[tuple[float, float, str]] = []
     for row in reader:

@@ -8,7 +8,8 @@ must agree with it exactly:
 - ``best_split``: the per-feature numpy loop of the forest's split search,
   including which candidate wins a tie;
 - ``grow_tree``: the tree grower with per-node Python lists, which partitions
-  each node by comparing its rows with the threshold;
+  each node by comparing its rows with the threshold, and draws from the
+  counter-based stream ``stream_output`` in Python integers;
 - ``leaf_probs``, ``tree_apply`` and ``predict_proba``: prediction one tree
   at a time, which the forest's walk over all trees at once must match bit
   for bit;
@@ -453,12 +454,41 @@ def best_split(x_cols, y, idx, counts, feats, n_classes):
     return best_gain, best[0], best[1]
 
 
-def grow_tree(x, y, n_classes, rng, importance_acc):
-    """The grower with per-node Python lists, calling ``best_split`` and
-    partitioning each node by comparing its rows with the threshold."""
+GAMMA = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+
+
+def mix(z):
+    """SplitMix64's finaliser on a Python int, mod 2**64."""
+    z &= MASK64
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def stream_output(seed, t, i):
+    """Output i of tree t's stream under *seed*: ``mix(s_t + (i + 1) gamma)``
+    with ``s_t = mix(S + (t + 1) gamma)``, S the seed's low 64 bits."""
+    start = mix((seed & MASK64) + (t + 1) * GAMMA)
+    return mix(start + (i + 1) * GAMMA)
+
+
+def bootstrap(seed, t, n):
+    """Tree t's bootstrap of n rows: slot j takes row ``u(j) mod n``."""
+    return [stream_output(seed, t, j) % n for j in range(n)]
+
+
+def grow_tree(x, y, n_classes, seed, t, importance_acc):
+    """Tree t of the forest seeded *seed*, grown with per-node Python lists,
+    calling ``best_split`` and partitioning each node by comparing its rows
+    with the threshold.  Its k-th searched node in DFS order takes the
+    features with the ``mtry`` smallest keys ``u(n + k p + f)``, ascending."""
     n, p = x.shape
     mtry = max(1, math.isqrt(p))  # floor(sqrt(p)) features per node
-    boot = rng.integers(0, n, size=n)
+    boot = np.asarray(bootstrap(seed, t, n), dtype=np.int64)
+    searched = 0
 
     feature, threshold, left, right, counts_list = [], [], [], [], []
 
@@ -479,7 +509,10 @@ def grow_tree(x, y, n_classes, rng, importance_acc):
         n_node = idx.size
         if int(np.count_nonzero(node_counts)) <= 1:  # pure
             continue
-        feats = rng.choice(p, size=mtry, replace=False)
+        first = n + searched * p
+        keys = [stream_output(seed, t, first + f) for f in range(p)]
+        feats = sorted(range(p), key=keys.__getitem__)[:mtry]
+        searched += 1
         split = best_split(x, y, idx, node_counts, feats, n_classes)
         if split is None:
             continue

@@ -396,6 +396,22 @@ def test_synth_negative_person_is_a_config_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad", ["labels", "recording"])
+def test_input_with_a_byte_order_mark_exits_3(workspace, artifacts, tmp_path, bad):
+    # "CSV UTF-8" as spreadsheet tools save it
+    for what, name in (("labels", "labels.csv"), ("recording", "rec.csv")):
+        mark = b"\xef\xbb\xbf" if what == bad else b""
+        (tmp_path / name).write_bytes(mark + (workspace / name).read_bytes())
+    rc, err = _cli_process(
+        tmp_path, "predict", "--artifacts", str(artifacts), "--recording", "rec.csv",
+        "--labels", "labels.csv", "--out", "timeline.csv",
+    )
+    assert rc == 3, err
+    assert "byte-order mark" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "timeline.csv").exists()
+
+
 def test_predict_on_a_long_recording_exits_3(workspace, artifacts, tmp_path):
     # the long layout, one row per sample, of the workspace's recording
     rec = load_recording(str(workspace / "rec.csv"))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import tracemalloc
 from dataclasses import replace
@@ -243,14 +244,15 @@ def _tree_bits(tree):
 
 def _forest_and_oracle(x, y, params):
     """``train_forest``'s trees and importances as bytes; the same for the
-    list-based oracle grower run tree by tree on the streams ``(seed, t)``,
-    its importances summed in tree order; and the trained model."""
+    list-based oracle grower run tree by tree on the streams of
+    ``(seed, t)``, its importances summed in tree order; and the trained
+    model."""
     classes = np.unique(y)
     y = np.searchsorted(classes, y)  # training indexes the classes present
     model = train_forest(_matrix(x), [f"c{v}" for v in y], params)
     acc = np.zeros(x.shape[1])
     trees = [
-        oracles.grow_tree(x, y, classes.size, np.random.default_rng((params.seed, t)), acc)
+        oracles.grow_tree(x, y, classes.size, params.seed, t, acc)
         for t in range(params.n_trees)
     ]
     total = float(acc.sum())
@@ -321,7 +323,7 @@ class TestGrower:
         # permutation bootstrap has d = n.
         n = 5
         for seed in range(10_000):
-            drawn = np.unique(np.random.default_rng((seed, 0)).integers(0, n, size=n))
+            drawn = np.unique(oracles.bootstrap(seed, 0, n))
             if (drawn.size == n) == permutation and drawn.size > 1:
                 break
         y = np.zeros(n, dtype=np.int64)
@@ -344,12 +346,21 @@ class TestGrower:
         [
             ([0, 0, 0, 0, 1], 30, 2, "some"),  # some bootstraps hold one class
             ([0, 1, 0, 1, 2, 2], 1, 2, "none"),
-            ([0, 1], 1, 0, "all"),  # the one bootstrap is row 1 twice
+            ([0, 1], 1, 0, "all"),  # the one bootstrap is one row twice
             ([0, 0, 0, 1], 4, 38, "all"),  # every bootstrap holds one class
         ],
     )
     def test_unsplittable_roots(self, y, n_trees, seed, root_leaves):
+        # From *seed* on, the first seed whose bootstraps make *root_leaves*
+        # of the trees single leaves: those that hold one class.
         y = np.asarray(y)
+
+        def category(seed):
+            pure = [np.unique(y[oracles.bootstrap(seed, t, y.size)]).size == 1
+                    for t in range(n_trees)]
+            return ("none", "some", "all")[any(pure) + all(pure)]
+
+        seed = next(s for s in range(seed, seed + 10_000) if category(s) == root_leaves)
         x = np.column_stack([np.arange(y.size, dtype=np.float64), y * 0.5])
         params = ForestParams(n_trees=n_trees, seed=seed)
         got, want, model = _forest_and_oracle(x, y, params)
@@ -366,6 +377,77 @@ class TestGrower:
         for k in (1, 5, 12):
             small = train_forest(_matrix(x), labels, ForestParams(n_trees=k, seed=4))
             assert [_tree_bits(t) for t in small.trees] == [_tree_bits(t) for t in big.trees[:k]]
+
+
+class TestDraws:
+    """The counter-based stream behind every bootstrap and feature sample."""
+
+    def test_mix_known_answers(self):
+        # The first two SplitMix64 outputs from state 0.
+        gamma = forest._GAMMA
+        want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+        assert [oracles.mix(gamma), oracles.mix(2 * gamma)] == want
+        z = np.array([gamma, 2 * gamma - 2**64], dtype=np.uint64)
+        assert forest._mix(z).tolist() == want
+
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**64 + 5, 2**70 - 3])
+    def test_draws_match_the_integer_oracle(self, seed):
+        # Negative and wide seeds count by their low 64 bits.
+        starts = forest._stream_starts(seed, 4)
+        got = forest._draws(starts[1:], np.array([0, 5, 2**40], dtype=np.uint64), 6)
+        want = [[oracles.stream_output(seed, t, first + i) for i in range(6)]
+                for t, first in ((1, 0), (2, 5), (3, 2**40))]
+        assert got.tolist() == want
+
+    def test_bootstrap_rows_are_uniform(self):
+        stats = pytest.importorskip("scipy.stats")
+        n, n_trees = 20, 2_000
+        slots = forest._draws(forest._stream_starts(0, n_trees), 0, n) % np.uint64(n)
+        counts = np.bincount(slots.ravel().astype(np.int64), minlength=n)
+        assert stats.chisquare(counts).pvalue > 1e-3
+        # and a tree's first two slots coincide as often as independent draws
+        same = int((slots[:, 0] == slots[:, 1]).sum())
+        expected = [n_trees * (n - 1) / n, n_trees / n]
+        assert stats.chisquare([n_trees - same, same], expected).pvalue > 1e-3
+
+    def test_first_sampled_feature_is_uniform(self):
+        stats = pytest.importorskip("scipy.stats")
+        p, n_trees = 30, 3_000
+        starts = forest._stream_starts(1, n_trees)
+        first = np.full(n_trees, 40, dtype=np.uint64)
+        feats = forest._sample_features(starts, first, 5, np.empty((n_trees, p), np.uint64))
+        assert stats.chisquare(np.bincount(feats[:, 0], minlength=p)).pvalue > 1e-3
+        assert all(len(set(row)) == 5 for row in feats.tolist())
+
+    def test_training_creates_no_numpy_generator(self, monkeypatch):
+        # Only cross-validation's fold shuffle uses one.  Generator's methods
+        # cannot be patched (an immutable type), so its constructor is.
+        matrix, labels = _four_class(n=30, p=9, seed=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training used numpy's random module")
+
+        for name in ("default_rng", "Generator", "choice", "randint", "permutation"):
+            monkeypatch.setattr(np.random, name, refuse)
+        params = ForestParams(n_trees=10, seed=5)
+        model = train_forest(matrix, labels, params)
+        assert sum(t.n_nodes > 3 for t in model.trees) > 5
+        assert len(aggregate_importances(matrix, labels, 3, params)) == matrix.n_cols
+
+
+def test_seed_to_model_mapping_is_pinned():
+    # A small non-separable training from integer-valued cells, so neither
+    # numpy's generators nor libm enter the data.  Any change to how a seed
+    # becomes trees changes this hash and has to update it on purpose.
+    i, j = np.meshgrid(np.arange(36), np.arange(9), indexing="ij")
+    values = ((i * (2 * j + 3) + j * j) % 11).astype(np.float64)
+    labels = [f"c{(k * 5 // 7) % 3}" for k in range(36)]
+    model = train_forest(_matrix(values), labels, ForestParams(n_trees=12, seed=0))
+    stream = io.StringIO()
+    save_model(model, stream)
+    assert sum(t.n_nodes > 3 for t in model.trees) > 6
+    digest = hashlib.sha256(stream.getvalue().encode()).hexdigest()
+    assert digest == "49f4e90438fe8c23aa725f711b46fd0bf42dbf6cde871fedb3bec1d6531837ac"
 
 
 def _peak_bytes(call):

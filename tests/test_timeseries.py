@@ -363,6 +363,14 @@ class TestReaderMatchesLineLoop:
         with pytest.raises(error, match=match):
             load_recording_csv(io.BytesIO(data))
 
+    def test_byte_order_mark_is_named(self, tmp_path):
+        text = "\ufefftime,a\n0.0,1.0\n0.01,2.0\n"
+        for read in _readers(text, tmp_path):
+            with pytest.raises(InconsistentChannels, match="byte-order mark"):
+                read()
+        with pytest.raises(InconsistentChannels):  # the line loop refuses it too
+            oracles.load_recording_csv(io.BytesIO(text.encode()))
+
     @pytest.mark.parametrize("scan_bytes", [1, 2, 7, 64])
     def test_same_at_every_scan_block_size(self, scan_bytes, monkeypatch, tmp_path):
         # Small blocks split the header, a "\r\n" and the final line
@@ -884,6 +892,15 @@ class TestLabelsCsv:
     def test_line_the_csv_reader_refuses(self, body):
         with pytest.raises(InconsistentChannels, match="line 2"):
             load_labels_csv(io.StringIO("start_s,end_s,label\n" + body))
+
+    def test_byte_order_mark_is_named(self, tmp_path):
+        # "CSV UTF-8" as spreadsheet tools save it: refused, naming the mark
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"\xef\xbb\xbfstart_s,end_s,label\n0,4,walk\n")
+        for read in (lambda: timeseries.load_labels(str(path)),
+                     lambda: load_labels_csv(io.StringIO(path.read_text(encoding="utf-8")))):
+            with pytest.raises(InconsistentChannels, match="byte-order mark"):
+                read()
 
     def test_file_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "labels.csv"
