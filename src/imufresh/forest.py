@@ -341,10 +341,7 @@ def _grow(
             raise DegenerateTarget("training requires at least 2 classes")
         n = rows.size
         starts = _stream_starts(seed, params.n_trees)
-        slots = _draws(starts, 0, n)
-        slots %= np.uint64(n)
-        boots = rows[slots]
-        del slots
+        boots = rows[_draws(starts, 0, n) % np.uint64(n)]
         root_counts = (y[boots][:, :, None] == np.arange(n_classes)).sum(axis=1)
         roots = np.flatnonzero(np.count_nonzero(root_counts, axis=1) > 1)  # not pure
         feats = sample_features(starts[roots], n)
