@@ -481,8 +481,9 @@ def cross_validate(
     With groups, each distinct group id lands wholly in one fold
     (round-robin over groups sorted by id), so every fold's test rows come
     from complete groups only.  The folds' forests grow in one lockstep
-    block; ``workers`` > 1 splits them into one block per pool process, and
-    the report does not depend on it.  ``workers`` < 1 raises BadParameters.
+    block; ``workers`` > 1 splits them into one block per process, the
+    calling one included, and the report does not depend on it.
+    ``workers`` < 1 raises BadParameters.
     """
     check_workers(workers)
     n = matrix.n_rows
@@ -498,7 +499,7 @@ def cross_validate(
     else:
         fold = _stratified_folds(label_list, k, params.seed)
 
-    # Checked before any pool starts.  With k >= 2 non-empty folds, every
+    # Checked before any process starts.  With k >= 2 non-empty folds, every
     # training set is non-empty too.
     sizes = np.bincount(fold, minlength=k)
     if not sizes.all():
@@ -539,8 +540,9 @@ def aggregate_importances(
     Returns (feature, mean importance) sorted descending, ties broken by
     canonical feature name so rankings are reproducible.  The repeats grow
     in one lockstep block, each keeping only its importances; ``workers`` > 1
-    splits them into one block per pool process, and the forests, their sum
-    (taken in repeat order) and the ranking do not depend on it.
+    splits them into one block per process, the calling one included, and the
+    forests, their sum (taken in repeat order) and the ranking do not depend
+    on it.
     ``workers`` < 1 raises BadParameters.
     """
     check_workers(workers)

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import multiprocessing.process
 from collections import Counter
 
 import numpy as np
@@ -14,7 +15,6 @@ from imufresh.calculators import (
     settings_from_feature_names,
 )
 import imufresh.extraction
-import imufresh.parallel
 import oracles
 from imufresh.errors import (
     BadParameters,
@@ -181,16 +181,10 @@ class TestInProcess:
     count and size, and still rejects a worker count below 1."""
 
     def test_no_pool_at_any_size(self, recording, windows, monkeypatch):
-        # A zero size threshold would send any multi-worker call to a pool.
-        monkeypatch.setattr(imufresh.extraction, "POOL_MIN_WORK", 0, raising=False)
         started = []
-        real = imufresh.parallel.ProcessPoolExecutor
-
-        def spy(*args, **kwargs):
-            started.append(kwargs["max_workers"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(imufresh.parallel, "ProcessPoolExecutor", spy)
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", lambda self: started.append(self)
+        )
         settings = default_settings(recording.channels)
         two = extract(windows, recording, settings, workers=2)
         assert started == []

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import multiprocessing
 import shutil
 from pathlib import Path
 
@@ -461,6 +462,20 @@ class TestDeterminism:
                      "settings_topk.txt", "model.txt"):
             one, two = (Path(r.config.output_dir, name).read_bytes() for r in runs)
             assert one == two, name
+
+    def test_fan_out_leaves_no_process_running(self, train_data, tmp_path):
+        artifacts = {}
+        for workers in (1, 2, 3):
+            result = run_full_pipeline(
+                _config(train_data, tmp_path / f"w{workers}", repeats=3, n_trees=20,
+                        workers=workers)
+            )
+            assert multiprocessing.active_children() == []
+            artifacts[workers] = [
+                Path(result.model_path).read_bytes(), Path(result.importance_path).read_bytes()
+            ]
+        assert artifacts[2] == artifacts[1]
+        assert artifacts[3] == artifacts[1]
 
 
 def test_benchmark_times_a_run_and_predict_and_keeps_no_artifacts(train_data, tmp_path):
