@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .errors import BadParameters, UnknownCalculator
+from .errors import BadParameters, ImufreshError, UnknownCalculator
 from .names import (
     FeatureName,
     ParamValue,
@@ -43,7 +43,7 @@ from .names import (
     split_tokens,
     validate_identifier,
 )
-from .timeseries import validate_kind
+from .timeseries import _bom_note, validate_kind
 
 Params = Mapping[str, ParamValue]
 Family = Callable[[np.ndarray, Sequence[Params]], np.ndarray]
@@ -627,4 +627,9 @@ def read_settings_file(
         for ln in stream
         if ln.strip() and not ln.lstrip().startswith("#")
     ]
-    return settings_from_feature_names(lines)
+    try:
+        return settings_from_feature_names(lines)
+    except ImufreshError as exc:  # a byte-order mark breaks the first name
+        if not (note := _bom_note(lines[0])):
+            raise
+        raise type(exc)(f"{exc}{note}") from None

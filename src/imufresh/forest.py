@@ -703,5 +703,5 @@ def load_model(stream: TextIO) -> ForestModel:
 
 
 def load_model_file(path: str) -> ForestModel:
-    with open_utf8(path, "model file", newline="") as fh:
+    with open_utf8(path, "model file") as fh:
         return load_model(fh)

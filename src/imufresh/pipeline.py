@@ -63,6 +63,7 @@ from .names import FeatureName
 from .parallel import check_workers
 from .selection import SelectionReport, save_report, select_features
 from .timeseries import (
+    _bom_note,
     load_labels,
     load_recording,
     open_utf8,
@@ -148,7 +149,8 @@ def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(
+                f"{path}:{lineno}: expected 'key = value', got {line!r}{_bom_note(line)}")
         key = key.strip()
         value = value.strip()
         if key == "virtual_sensor":
@@ -178,7 +180,7 @@ def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
                 raise ConfigError(f"{path}:{lineno}: {key} is empty")
             raw[key] = str((base / value).resolve()) if value else None
         else:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}{_bom_note(line)}")
     raw["virtual_sensors"] = tuple(specs)
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})

@@ -16,7 +16,7 @@ import io
 import math
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
@@ -427,8 +427,14 @@ def load_recording(path: str) -> Recording:
 # recording with such a name is parsed from its lines instead.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
-# Bytes the header scan reads at a time: its buffers stay this small.
-_SCAN_BYTES = 1 << 20
+
+def _text(source: str | bytes) -> TextIO:
+    """The file at path *source*, or the bytes *source*, as UTF-8 text in
+    which ``\\r\\n`` and a lone ``\\r`` read as ``\\n``, as numpy reads a
+    named file.  A byte that is not UTF-8 becomes a lone surrogate, so the
+    field holding it does not parse."""
+    raw = io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb")
+    return io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline=None)
 
 
 def _parse_recording(source: str | bytes) -> Recording:
@@ -437,9 +443,10 @@ def _parse_recording(source: str | bytes) -> Recording:
     refused.  Then the table, in order: each channel finite, in header
     order; the time column finite; at least 2 samples; a uniform step.  The
     Recording keeps the table's columns uncopied."""
-    with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
-        header, has_rows = _header(fh)
-    if header == b"time,kind,value":
+    with _text(source) as fh:
+        header = fh.readline().rstrip("\n")
+        has_rows = any(line != "\n" for line in fh)
+    if header == "time,kind,value":
         raise InconsistentChannels(
             "the long layout 'time,kind,value' is not read: only the wide layout "
             "'time,<kind>,...' is, one row per time step"
@@ -470,27 +477,6 @@ def _parse_recording(source: str | bytes) -> Recording:
     return Recording(1.0 / dt, _OwnChannels(zip(kinds, table[:, 1:].T)), float(grid[0]))
 
 
-_LINE_END = re.compile(rb"[\r\n]")
-_NOT_LINE_END = re.compile(rb"[^\r\n]")
-
-
-def _header(fh: BinaryIO) -> tuple[bytes, bool]:
-    """The first line of the CSV read from *fh* in blocks of ``_SCAN_BYTES``,
-    and whether a byte other than a line end follows it."""
-    head = b""
-    while not (end := _LINE_END.search(head)) and (block := fh.read(_SCAN_BYTES)):
-        head += block
-    if end is None:
-        return head, False
-    header = head[: end.start()]
-    rest, at = head, end.start()
-    while not _NOT_LINE_END.search(rest, at):
-        rest, at = fh.read(_SCAN_BYTES), 0
-        if not rest:
-            return header, False
-    return header, True
-
-
 def _bom_note(header: str) -> str:
     """The reason to append to the refusal of *header* when it starts with a
     UTF-8 byte-order mark, as spreadsheet tools write "CSV UTF-8"; else ''."""
@@ -499,50 +485,44 @@ def _bom_note(header: str) -> str:
     return ""
 
 
-def _wide_kinds(header: bytes) -> tuple[str, ...]:
+def _wide_kinds(header: str) -> tuple[str, ...]:
     """The kinds a wide header ``time,<kind>,...`` names: valid and distinct."""
-    names = header.split(b",")
-    if names[0] != b"time" or len(names) < 2:
-        text = header.decode("utf-8", "replace")
+    names = header.split(",")
+    if names[0] != "time" or len(names) < 2:
         raise InconsistentChannels(
-            f"expected header 'time,<kind>,...', got {text!r}{_bom_note(text)}")
-    kinds = tuple(validate_kind(name.decode("utf-8", "replace")) for name in names[1:])
+            f"expected header 'time,<kind>,...', got {header!r}{_bom_note(header)}")
+    kinds = tuple(validate_kind(name) for name in names[1:])
     if len(set(kinds)) != len(kinds):
-        raise InconsistentChannels(f"header names a kind twice: {header.decode()!r}")
+        raise InconsistentChannels(f"header names a kind twice: {header!r}")
     return kinds
 
 
 def _wide_table(source: str | bytes, kinds: tuple[str, ...]) -> np.ndarray:
     """The ``(n, K + 1)`` table of a wide CSV from one call of numpy's text
-    reader, which parses a path by name, or bytes through a decoder with
-    universal newlines that hands it a block of lines at a time.
+    reader, which parses a path by name, or bytes through :func:`_text`.
 
-    Only when that call fails is the CSV read whole and split into lines,
-    as numpy splits a named file.  The first line with the wrong field count
+    Only when that call fails is the CSV read whole through :func:`_text`
+    and split into lines.  The first line with the wrong field count
     raises InconsistentChannels (lines counted from 1, the header and blank
     lines included); otherwise the first column with a field that does not
     parse, the time column first, raises InvalidValue."""
-    text = source if isinstance(source, str) else io.TextIOWrapper(
-        io.BytesIO(source), encoding="utf-8", newline=None
-    )
     try:
-        table = _loadtxt(text, skiprows=1, ndmin=2)
+        with nullcontext(source) if isinstance(source, str) else _text(source) as fh:
+            table = _loadtxt(fh, skiprows=1, ndmin=2)
         if table.shape[1] != len(kinds) + 1:
             raise ValueError(f"{table.shape[1]} fields per line")
         return table
     except ValueError as exc:
         error = exc
-    if isinstance(source, str):
-        with open(source, "rb") as fh:
-            source = fh.read()
-    lines = source.splitlines()[1:]
+    # Not str.splitlines, which also ends a line at \x0b, \x0c, \x1c and more.
+    with _text(source) as fh:
+        lines = fh.read().split("\n")[1:]
     for lineno, line in enumerate(lines, start=2):
-        if line and line.count(b",") != len(kinds):
+        if line and line.count(",") != len(kinds):
             raise InconsistentChannels(
-                f"line {lineno}: expected {len(kinds) + 1} fields, got {line.count(b',') + 1}"
+                f"line {lineno}: expected {len(kinds) + 1} fields, got {line.count(',') + 1}"
             )
-    # A byte that is not UTF-8 stays in its field, which then does not parse.
-    text = [line.decode("utf-8", "surrogateescape") for line in lines if line]
+    text = [line for line in lines if line]
     for j, name in enumerate(["time column"] + [f"channel {kind!r}" for kind in kinds]):
         try:
             _loadtxt(text, usecols=j)

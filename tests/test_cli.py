@@ -429,3 +429,54 @@ def test_predict_on_a_long_recording_exits_3(workspace, artifacts, tmp_path):
     assert "only the wide layout" in err
     assert "Traceback" not in err
     assert not (tmp_path / "timeline.csv").exists()
+
+
+@pytest.mark.parametrize("eol", [b"\r\n", b"\r"], ids=["crlf", "lone-cr"])
+def test_predict_on_files_with_other_line_ends_writes_the_same_timeline(
+    workspace, artifacts, tmp_path, eol
+):
+    # as git's autocrlf or an editor on another platform saves them
+    art = _artifacts_copy(artifacts, tmp_path / "art")
+    converted = [art / name for name in ("model.txt", "manifest.txt", "settings_topk.txt")]
+    for name in ("rec.csv", "labels.csv"):
+        converted.append(Path(shutil.copy(workspace / name, tmp_path / name)))
+    for path in converted:
+        path.write_bytes(path.read_bytes().replace(b"\n", eol))
+    timelines = []
+    for directory, inputs in ((artifacts, workspace), (art, tmp_path)):
+        out = tmp_path / f"timeline-{len(timelines)}.csv"
+        rc = main([
+            "predict",
+            "--artifacts", str(directory),
+            "--recording", str(inputs / "rec.csv"),
+            "--labels", str(inputs / "labels.csv"),
+            "--out", str(out),
+        ])
+        assert rc == 0
+        timelines.append(out.read_bytes())
+    assert timelines[0] == timelines[1]
+
+
+@pytest.mark.parametrize("first", ["recording = rec.csv", "# a comment"])
+def test_config_with_a_byte_order_mark_is_named(workspace, tmp_path, capsys, first):
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + f"{first}\n".encode() + (workspace / "pipe.cfg").read_bytes())
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "pipe.cfg:1: " in err and "byte-order mark" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_settings_file_with_a_byte_order_mark_is_named(workspace, artifacts, tmp_path, capsys):
+    (tmp_path / "settings.txt").write_bytes(
+        b"\xef\xbb\xbf" + (artifacts / "settings_topk.txt").read_bytes()
+    )
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(
+        f"recording = {workspace / 'rec.csv'}\nlabels = {workspace / 'labels.csv'}\n"
+        "output_dir = out\nwindow_seconds = 4.0\nauto_pair = _l _r\n"
+        "settings_file = settings.txt\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "invalid channel kind" in err and "byte-order mark" in err

@@ -240,6 +240,8 @@ READER_CASES = {
     "wide-nul-in-value": "time,a\n0.0,1.0\0\n0.01,2.0\n",
     "wide-nul-line": "time,a\n0.0,1.0\n\0\n0.01,2.0\n",
     "wide-nul-in-header": "time,a\0\n0.0,1.0\n0.01,2.0\n",
+    # str.splitlines would end a line at the form feed; numpy's reader does not
+    "wide-form-feed-in-value": "time,a\n0.0,1.0\x0c2\n0.01,2.0\n",
     "wide-ragged": "time,a,b\n0.0,1.0,2.0\n0.01,3.0\n0.02,5.0,6.0\n",
     "wide-extra-field": "time,a,b\n0.0,1.0,2.0\n0.01,3.0,4.0,5.0\n",
     "wide-every-row-too-long": "time,a\n0.0,1.0,2.0\n0.01,3.0,4.0\n",
@@ -371,18 +373,27 @@ class TestReaderMatchesLineLoop:
         with pytest.raises(InconsistentChannels):  # the line loop refuses it too
             oracles.load_recording_csv(io.BytesIO(text.encode()))
 
-    @pytest.mark.parametrize("scan_bytes", [1, 2, 7, 64])
-    def test_same_at_every_scan_block_size(self, scan_bytes, monkeypatch, tmp_path):
-        # Small blocks split the header, a "\r\n" and the final line
-        # without a newline across blocks.
-        monkeypatch.setattr(timeseries, "_SCAN_BYTES", scan_bytes)
-        path = tmp_path / "rec.csv"
-        for name, text in sorted({**READER_CASES, **LONG_CASES}.items()):
-            data = text.encode()
-            want = _outcome(lambda: oracles.load_recording_csv(io.BytesIO(data)))
-            path.write_bytes(data)
-            assert _outcome(lambda: load_recording(str(path))) == want, name
-            assert _outcome(lambda: load_recording_csv(io.BytesIO(data))) == want, name
+    @pytest.mark.parametrize("case", ["long-header", "crlf-at-edge", "lone-cr-at-edge"])
+    def test_same_across_the_text_chunk_edge(self, case, tmp_path):
+        # The text layer decodes 8,192 characters at a time: a header longer
+        # than that, and a line end whose first character is the last of
+        # the first chunk, read as the line loop reads them.
+        if case == "long-header":
+            kinds = [f"k{j:04d}" for j in range(1500)]
+            text = ",".join(["time"] + kinds) + "\n" + "".join(
+                ",".join([str(t)] + [str(t + j) for j in range(len(kinds))]) + "\n"
+                for t in range(3)
+            )
+            assert len(text.partition("\n")[0]) > 8192
+        else:
+            eol = "\r\n" if case == "crlf-at-edge" else "\r"
+            text = "time,a" + eol + "0.0,1.0" + eol + "0.01,2."
+            text += "0" * (8191 - len(text)) + eol + "0.02,3.0" + eol
+            assert text[8191] == "\r"
+        want = _outcome(lambda: oracles.load_recording_csv(io.BytesIO(text.encode())))
+        assert not isinstance(want, type)  # each case is a valid recording
+        for read in _readers(text, tmp_path):
+            assert _outcome(read) == want
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".csv.gz"])
     def test_plain_text_with_a_compression_suffix(self, suffix, tmp_path):
