@@ -116,61 +116,80 @@ def _boundary_sizes(n_node: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _best_split(
-    x_cols: np.ndarray, y: np.ndarray, idx: np.ndarray, counts: np.ndarray,
-    feats: np.ndarray, n_classes: int,
-) -> list:
-    """Best (gain, feature, threshold, left rows, right rows), or None, for
-    each of B nodes of n_node rows: ``idx`` (B, n_node), ``counts``
-    (B, n_classes) and sampled ``feats`` (B, mtry).
+    x_cols: np.ndarray, y: np.ndarray, idx: np.ndarray, sizes: np.ndarray,
+    counts: np.ndarray, feats: np.ndarray, n_classes: int,
+) -> tuple[np.ndarray, ...]:
+    """Each of B nodes' gain (a split only where > 0), feature, threshold,
+    boundary b and rows in the winning column's order, the first b + 1 its
+    left child's: node i holds rows ``idx[i, :sizes[i]]`` (any rows pad the
+    rest), class ``counts[i]`` and sampled ``feats[i]``.
 
-    One argsort of the ``(B, mtry, n_node)`` block (sorted in place for its
-    values) and running counts of every class but the last score every
-    boundary between distinct sorted values.  A node's pick is its first
-    maximum in sampled-feature order with thresholds ascending, taken only
-    if its gain is > 0.  The sort need not be stable: rows tied on a value
-    only reorder counts at boundaries inside the tie, which are never
-    candidates, so the children (the winning column's sort cut at the
-    boundary) are exactly the rows at or below and above the threshold.
-    ``_BLOCK_CELLS`` bounds the block of one pass.
+    Nodes are scored largest first, in passes of ``_BLOCK_CELLS`` cells of
+    the ``(B, mtry, width)`` block, or of one node.  A pass pads each node to
+    its largest with +inf, which sorts last, masks the boundaries at or past
+    its last row and divides by its own sizes, so every boundary is scored
+    from the integer operands it has alone.  One argsort of the block (sorted
+    in place for its values) and running counts of every class but the last
+    score every boundary between distinct sorted values.  A node's pick is
+    its first maximum in sampled-feature order with thresholds ascending.
+    The sort need not be stable: rows tied on a value only reorder counts at
+    boundaries inside the tie, which are never candidates, so the children
+    (the winning column's sort cut at the boundary) are exactly the rows at
+    or below and above the threshold.
     """
-    n_nodes, n_node = idx.shape
-    end = n_node - 1  # the candidate boundaries
-    sizes, sizes_sq = _boundary_sizes(n_node)
-    out = []
-    step = _BLOCK_CELLS // (feats.shape[1] * n_node) or 1
-    for lo in range(0, n_nodes, step):
-        ix, cnt, fs = idx[lo : lo + step], counts[lo : lo + step], feats[lo : lo + step]
-        block = x_cols[ix[:, None, :], fs[:, :, None]]  # (B, mtry, n_node)
+    n_nodes, mtry = feats.shape
+    gain, threshold = np.empty((2, n_nodes))
+    feature, bound = np.empty((2, n_nodes), dtype=np.int64)
+    rows = np.zeros_like(idx)
+    by_size, lo = np.argsort(-sizes, kind="stable"), 0
+    while lo < n_nodes:
+        width = int(sizes[by_size[lo]])
+        at = by_size[lo : lo + (_BLOCK_CELLS // (mtry * width) or 1)]
+        lo += at.size
+        n, cnt, fs, ix = sizes[at], counts[at], feats[at], idx[at, :width]
+        end = width - 1  # the candidate boundaries
+        block = x_cols[ix[:, None, :], fs[:, :, None]]  # (B, mtry, width)
+        n_left = np.arange(1, width)
+        past = n_left >= n[:, None, None]  # boundary b has b + 1 rows left
+        if n[-1] < width:
+            np.copyto(block[..., 1:], np.inf, where=past)
+            side_n = np.stack(np.broadcast_arrays(n_left, np.maximum(n[:, None] - n_left, 1)))
+            side_n = side_n[:, :, None, :]
+            side_sq = side_n * side_n
+        else:
+            side_n, side_sq = _boundary_sizes(width)
         order = block.argsort(axis=2)
         block.sort(axis=2)
-        if len(ix) > 1:  # each node's sort, offset into ix.ravel()
-            order += (n_node * np.arange(len(ix)))[:, None, None]
+        if at.size > 1:  # each node's sort, offset into ix.ravel()
+            order += (width * np.arange(at.size))[:, None, None]
         flat = ix.ravel()
-        # Class counts left (side 0) and right (side 1) of each boundary,
-        # and the sums of their squares, in exact integer arithmetic.
+        # Class counts left (side 0) and right (side 1) of each boundary, and
+        # the sums of their squares, in exact integer arithmetic: int32
+        # squares are exact up to 46,340 rows, and are taken in place.
         onehot = y[flat][order[:, :, :end]] == np.arange(n_classes - 1)[:, None, None, None]
-        c = np.empty((2, *onehot.shape), dtype=np.int64)
-        onehot.cumsum(axis=3, out=c[0])
-        np.subtract(cnt.T[:-1, :, None, None].astype(np.int64), c[0], out=c[1])
-        rest = sizes - c.sum(axis=1)  # the last class
-        side = sizes * (1.0 - ((c * c).sum(axis=1) + rest * rest) / sizes_sq)
-        gini = 1.0 - (cnt * cnt).sum(axis=1) / (n_node * n_node)
-        gain = gini[:, None, None] - (side[0] + side[1]) / n_node
-        np.putmask(gain, block[..., :end] == block[..., 1:], -np.inf)
-        picks = gain.reshape(len(ix), -1).argmax(axis=1)
-        for node, pick in enumerate(picks.tolist()):
-            f_pos, b = divmod(pick, end)
-            best = float(gain[node, f_pos, b])
-            if best <= 0.0:
-                out.append(None)
-                continue
-            v_lo, v_hi = block[node, f_pos, b], block[node, f_pos, b + 1]
-            thr = (v_lo + v_hi) / 2.0
-            if thr >= v_hi:  # adjacent floats, or a sum that overflows: split at lo
-                thr = v_lo
-            rows = flat[order[node, f_pos]]
-            out.append((best, int(fs[node, f_pos]), float(thr), rows[: b + 1], rows[b + 1 :]))
-    return out
+        c = np.empty((2, *onehot.shape), dtype=np.int32 if width <= 46340 else np.int64)
+        onehot.cumsum(axis=3, dtype=c.dtype, out=c[0])
+        np.subtract(cnt.T[:-1, :, None, None].astype(c.dtype), c[0], out=c[1])
+        rest = side_n - c.sum(axis=1)  # the last class
+        rest *= rest
+        c *= c
+        rest += c.sum(axis=1)
+        del c, onehot  # the pass's largest blocks, before its float ones
+        side = side_n * (1.0 - rest / side_sq)
+        gini = 1.0 - (cnt * cnt).sum(axis=1) / (n * n)
+        score = gini[:, None, None] - (side[0] + side[1]) / n[:, None, None]
+        np.putmask(score, (block[..., :end] == block[..., 1:]) | past, -np.inf)
+        f_pos, b = np.divmod(score.reshape(at.size, -1).argmax(axis=1), end)
+        r = np.arange(at.size)
+        v_lo, v_hi = block[r, f_pos, b], block[r, f_pos, b + 1]
+        with np.errstate(over="ignore"):
+            mid = (v_lo + v_hi) / 2.0
+        # Adjacent floats, or a sum that overflows: split at lo.
+        threshold[at] = np.where(mid >= v_hi, v_lo, mid)
+        gain[at], feature[at], bound[at] = score[r, f_pos, b], fs[r, f_pos], b
+        rows[at, :width] = flat[order[r, f_pos]]
+        del block, order, rest, side, score  # before the next pass's
+    return gain, feature, threshold, bound, rows
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -223,7 +242,8 @@ def _sample_features(
 
 class _Growing:
     """A forest until its last tree closes: node arrays, and each tree's
-    stream start, searched-node count, stack and gains."""
+    rows (a node's are a run of them, which its split sorts by the winning
+    column), stream start, node and searched-node counts, stack and gains."""
 
     def __init__(self, index, boots, present, starts, root_counts) -> None:
         # Copies of a row never part, so a tree on d distinct rows has at most
@@ -231,14 +251,13 @@ class _Growing:
         distinct = 1 + np.count_nonzero(np.diff(np.sort(boots, axis=1), axis=1), axis=1).max()
         shape = (len(starts), 2 * int(distinct) - 1)
         self.index, self.n, self.present, self.starts = index, boots.shape[1], present, starts
+        self.rows = boots
         self.feature, self.left, self.right = np.full((3, *shape), -1, dtype=np.int32)
         self.threshold = np.zeros(shape, dtype=np.float64)
         self.counts = np.zeros((*shape, root_counts.shape[1]), dtype=np.int32)
         self.counts[:, 0] = root_counts
-        self.n_nodes = [1] * len(starts)
-        # Nodes searched so far: a splittable root is, before the lockstep.
-        self.searched = (np.count_nonzero(root_counts, axis=1) > 1).astype(int).tolist()
-        self.open = sum(self.searched)
+        # A splittable root is searched first, as node k = 0.
+        self.n_nodes, self.searched = [1] * len(starts), [1] * len(starts)
         self.stacks, self.gains = [[] for _ in starts], [[] for _ in starts]
 
 
@@ -257,12 +276,14 @@ def _grow(
     array operation draws every tree's bootstrap and another its splittable
     roots' features, and these roots share one search.  The open trees of
     all forests then grow in lockstep: in each step every tree with work
-    pops its stack to its next node that needs a search, one array
-    operation draws all these nodes' features, and one search per node size
-    scores them.  So each forest equals the one grown alone on a copy of
-    its rows, with the classes those rows hold (another class adds zeros to
-    the exact Gini sums) and importances summed in tree order and each
-    tree's DFS order.
+    takes its next node in DFS order, one array operation draws all these
+    nodes' features and one split search scores them, whatever their sizes.
+    Each forest records a step's splits and children's class counts with
+    one assignment per array and stacks only the children that hold two
+    classes, so a pop is pure bookkeeping.  So each forest equals the one
+    grown alone on a copy of its rows, with the classes those rows hold
+    (another class adds zeros to the exact Gini sums) and importances summed
+    in tree order and each tree's DFS order.
     """
     x = matrix.values
     label_list = [str(v) for v in labels]
@@ -301,37 +322,60 @@ def _grow(
             results[g.index] = finish(g.index, ForestModel(
                 trees, tuple(classes[c] for c in g.present), matrix.feature_names, importances))
 
-    def advance(searched: list, found: list) -> list:
-        # Each searched node's split, then each of those trees' next node.
-        for (g, t, idx, nid), split in zip(searched, found):
-            if split is None:
-                continue
-            gain, f, thr, rows_left, rows_right = split
-            g.gains[t].append((f, (idx.size / g.n) * gain))
-            i = g.n_nodes[t]
-            g.feature[t, nid], g.threshold[t, nid] = f, thr
-            g.left[t, nid], g.right[t, nid] = i, i + 1
-            g.stacks[t] += [(rows_right, i + 1), (rows_left, i)]
-            g.n_nodes[t] = i + 2
-        nodes = []  # (forest, tree, rows, node id, class counts, first key)
-        for g, t, *_ in searched:
-            stack = g.stacks[t]
-            while stack:
-                idx, nid = stack.pop()
-                node_counts = g.counts[t, nid]
-                node_counts[:] = np.bincount(y[idx], minlength=n_classes)
-                if np.count_nonzero(node_counts) > 1:  # two classes, so two rows or more
-                    k = g.searched[t]
-                    g.searched[t] = k + 1
-                    nodes.append((g, t, idx, nid, node_counts, g.n + k * p))
-                    break
-            else:  # the tree is closed
-                g.open -= 1
-                if not g.open:
-                    close(g)
-        return nodes
+    def grow_step(step: dict) -> dict:
+        # One split search of a step's nodes, {forest: [(tree, start, stop,
+        # node id, searched index)]}; then each forest records its splits and
+        # gives each searched tree its next node, the next step's.
+        tables = [np.array(nodes) for nodes in step.values()]
+        table = np.concatenate(tables)
+        sizes = table[:, 2] - table[:, 1]
+        cols = np.arange(sizes.max())
+        # Each forest's stream starts, first keys, rows padded to cols (any
+        # rows past a node's run) and class counts, in int64 to be squared.
+        starts, first, idx, counts = map(np.concatenate, zip(*(
+            (g.starts[a[:, 0]], g.n + a[:, 4] * p,
+             g.rows.take((a[:, 0] * g.n + a[:, 1])[:, None] + cols, mode="clip"),
+             g.counts[a[:, 0], a[:, 3]].astype(np.int64)) for g, a in zip(step, tables))))
+        gain, feature, threshold, bound, win = _best_split(
+            x, y, idx, sizes, counts, sample_features(starts, first), n_classes)
+        # The left child's rows are the winning ones at or below the boundary.
+        keys = n_classes * np.arange(len(table))[:, None] + y[win]
+        left = np.bincount(keys[cols <= bound[:, None]], minlength=counts.size)
+        sides = np.stack([left, counts.ravel() - left]).reshape(2, *counts.shape)
+        per_node = list(zip(table.tolist(), gain.tolist(), feature.tolist(), bound.tolist(),
+                            *(np.count_nonzero(sides, axis=2) > 1).tolist()))
+        nxt, lo = {}, 0
+        for g, a in zip(step, tables):
+            out, children = [], []
+            for (t, start, stop, *_), gn, f, b, two_left, two_right in per_node[lo : lo + len(a)]:
+                stack, cut = g.stacks[t], start + b + 1
+                if gn > 0.0:
+                    i = g.n_nodes[t]
+                    g.n_nodes[t] = i + 2
+                    children.append(i)
+                    g.gains[t].append((f, (stop - start) / g.n * gn))
+                    if two_right:
+                        stack.append((cut, stop, i + 1))
+                    if two_left:
+                        stack.append((start, cut, i))
+                if stack:
+                    out.append((t, *stack.pop(), g.searched[t]))
+                    g.searched[t] += 1
+            s = lo + np.flatnonzero(gain[lo : lo + len(a)] > 0.0)
+            t, nid, child = table[s, 0], table[s, 3], np.array(children, dtype=np.int64)
+            g.feature[t, nid], g.threshold[t, nid] = feature[s], threshold[s]
+            g.left[t, nid], g.right[t, nid] = child, child + 1
+            g.counts[t, child], g.counts[t, child + 1] = sides[:, s]
+            keep = cols < sizes[s, None]
+            g.rows.reshape(-1)[((t * g.n + table[s, 1])[:, None] + cols)[keep]] = win[s][keep]
+            if out:
+                nxt[g] = out
+            else:  # its last tree is closed
+                close(g)
+            lo += len(a)
+        return nxt
 
-    nodes: list = []
+    step: dict = {}
     for i, (rows, seed) in enumerate(forests):
         if not finite[rows].all():
             raise NaNInFeatures(
@@ -343,28 +387,14 @@ def _grow(
         starts = _stream_starts(seed, params.n_trees)
         boots = rows[_draws(starts, 0, n) % np.uint64(n)]
         root_counts = (y[boots][:, :, None] == np.arange(n_classes)).sum(axis=1)
-        roots = np.flatnonzero(np.count_nonzero(root_counts, axis=1) > 1)  # not pure
-        feats = sample_features(starts[roots], n)
-        found = _best_split(x, y, boots[roots], root_counts[roots], feats, n_classes)
         g = _Growing(i, boots, present, starts, root_counts)
-        if not g.open:
+        roots = np.flatnonzero(np.count_nonzero(root_counts, axis=1) > 1)  # not pure
+        if roots.size:  # they share one search
+            step.update(grow_step({g: [(t, 0, n, 0, 0) for t in roots.tolist()]}))
+        else:
             close(g)
-        nodes += advance([(g, t, boots[t], 0) for t in roots.tolist()], found)
-    while nodes:
-        g, t, idx, nid, counts, first = zip(*nodes)
-        starts = np.array([gi.starts[ti] for gi, ti in zip(g, t)], dtype=np.uint64)
-        feats = sample_features(starts, np.array(first, dtype=np.uint64))
-        by_size: dict[int, list[int]] = {}
-        for j, rows in enumerate(idx):
-            by_size.setdefault(rows.size, []).append(j)
-        searched, found = [], []
-        for group in by_size.values():
-            # int64, since squared int32 counts could wrap
-            node_counts = np.stack([counts[j] for j in group], dtype=np.int64)
-            found += _best_split(x, y, np.stack([idx[j] for j in group]), node_counts,
-                                 feats[group], n_classes)
-            searched += [(g[j], t[j], idx[j], nid[j]) for j in group]
-        nodes = advance(searched, found)
+    while step:
+        step = grow_step(step)
     return results
 
 
@@ -660,11 +690,9 @@ def load_model(stream: TextIO) -> ForestModel:
         n_nodes = _token(int, header, 1, "node count")
         if n_nodes < 1:
             raise DataError("model file: a tree needs at least one node")
-        feature = np.full(n_nodes, -1, dtype=np.int32)
-        threshold = np.zeros(n_nodes, dtype=np.float64)
-        left = np.full(n_nodes, -1, dtype=np.int32)
-        right = np.full(n_nodes, -1, dtype=np.int32)
-        counts = np.zeros((n_nodes, n_classes), dtype=np.float64)
+        # Records are read before any array is built, so memory is bounded
+        # by the file, whatever node count the header claims.
+        nodes, no_counts = [], [0.0] * n_classes  # (feature, threshold, left, right, counts)
         for i in range(n_nodes):
             parts = next_line().split()
             record = parts[0] if parts else ""
@@ -681,17 +709,21 @@ def load_model(stream: TextIO) -> ForestModel:
                 # at or before its node would make prediction loop forever.
                 if not (i < lo < n_nodes and i < hi < n_nodes):
                     raise DataError("model file: split child index out of range")
-                feature[i], threshold[i], left[i], right[i] = f, thr, lo, hi
+                nodes.append((f, thr, lo, hi, no_counts))
             elif record == "leaf":
                 if len(parts) != 1 + n_classes:
                     raise DataError("model file: leaf record has wrong arity")
                 leaf = [_token(float, parts, j, "leaf count") for j in range(1, len(parts))]
                 if not all(math.isfinite(c) and c >= 0 for c in leaf):
                     raise DataError("model file: leaf counts must be finite and non-negative")
-                counts[i] = leaf
+                nodes.append((-1, 0.0, -1, -1, leaf))
             else:
                 raise DataError(f"model file: unknown node record {record!r}")
-        trees.append(Tree(feature, threshold, left, right, counts))
+        feature, threshold, left, right, counts = zip(*nodes)
+        trees.append(Tree(
+            np.array(feature, dtype=np.int32), np.array(threshold, dtype=np.float64),
+            np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
+            np.array(counts, dtype=np.float64)))
     if next_line() != "end":
         raise DataError("model file: missing end marker")
     return ForestModel(

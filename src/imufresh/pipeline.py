@@ -178,6 +178,8 @@ def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
         elif key in _PATH_KEYS:
             if not value and key not in _REQUIRED_KEYS:
                 raise ConfigError(f"{path}:{lineno}: {key} is empty")
+            if "\0" in value:  # no file system path holds one
+                raise ConfigError(f"{path}:{lineno}: {key} holds a NUL byte")
             raw[key] = str((base / value).resolve()) if value else None
         else:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}{_bom_note(line)}")

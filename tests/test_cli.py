@@ -368,6 +368,29 @@ def test_input_that_is_not_utf8_exit_code(artifacts, tmp_path, args, code):
     assert "Traceback" not in err
 
 
+def test_config_path_with_a_nul_byte_exits_2(tmp_path):
+    (tmp_path / "pipe.cfg").write_text("recording = rec\0.csv\noutput_dir = out\n")
+    rc, err = _cli_process(tmp_path, "run", "--config", "pipe.cfg")
+    assert rc == 2, err
+    assert "pipe.cfg:1: recording holds a NUL byte" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "pipe.cfg"]
+
+
+@pytest.mark.parametrize("count", ["4000000000", "99999999999999999999"])
+def test_model_with_a_huge_node_count_exits_3(workspace, artifacts, tmp_path, count):
+    # The count outruns the records that follow, so the next tree's header
+    # is read as a node record; nothing the size of the count is allocated.
+    text = (artifacts / "model.txt").read_text()
+    text = re.sub(r"^tree \d+$", f"tree {count}", text, count=1, flags=re.M)
+    _artifacts_copy(artifacts, tmp_path / "art", "model.txt", text.encode())
+    rc, err = _cli_process(tmp_path, "predict", "--artifacts", "art",
+                           "--recording", str(workspace / "rec.csv"), "--out", "t.csv")
+    assert rc == 3, err
+    assert "unknown node record 'tree'" in err
+    assert "Traceback" not in err
+
+
 def test_inspect_empty_manifest_exit_code(tmp_path):
     (tmp_path / "manifest.txt").write_text("")
     rc, err = _cli_process(tmp_path, "inspect", "manifest.txt")

@@ -164,22 +164,24 @@ def _split_problem(rng, case):
     return x, y, idx, counts, feats, n_classes
 
 
-def _search(x, y, idx, counts, feats, n_classes):
-    """``forest._best_split`` on B nodes, as (gain, feature, threshold) per
-    node, after checking that each node's children are its rows at or below
-    and above the threshold."""
-    found = forest._best_split(x, y, idx, counts, feats, n_classes)
-    assert len(found) == idx.shape[0]
+def _search(x, y, idx, counts, feats, n_classes, sizes=None):
+    """``forest._best_split`` on B nodes, node i holding ``idx[i, :sizes[i]]``
+    (its whole row by default), as (gain, feature, threshold) per node, or
+    None where it does not split, after checking that each node's children
+    are its rows at or below and above the threshold."""
+    sizes = np.full(len(idx), idx.shape[1]) if sizes is None else sizes
+    found = forest._best_split(x, y, idx, sizes, counts, feats, n_classes)
+    assert all(len(a) == idx.shape[0] for a in found)
     out = []
-    for node_rows, got in zip(idx, found):
-        if got is None:
+    for node_rows, n, gain, f, thr, b, rows in zip(idx, sizes, *found):
+        if gain <= 0.0:
             out.append(None)
             continue
-        gain, f, thr, rows_left, rows_right = got
+        node_rows = node_rows[:n]
         go_left = x[node_rows, f] <= thr
-        assert np.array_equal(np.sort(rows_left), np.sort(node_rows[go_left]))
-        assert np.array_equal(np.sort(rows_right), np.sort(node_rows[~go_left]))
-        out.append((gain, f, thr))
+        assert np.array_equal(np.sort(rows[: b + 1]), np.sort(node_rows[go_left]))
+        assert np.array_equal(np.sort(rows[b + 1 : n]), np.sort(node_rows[~go_left]))
+        out.append((float(gain), int(f), float(thr)))
     return out
 
 
@@ -223,6 +225,39 @@ class TestSplitSearch:
             assert _search(x, y, idx, counts, feats, n_classes) == want, case
             found += sum(w is not None for w in want)
         assert found > 150
+
+    @pytest.mark.parametrize("cells", [forest._BLOCK_CELLS, 64, 1])
+    def test_nodes_of_mixed_sizes_match_one_oracle_call_per_node(self, monkeypatch, cells):
+        # Nodes of 2 to n rows share a call, as a lockstep step's do; each
+        # pass pads its nodes to its largest.  The last column's values lie
+        # near the float maximum, so its midpoints overflow, and no warning
+        # may leave the search (warnings are errors here).
+        monkeypatch.setattr(forest, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(47)
+        found = unsplit = overflowed = 0
+        for case in range(120):
+            n_classes = 2 + case % 4
+            n_rows = int(rng.integers(2, 30))
+            near_max = np.where(rng.random(n_rows) < 0.5, 1.0e308, 1.5e308)
+            x = np.column_stack([_columns(rng, n_rows, int(rng.integers(1, 8))), near_max])
+            p = x.shape[1]
+            mtry = int(rng.integers(1, p + 1))
+            y = rng.integers(0, n_classes, size=n_rows)
+            sizes = rng.integers(2, 30, size=1 + case % 8)
+            sizes[0] = 2  # the smallest node there is
+            idx = rng.integers(0, n_rows, size=(sizes.size, sizes.max()))  # padded past each size
+            counts = np.stack([np.bincount(y[i[:n]], minlength=n_classes) for i, n in zip(idx, sizes)])
+            feats = np.stack([rng.choice(p, size=mtry, replace=False) for _ in sizes])
+            with np.errstate(over="ignore"):  # the oracle's own midpoint warns
+                want = [
+                    oracles.best_split(x, y, i[:n], c, f, n_classes)
+                    for i, n, c, f in zip(idx, sizes, counts, feats)
+                ]
+            assert _search(x, y, idx, counts, feats, n_classes, sizes) == want, case
+            found += sum(w is not None for w in want)
+            unsplit += sum(w is None for w in want)
+            overflowed += sum(w is not None and w[2] == 1.0e308 for w in want)
+        assert found > 300 and unsplit > 50 and overflowed > 50
 
     def test_tie_goes_to_first_sampled_feature(self):
         col = np.asarray([0.0, 1.0, 2.0, 3.0])
@@ -291,8 +326,8 @@ class TestGrower:
 
     @pytest.mark.parametrize("cells", [forest._BLOCK_CELLS, 64, 1])
     def test_lockstep_forests_match_list_based_grower(self, monkeypatch, cells):
-        # 20-60 trees, so that inner nodes of one size from several trees
-        # share a search; the smaller block bounds split those searches.
+        # 20-60 trees, so that inner nodes from several trees share a
+        # search; the smaller block bounds split those searches.
         monkeypatch.setattr(forest, "_BLOCK_CELLS", cells)
         batch_sizes = []
         real = forest._best_split
@@ -513,32 +548,32 @@ def test_hard_block_peak_memory_is_bounded():
 
 class TestRootSearch:
     """All splittable roots share one split search; the inner nodes that
-    trees reach in the same lockstep step share one search per node size."""
+    trees reach in the same lockstep step share one, whatever their sizes."""
 
     @staticmethod
     def _spy(monkeypatch):
-        batch_sizes = []
+        calls = []  # each call's node sizes
         real = forest._best_split
 
-        def spy(x_cols, y, idx, counts, feats, n_classes):
+        def spy(x_cols, y, idx, sizes, counts, feats, n_classes):
             # Each node's class counts are those of its own rows.
-            want = [np.bincount(y[rows], minlength=n_classes) for rows in idx]
+            want = [np.bincount(y[rows[:n]], minlength=n_classes) for rows, n in zip(idx, sizes)]
             assert np.array_equal(counts, np.reshape(want, counts.shape))
-            batch_sizes.append(idx.shape[0])
-            return real(x_cols, y, idx, counts, feats, n_classes)
+            calls.append(sizes.tolist())
+            return real(x_cols, y, idx, sizes, counts, feats, n_classes)
 
         monkeypatch.setattr(forest, "_best_split", spy)
-        return batch_sizes
+        return calls
 
     def test_stump_forest_makes_one_call(self, monkeypatch):
-        batch_sizes = self._spy(monkeypatch)
+        calls = self._spy(monkeypatch)
         x, y = _grower_problem(np.random.default_rng(12), 40, 2, stumps=True)
         model = train_forest(_matrix(x), [f"c{v}" for v in y], ForestParams(n_trees=25, seed=3))
-        assert batch_sizes == [25]
+        assert [len(sizes) for sizes in calls] == [25]
         assert all(t.n_nodes == 3 for t in model.trees)
 
     def test_inner_nodes_share_searches_across_trees(self, monkeypatch):
-        batch_sizes = self._spy(monkeypatch)
+        calls = self._spy(monkeypatch)
         matrix, labels = _separable(n=40, noise=0.8, seed=12)
         params = ForestParams(n_trees=30, seed=3)
         model = train_forest(matrix, labels, params)
@@ -547,10 +582,13 @@ class TestRootSearch:
             mixed = np.count_nonzero(tree.counts, axis=1) > 1
             roots += int(mixed[0])
             searched += int(mixed[1:].sum())
+        batch_sizes = [len(sizes) for sizes in calls]
         assert searched > params.n_trees
         assert batch_sizes[0] == roots
         assert sum(batch_sizes) == roots + searched
         assert len(batch_sizes) - 1 < searched
+        # A step's nodes of different sizes share its one call.
+        assert sum(len(set(sizes)) > 1 for sizes in calls[1:]) > 3
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -1005,6 +1043,15 @@ def test_importances_that_are_not_finite_and_non_negative_rejected(importances):
 def test_model_without_trees_rejected():
     lines = _MODEL_LINES[:6] + ["trees 0", "end"]
     with pytest.raises(DataError, match="at least one tree"):
+        load_model(io.StringIO("\n".join(lines) + "\n"))
+
+
+@pytest.mark.parametrize("count", ["4", "4000000000", "99999999999999999999"])
+def test_node_count_beyond_the_records_is_truncated(count):
+    # Records are read before arrays are built, so a count larger than the
+    # file allocates nothing of its size.
+    lines = [*_MODEL_LINES[:7], f"tree {count}", *_MODEL_LINES[8:-1]]
+    with pytest.raises(DataError, match="model file truncated"):
         load_model(io.StringIO("\n".join(lines) + "\n"))
 
 

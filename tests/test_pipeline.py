@@ -200,6 +200,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"pipe.cfg:4: {key} given twice \\(first on line 2\\)"):
             load_config(str(cfg_path), {"output_dir": str(tmp_path / "o")})
 
+    @pytest.mark.parametrize("key", sorted(pipeline._PATH_KEYS))
+    def test_nul_byte_in_a_path_names_its_key_and_line(self, tmp_path, key):
+        paths = {"recording": "r.csv", "output_dir": "out", key: "a\0b.csv"}
+        cfg_path = tmp_path / "pipe.cfg"
+        cfg_path.write_text("q = 0.1\n" + "".join(f"{k} = {v}\n" for k, v in paths.items()))
+        line = 2 + list(paths).index(key)
+        with pytest.raises(ConfigError, match=f"pipe.cfg:{line}: {key} holds a NUL byte"):
+            load_config(str(cfg_path))
+
     def test_top_k_zero_rejected(self, tmp_path):
         cfg_path = tmp_path / "pipe.cfg"
         cfg_path.write_text("recording = r.csv\noutput_dir = out\ntop_k = 0\n")
