@@ -37,7 +37,7 @@ from .errors import (
 from .extraction import FeatureMatrix
 from .names import FeatureName
 from .parallel import check_workers, map_ranges
-from .timeseries import open_utf8, render_float
+from .timeseries import check_label, open_utf8, render_float
 
 _SEED_MASK = (1 << 64) - 1
 _CV_SALT = 0x5CF01D
@@ -241,24 +241,31 @@ def _sample_features(
 
 
 class _Growing:
-    """A forest until its last tree closes: node arrays, and each tree's
-    rows (a node's are a run of them, which its split sorts by the winning
-    column), stream start, node and searched-node counts, stack and gains."""
+    """A forest until its last tree closes, as arrays with one row per tree:
+    node arrays; bootstrap rows (a node's are a run, sorted by its split's
+    column); stream starts; node and searched counts; a stack of ``(start,
+    stop, node id)`` and its height; each searched node's split feature (-1
+    if none) and weighted gain, by DFS search index k."""
 
     def __init__(self, index, boots, present, starts, root_counts) -> None:
         # Copies of a row never part, so a tree on d distinct rows has at most
-        # d leaves and 2d - 1 nodes.
-        distinct = 1 + np.count_nonzero(np.diff(np.sort(boots, axis=1), axis=1), axis=1).max()
-        shape = (len(starts), 2 * int(distinct) - 1)
-        self.index, self.n, self.present, self.starts = index, boots.shape[1], present, starts
-        self.rows = boots
+        # d leaves and 2d - 1 nodes.  A searched node holds two classes, so two
+        # distinct rows: at most d - 1 are searched, d // 2 stacked (disjoint).
+        d = 1 + int(np.count_nonzero(np.diff(np.sort(boots, axis=1), axis=1), axis=1).max())
+        n_trees, self.n = len(starts), boots.shape[1]
+        shape = (n_trees, 2 * d - 1)
+        self.index, self.present, self.starts, self.rows = index, present, starts, boots
         self.feature, self.left, self.right = np.full((3, *shape), -1, dtype=np.int32)
         self.threshold = np.zeros(shape, dtype=np.float64)
         self.counts = np.zeros((*shape, root_counts.shape[1]), dtype=np.int32)
         self.counts[:, 0] = root_counts
-        # A splittable root is searched first, as node k = 0.
-        self.n_nodes, self.searched = [1] * len(starts), [1] * len(starts)
-        self.stacks, self.gains = [[] for _ in starts], [[] for _ in starts]
+        self.split_feature = np.full((n_trees, d - 1), -1, dtype=np.int32)
+        self.split_gain = np.zeros((n_trees, d - 1), dtype=np.float64)
+        self.n_nodes, self.searched = np.ones(n_trees, np.int64), np.zeros(n_trees, np.int64)
+        # A splittable root is the stack's first entry, searched as k = 0.
+        self.stack = np.zeros((n_trees, max(1, d // 2), 3), dtype=np.int32)
+        self.stack[:, 0] = (0, self.n, 0)
+        self.height = (np.count_nonzero(root_counts, axis=1) > 1).astype(np.int64)
 
 
 def _grow(
@@ -273,17 +280,17 @@ def _grow(
     j takes row ``u(j) mod n`` of the stream's outputs u, and its k-th
     searched node in DFS order (the root is k = 0) the ``mtry`` features
     with the smallest keys ``u(n + k * p + f)``.  Forest by forest, one
-    array operation draws every tree's bootstrap and another its splittable
-    roots' features, and these roots share one search.  The open trees of
-    all forests then grow in lockstep: in each step every tree with work
-    takes its next node in DFS order, one array operation draws all these
-    nodes' features and one split search scores them, whatever their sizes.
-    Each forest records a step's splits and children's class counts with
-    one assignment per array and stacks only the children that hold two
-    classes, so a pop is pure bookkeeping.  So each forest equals the one
-    grown alone on a copy of its rows, with the classes those rows hold
-    (another class adds zeros to the exact Gini sums) and importances summed
-    in tree order and each tree's DFS order.
+    array operation draws every tree's bootstrap, and its splittable roots,
+    each its tree's first stack entry, take one step alone.  The open trees
+    of all forests then grow in lockstep.  In a step every tree with work
+    pops its next node in DFS order, one array operation draws all these
+    nodes' features and one split search scores them, whatever their sizes;
+    each forest records the splits, children's class counts and gains, and
+    stacks the children that hold two classes (right, then left), with one
+    masked assignment per array.  So each forest equals the one grown alone
+    on a copy of its rows, with the classes those rows hold (another class
+    adds zeros to the exact Gini sums) and importances summed in tree order
+    and each tree's DFS order.
     """
     x = matrix.values
     label_list = [str(v) for v in labels]
@@ -299,83 +306,74 @@ def _grow(
     results: list = [None] * len(forests)
     key_block = np.empty((0, p), dtype=np.uint64)
 
-    def sample_features(starts: np.ndarray, first: np.ndarray | int) -> np.ndarray:
-        # Every draw's keys go into one block, grown as needed and reused:
-        # a new block in each step measured slower.
-        nonlocal key_block
-        if len(key_block) < len(starts):
-            key_block = np.empty((len(starts), p), dtype=np.uint64)
-        return _sample_features(starts, first, mtry, key_block[: len(starts)])
-
     def close(g: _Growing) -> None:
-        acc = np.zeros(p, dtype=np.float64)
-        for f, weighted in (gain for tree_gains in g.gains for gain in tree_gains):
-            acc[f] += weighted
+        # Gains are summed in tree order and each tree's DFS order, as
+        # bincount adds its weights one after another.
+        m = g.split_feature >= 0
+        acc = np.bincount(g.split_feature[m], weights=g.split_gain[m], minlength=p)
         total = float(acc.sum())
         results[g.index] = importances = acc / total if total > 0 else acc
-        if finish is not None:
-            trees = tuple(
-                Tree(*(a[t, :k].copy() for a in (g.feature, g.threshold, g.left, g.right)),
-                     g.counts[t, :k][:, g.present].astype(np.float64))
-                for t, k in enumerate(g.n_nodes)
-            )
+        if finish is not None:  # each tree's nodes are a view of the forest's
+            kept = np.arange(g.feature.shape[1]) < g.n_nodes[:, None]
+            cut = np.cumsum(g.n_nodes)[:-1]
+            nodes = (np.split(a[kept], cut) for a in (g.feature, g.threshold, g.left, g.right))
+            counts = np.split(g.counts[kept][:, g.present].astype(np.float64), cut)
             results[g.index] = finish(g.index, ForestModel(
-                trees, tuple(classes[c] for c in g.present), matrix.feature_names, importances))
+                tuple(map(Tree, *nodes, counts)), tuple(classes[c] for c in g.present),
+                matrix.feature_names, importances))
 
-    def grow_step(step: dict) -> dict:
-        # One split search of a step's nodes, {forest: [(tree, start, stop,
-        # node id, searched index)]}; then each forest records its splits and
-        # gives each searched tree its next node, the next step's.
-        tables = [np.array(nodes) for nodes in step.values()]
-        table = np.concatenate(tables)
-        sizes = table[:, 2] - table[:, 1]
+    def grow_step(step: list[_Growing]) -> list[_Growing]:
+        # Every open tree of the step's forests pops its next node, one split
+        # search scores them all, and each forest records its splits and
+        # stacks their children; return the forests still open.
+        nonlocal key_block
+        pops = []
+        for g in step:
+            t = np.flatnonzero(g.height)
+            g.height[t] -= 1
+            pops.append((t, *g.stack[t, g.height[t]].T.astype(np.int64), g.searched[t]))
+            g.searched[t] += 1
+        sizes = np.concatenate([b - a for _, a, b, *_ in pops])
         cols = np.arange(sizes.max())
         # Each forest's stream starts, first keys, rows padded to cols (any
         # rows past a node's run) and class counts, in int64 to be squared.
         starts, first, idx, counts = map(np.concatenate, zip(*(
-            (g.starts[a[:, 0]], g.n + a[:, 4] * p,
-             g.rows.take((a[:, 0] * g.n + a[:, 1])[:, None] + cols, mode="clip"),
-             g.counts[a[:, 0], a[:, 3]].astype(np.int64)) for g, a in zip(step, tables))))
+            (g.starts[t], g.n + k * p, g.rows.take((t * g.n + a)[:, None] + cols, mode="clip"),
+             g.counts[t, nid].astype(np.int64)) for g, (t, a, _, nid, k) in zip(step, pops))))
+        # One key block, grown as needed and reused: a new one per step measured slower.
+        if len(key_block) < len(sizes):
+            key_block = np.empty((len(sizes), p), dtype=np.uint64)
+        feats = _sample_features(starts, first, mtry, key_block[: len(sizes)])
         gain, feature, threshold, bound, win = _best_split(
-            x, y, idx, sizes, counts, sample_features(starts, first), n_classes)
+            x, y, idx, sizes, counts, feats, n_classes)
         # The left child's rows are the winning ones at or below the boundary.
-        keys = n_classes * np.arange(len(table))[:, None] + y[win]
+        keys = n_classes * np.arange(len(sizes))[:, None] + y[win]
         left = np.bincount(keys[cols <= bound[:, None]], minlength=counts.size)
         sides = np.stack([left, counts.ravel() - left]).reshape(2, *counts.shape)
-        per_node = list(zip(table.tolist(), gain.tolist(), feature.tolist(), bound.tolist(),
-                            *(np.count_nonzero(sides, axis=2) > 1).tolist()))
-        nxt, lo = {}, 0
-        for g, a in zip(step, tables):
-            out, children = [], []
-            for (t, start, stop, *_), gn, f, b, two_left, two_right in per_node[lo : lo + len(a)]:
-                stack, cut = g.stacks[t], start + b + 1
-                if gn > 0.0:
-                    i = g.n_nodes[t]
-                    g.n_nodes[t] = i + 2
-                    children.append(i)
-                    g.gains[t].append((f, (stop - start) / g.n * gn))
-                    if two_right:
-                        stack.append((cut, stop, i + 1))
-                    if two_left:
-                        stack.append((start, cut, i))
-                if stack:
-                    out.append((t, *stack.pop(), g.searched[t]))
-                    g.searched[t] += 1
-            s = lo + np.flatnonzero(gain[lo : lo + len(a)] > 0.0)
-            t, nid, child = table[s, 0], table[s, 3], np.array(children, dtype=np.int64)
+        two = np.count_nonzero(sides, axis=2) > 1  # each child holds two classes
+        lo = 0
+        for g, node in zip(step, pops):
+            at = np.flatnonzero(gain[lo : lo + len(node[0])] > 0.0)  # the splits
+            s, lo = lo + at, lo + len(node[0])
+            t, a, b, nid, k = (v[at] for v in node)
+            child = g.n_nodes[t]
+            g.n_nodes[t] += 2
             g.feature[t, nid], g.threshold[t, nid] = feature[s], threshold[s]
             g.left[t, nid], g.right[t, nid] = child, child + 1
             g.counts[t, child], g.counts[t, child + 1] = sides[:, s]
+            g.split_feature[t, k], g.split_gain[t, k] = feature[s], (b - a) / g.n * gain[s]
             keep = cols < sizes[s, None]
-            g.rows.reshape(-1)[((t * g.n + table[s, 1])[:, None] + cols)[keep]] = win[s][keep]
-            if out:
-                nxt[g] = out
-            else:  # its last tree is closed
+            g.rows.reshape(-1)[((t * g.n + a)[:, None] + cols)[keep]] = win[s][keep]
+            cut, height = a + bound[s] + 1, g.height[t]
+            for push, entry in ((two[1, s], (cut, b, child + 1)), (two[0, s], (a, cut, child))):
+                g.stack[t[push], height[push]] = np.stack(entry, axis=1)[push]
+                height += push
+            g.height[t] = height
+            if not g.height.any():  # its last tree is closed
                 close(g)
-            lo += len(a)
-        return nxt
+        return [g for g in step if g.height.any()]
 
-    step: dict = {}
+    step: list[_Growing] = []
     for i, (rows, seed) in enumerate(forests):
         if not finite[rows].all():
             raise NaNInFeatures(
@@ -388,9 +386,8 @@ def _grow(
         boots = rows[_draws(starts, 0, n) % np.uint64(n)]
         root_counts = (y[boots][:, :, None] == np.arange(n_classes)).sum(axis=1)
         g = _Growing(i, boots, present, starts, root_counts)
-        roots = np.flatnonzero(np.count_nonzero(root_counts, axis=1) > 1)  # not pure
-        if roots.size:  # they share one search
-            step.update(grow_step({g: [(t, 0, n, 0, 0) for t in roots.tolist()]}))
+        if g.height.any():  # its splittable roots share one search
+            step += grow_step([g])
         else:
             close(g)
     while step:
@@ -663,7 +660,9 @@ def load_model(stream: TextIO) -> ForestModel:
     n_classes = _token(int, header, 1, "class count")
     if n_classes < 1:
         raise DataError("model file: a model needs at least one class")
-    classes = tuple(next_line() for _ in range(n_classes))
+    classes = tuple(check_label(next_line(), "model file: class") for _ in range(n_classes))
+    if any(a >= b for a, b in zip(classes, classes[1:])):
+        raise DataError("model file: class lines must be unique and in ascending order")
     header = next_line().split()
     if header[:1] != ["features"]:
         raise DataError("model file: expected features header")

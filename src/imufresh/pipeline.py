@@ -45,11 +45,11 @@ from .errors import (
     DataError,
     InvalidKindName,
     NothingSelected,
+    WindowTooShort,
 )
 from .extraction import FeatureMatrix, extract, save_matrix
 from .forest import (
     CVReport,
-    ForestModel,
     ForestParams,
     aggregate_importances,
     cross_validate,
@@ -199,11 +199,6 @@ def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
 # Manifest
 # ---------------------------------------------------------------------------
 
-def write_manifest(entries: Sequence[tuple[str, str]], stream: TextIO) -> None:
-    for key, value in entries:
-        stream.write(f"{key} = {value}\n")
-
-
 def read_manifest(path: str) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
     try:
@@ -222,18 +217,13 @@ def read_manifest(path: str) -> dict[str, list[str]]:
     return out
 
 
-def manifest_value(manifest: dict[str, list[str]], key: str) -> str:
-    values = manifest.get(key)
-    if not values:
-        raise DataError(f"manifest is missing key {key!r}")
-    return values[0]
-
-
 def _deployment_keys(manifest: dict[str, list[str]]) -> tuple[float, list[VirtualSensorSpec]]:
     """The manifest's ``window_seconds`` and ``virtual_sensor`` specs; a
     DataError names the key unless the first is a finite number > 0 and
     every spec line parses."""
-    value = manifest_value(manifest, "window_seconds")
+    if not manifest.get("window_seconds"):
+        raise DataError("manifest is missing key 'window_seconds'")
+    value = manifest["window_seconds"][0]
     try:
         seconds = float(value)
     except ValueError:
@@ -266,7 +256,6 @@ class PipelineResult:
     report: SelectionReport
     ranked: list[tuple[FeatureName, float]]
     top_features: list[FeatureName]
-    model: ForestModel
     cv: CVReport
     step_seconds: dict[str, float] = field(default_factory=dict)
 
@@ -419,7 +408,7 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
     entries.extend((f"time_{name}_seconds", render_float(seconds))
                    for name, seconds in timings.items())
     with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        write_manifest(entries, fh)
+        fh.writelines(f"{key} = {value}\n" for key, value in entries)
 
     return PipelineResult(
         config=config,
@@ -434,7 +423,6 @@ def run_full_pipeline(config: PipelineConfig) -> PipelineResult:
         report=report,
         ranked=ranked,
         top_features=top,
-        model=model,
         cv=cv,
         step_seconds=timings,
     )
@@ -502,9 +490,11 @@ def predict(
     labels and misclassification flags are attached to every window whose
     span lies in a label interval.  The timeline's ``step_seconds`` holds
     the wall time of each stage: load, ingest, virtual_sensors, segment,
-    extract, predict, timeline.  A manifest ``window_seconds`` that is not a finite
-    number > 0, or a ``virtual_sensor`` line that does not parse, raises
-    DataError before the recording is read.  ``settings_path`` (never
+    extract, predict, timeline.  A manifest ``window_seconds`` that is not a
+    finite number > 0, or a ``virtual_sensor`` line that does not parse,
+    raises DataError before the recording is read; one shorter than two of
+    the recording's samples raises DataError naming it too.  A window longer
+    than the recording gives an empty timeline.  ``settings_path`` (never
     opened) and ``workers`` stay only because ``perfbench/workloads.py``
     passes them; a ``workers`` count below 1 still raises BadParameters
     before any file is read.
@@ -521,7 +511,10 @@ def predict(
     with _timed(timings, "virtual_sensors"):
         engineered = apply_virtual_sensors(recording, _referenced_specs(specs, settings.kinds))
     with _timed(timings, "segment"):
-        windows = segment_fixed(engineered, window_seconds, labels=None)
+        try:
+            windows = segment_fixed(engineered, window_seconds, labels=None)
+        except WindowTooShort as exc:  # the manifest's window is data here
+            raise DataError(f"manifest key 'window_seconds': {exc}") from None
     with _timed(timings, "extract"):
         matrix = extract(windows, engineered, settings)
     with _timed(timings, "predict"):

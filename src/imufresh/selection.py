@@ -269,7 +269,6 @@ class SelectionReport:
     q: float
     tests: tuple[FeatureTargetTest, ...]
     selected: tuple[FeatureName, ...]
-    threshold_rank: int
 
     def selected_canonical(self) -> tuple[str, ...]:
         return tuple(f.canonical() for f in self.selected)
@@ -389,11 +388,8 @@ def select_features(
                 pass  # all target values tied: p stays 1
 
     selected_mask = np.zeros(matrix.n_cols, dtype=bool)
-    threshold_rank = 0
     for p_group in p_matrix.T:
-        idx, k_star = fdr_select(p_group, q, method)
-        selected_mask[idx] = True
-        threshold_rank = max(threshold_rank, k_star)
+        selected_mask[fdr_select(p_group, q, method)[0]] = True
 
     best_p = p_matrix.min(axis=1)
     # Columns are in canonical-name order, so a stable sort breaks p ties by name.
@@ -403,7 +399,7 @@ def select_features(
         for i in order
     )
     selected = tuple(matrix.feature_names[i] for i in order if selected_mask[i])
-    return SelectionReport(q=q, tests=tests, selected=selected, threshold_rank=threshold_rank)
+    return SelectionReport(q=q, tests=tests, selected=selected)
 
 
 # ---------------------------------------------------------------------------

@@ -606,14 +606,26 @@ def _csv_rows(stream: TextIO) -> Iterator[list[str]]:
         raise InconsistentChannels(f"labels CSV line {reader.line_num}: {exc}") from None
 
 
+def check_label(label: str, where: str) -> str:
+    """*label* if it can name a class, else InvalidValue naming *where*: not
+    empty (the timeline's cell for no label), with no line break of any kind
+    ``str.splitlines`` knows (the model file and manifest hold one per line)
+    and no ``,`` or ``"`` (the CSV artifacts write labels unquoted)."""
+    if not label:
+        raise InvalidValue(f"{where}: empty label")
+    if label.splitlines() != [label]:  # any line boundary
+        raise InvalidValue(f"{where}: label with a line break: {label!r}")
+    if "," in label or '"' in label:
+        raise InvalidValue(f"{where}: label with ',' or '\"': {label!r}")
+    return label
+
+
 def load_labels_csv(stream: TextIO) -> list[tuple[float, float, str]]:
     """Read a labels CSV with header ``start_s,end_s,label``.
 
     A line the CSV reader cannot parse, a wrong header or a row without
     three fields raises InconsistentChannels; a bad interval, or a label
-    with a line break of any kind ``str.splitlines`` knows (which the model
-    file and the manifest could not hold) or with ``,`` or ``"`` (which the
-    CSV artifacts write unquoted), raises InvalidValue.
+    that ``check_label`` refuses, raises InvalidValue.
     """
     reader = _csv_rows(stream)
     header = next(reader, None)
@@ -636,11 +648,7 @@ def load_labels_csv(stream: TextIO) -> list[tuple[float, float, str]]:
             raise InvalidValue(f"labels CSV: {exc}") from None
         if not (math.isfinite(start) and math.isfinite(end)) or end <= start:
             raise InvalidValue(f"labels CSV: bad interval ({row[0]}, {row[1]})")
-        if row[2].splitlines() not in ([], [row[2]]):  # any line boundary
-            raise InvalidValue(f"labels CSV: label with a line break in row {row!r}")
-        if "," in row[2] or '"' in row[2]:
-            raise InvalidValue(f"labels CSV: label with ',' or '\"' in row {row!r}")
-        out.append((start, end, row[2]))
+        out.append((start, end, check_label(row[2], f"labels CSV row {row!r}")))
     return out
 
 
@@ -700,7 +708,9 @@ def segment_fixed(
     start at index 0.  A window is labeled iff its full time span lies inside
     a single label interval; a window covering a boundary or unlabeled time
     gets the label ``None`` and is no row of the set.  With ``labels=None``
-    the set is in prediction mode and every window is a row.
+    the set is in prediction mode and every window is a row.  A window
+    longer than the recording tiles nothing, so its length is capped at the
+    recording's length + 1: nothing downstream is sized by it.
     """
     samples = window_seconds * recording.sample_rate_hz
     if not math.isfinite(samples):
@@ -712,7 +722,7 @@ def segment_fixed(
         raise WindowTooShort(
             f"{window_seconds} s at {recording.sample_rate_hz} Hz is {w} samples"
         )
-    tiles = WindowSet(recording, w)
+    tiles = WindowSet(recording, min(w, recording.length + 1))
     if labels is None:
         return tiles
-    return WindowSet(recording, w, resolve_label(*tiles.times(), labels))
+    return WindowSet(recording, tiles.length, resolve_label(*tiles.times(), labels))

@@ -397,11 +397,9 @@ def select_features(matrix, target, q=0.05, method="by"):
 
     p_matrix, kinds, n_eff = _test_columns(values, target_rows, mode, class_values)
     selected_mask = np.zeros(matrix.n_cols, dtype=bool)
-    threshold_rank = 0
     for ci in range(p_matrix.shape[1]):
-        idx, k_star = fdr_select(p_matrix[:, ci], q, method)
+        idx, _ = fdr_select(p_matrix[:, ci], q, method)
         selected_mask[idx] = True
-        threshold_rank = max(threshold_rank, k_star)
     best_p = p_matrix.min(axis=1)
     order = np.argsort(best_p, kind="stable")
     tests = tuple(
@@ -409,7 +407,7 @@ def select_features(matrix, target, q=0.05, method="by"):
         for i in order
     )
     selected = tuple(matrix.feature_names[i] for i in order if selected_mask[i])
-    return SelectionReport(q=q, tests=tests, selected=selected, threshold_rank=threshold_rank)
+    return SelectionReport(q=q, tests=tests, selected=selected)
 
 
 # --- forest split search -----------------------------------------------------

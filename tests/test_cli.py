@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -10,8 +12,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from imufresh.calculators import read_settings_file
 from imufresh.cli import main
-from imufresh.timeseries import Recording, load_recording, save_recording
+from imufresh.errors import ConfigError, ImufreshError
+from imufresh.forest import load_model_file
+from imufresh.pipeline import _deployment_keys, load_config, read_manifest
+from imufresh.timeseries import (
+    Recording,
+    check_label,
+    load_labels,
+    load_recording,
+    open_utf8,
+    save_recording,
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +65,15 @@ def _artifacts_copy(artifacts, dest, name=None, data=b""):
     if name is not None:
         (dest / name).write_bytes(data)
     return dest
+
+
+def _with_manifest_value(artifacts, dest, key, value):
+    """A copy of the run's artifacts directory whose manifest gives *key*
+    the one *value*."""
+    lines = [line for line in (artifacts / "manifest.txt").read_text().splitlines()
+             if not line.startswith(f"{key} =")]
+    return _artifacts_copy(artifacts, dest, "manifest.txt",
+                           "\n".join([*lines, f"{key} = {value}", ""]).encode())
 
 
 def test_synth_writes_files(workspace):
@@ -227,6 +249,66 @@ def test_model_feature_lines_out_of_order_exit_code(workspace, artifacts, tmp_pa
     assert not (tmp_path / "timeline.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [("repeat", "unique and in ascending order"), ("comma", "label with ','"),
+     ("empty", "empty label")],
+)
+def test_model_class_lines_training_would_not_write_exit_3(workspace, artifacts, tmp_path, capsys,
+                                                          change, message):
+    # Each would give the timeline a header that names a class twice, or
+    # whose field count differs from its rows'.
+    lines = (artifacts / "model.txt").read_text().splitlines()
+    first = lines.index("classes 2") + 1
+    lines[first] = {"repeat": lines[first + 1], "comma": "r,un", "empty": ""}[change]
+    art = _artifacts_copy(artifacts, tmp_path / "art", "model.txt",
+                          ("\n".join(lines) + "\n").encode())
+    assert _predict_from(art, workspace, tmp_path) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "timeline.csv").exists()
+
+
+def test_empty_label_exit_code(workspace, tmp_path, capsys):
+    # An empty cell is what the timeline writes for a window without a label.
+    labels = (workspace / "labels.csv").read_text() + "1000.0,1008.0,\n"
+    (tmp_path / "labels.csv").write_text(labels)
+    config = (workspace / "pipe.cfg").read_text().replace(
+        "labels = labels.csv", f"labels = {tmp_path / 'labels.csv'}").replace(
+        "recording = rec.csv", f"recording = {workspace / 'rec.csv'}")
+    (tmp_path / "pipe.cfg").write_text(config)
+    rc = main(["run", "--config", str(tmp_path / "pipe.cfg"), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "empty label" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.txt").exists()
+
+
+def test_run_with_a_window_longer_than_the_recording_exits_3(workspace, tmp_path, capsys):
+    rc = main(["run", "--config", str(workspace / "pipe.cfg"), "--window-seconds", "1e300",
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "no labeled windows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seconds", ["1e17", "1e300"])
+def test_predict_with_a_manifest_window_longer_than_the_recording(workspace, artifacts,
+                                                                  tmp_path, capsys, seconds):
+    # as on a recording shorter than one window: an empty timeline
+    art = _with_manifest_value(artifacts, tmp_path / "art", "window_seconds", seconds)
+    assert _predict_from(art, workspace, tmp_path) == 0
+    assert "(0 windows)" in capsys.readouterr().out
+    lines = (tmp_path / "timeline.csv").read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("window_id,start_s,end_s,prob_")
+
+
+def test_predict_with_a_manifest_window_under_two_samples_exits_3(workspace, artifacts,
+                                                                  tmp_path, capsys):
+    # The manifest is data, so its window is a data error, not a config one.
+    art = _with_manifest_value(artifacts, tmp_path / "art", "window_seconds", "0.001")
+    assert _predict_from(art, workspace, tmp_path) == 3
+    assert "data error: manifest key 'window_seconds'" in capsys.readouterr().err
+    assert not (tmp_path / "timeline.csv").exists()
+
+
 def test_predict_without_settings_file_writes_the_same_timeline(workspace, artifacts, tmp_path):
     art = _artifacts_copy(artifacts, tmp_path / "art")
     (art / "settings_topk.txt").unlink()
@@ -280,12 +362,7 @@ def test_benchmark_workers_zero_is_a_config_error(workspace):
      ("window_seconds", "-1"), ("virtual_sensor", "bogus")],
 )
 def test_bad_manifest_value_is_a_data_error(artifacts, tmp_path, capsys, key, value):
-    lines = [
-        line for line in (artifacts / "manifest.txt").read_text().splitlines()
-        if not line.startswith(f"{key} =")
-    ]
-    art = _artifacts_copy(artifacts, tmp_path / "art", "manifest.txt",
-                          "\n".join([*lines, f"{key} = {value}", ""]).encode())
+    art = _with_manifest_value(artifacts, tmp_path / "art", key, value)
     rc = main([
         "predict",
         "--artifacts", str(art),
@@ -503,3 +580,139 @@ def test_settings_file_with_a_byte_order_mark_is_named(workspace, artifacts, tmp
     assert main(["run", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert "invalid channel kind" in err and "byte-order mark" in err
+
+
+# Tokens that have broken a text reader before: empty, non-finite, huge and
+# negative numbers, NUL, a byte-order mark, line-end pieces, the feature-name
+# separator, separators and quotes.
+_MUTATION_TOKENS = [
+    "", "nan", "inf", "-inf", "1e999", "1e300", "-1", "0", "99999999999999999999", "\x00",
+    "\ufeff", "\r", "\n", "\x85", "__", "_", ",", "=", " ", "#", '"', "'", "é",
+]
+
+
+def _mutants(text, seed, count):
+    """*count* mutants of *text*, drawn by ``random.Random(seed)``: each
+    deletes or duplicates a line, or replaces, inserts or deletes one to
+    three tokens, which come from the list above or from the text itself."""
+    rng = random.Random(seed)
+    pieces = re.findall(r"[^,\s=]+|[,\s=]", text)
+    words = sorted({p for p in pieces if len(p) > 1})
+    for _ in range(count):
+        if rng.random() < 0.2:
+            lines = text.splitlines(keepends=True)
+            i = rng.randrange(len(lines))
+            lines[i : i + 1] = [] if rng.random() < 0.5 else [lines[i]] * 2
+            yield "".join(lines)
+            continue
+        out = list(pieces)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(out))
+            token = rng.choice(_MUTATION_TOKENS if rng.random() < 0.7 else words)
+            op = rng.randrange(3)  # replace, insert or delete
+            out[i : i + (op != 1)] = [] if op == 2 else [token]
+        yield "".join(out)
+
+
+def _read_settings(path):
+    with open_utf8(path, "settings file") as fh:
+        return read_settings_file(fh)
+
+
+def _read_manifest(path):
+    return _deployment_keys(read_manifest(path))
+
+
+def _labels_hold_classes(intervals):
+    for start, end, label in intervals:
+        assert math.isfinite(start) and math.isfinite(end) and start < end
+        check_label(label, "labels")
+
+
+def _model_holds_classes(model):
+    assert list(model.classes) == sorted(set(model.classes))
+    for label in model.classes:
+        check_label(label, "model")
+
+
+# input -> (seed file under the workspace, library reader, check of what it
+# reads, command line run where the mutant is the file "input", and the
+# manifest or model of the artifacts copy "input_dir")
+_TEXT_INPUTS = {
+    "config": ("pipe.cfg", load_config, None, ["run", "--config", "input"]),
+    "recording": ("rec.csv", load_recording, None,
+                  ["predict", "--artifacts", "art", "--recording", "input", "--out", "t.csv"]),
+    "labels": ("labels.csv", load_labels, _labels_hold_classes,
+               ["predict", "--artifacts", "art", "--recording", "rec.csv",
+                "--labels", "input", "--out", "t.csv"]),
+    "settings": ("artifacts/settings_topk.txt", _read_settings, None,
+                 ["run", "--config", "settings.cfg"]),
+    "manifest": ("artifacts/manifest.txt", _read_manifest, None,
+                 ["predict", "--artifacts", "input_dir", "--recording", "rec.csv",
+                  "--out", "t.csv"]),
+    "model": ("artifacts/model.txt", load_model_file, _model_holds_classes,
+              ["predict", "--artifacts", "input_dir", "--recording", "rec.csv",
+               "--out", "t.csv"]),
+}
+
+
+def _seed_text(workspace, name):
+    """The valid input *name* mutates, cut short where a shorter one reads
+    the same way: the recording's first 40 rows, the model's first tree."""
+    text = (workspace / _TEXT_INPUTS[name][0]).read_text(encoding="utf-8")
+    if name == "recording":
+        return "".join(text.splitlines(keepends=True)[:41])
+    if name == "model":
+        head, rest = text.split("\ntree ", 1)
+        first_tree = rest.split("\ntree ", 1)[0].removesuffix("\nend\n")
+        return re.sub(r"\ntrees \d+$", "\ntrees 1", head) + "\ntree " + first_tree + "\nend\n"
+    return text
+
+
+@pytest.mark.parametrize("name", list(_TEXT_INPUTS))
+def test_mutated_text_input_fails_closed(workspace, artifacts, tmp_path, name):
+    """Only ImufreshError subclasses leave a library reader, whatever a
+    mutant holds; what a reader accepts holds valid classes."""
+    _, read, check, _ = _TEXT_INPUTS[name]
+    path = tmp_path / "input"
+    path.write_text(_seed_text(workspace, name), encoding="utf-8")
+    read(str(path))  # the input the mutants start from is valid
+    refused = 0
+    for text in _mutants(_seed_text(workspace, name), seed=name, count=400):
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            value = read(str(path))
+        except ImufreshError:
+            refused += 1
+            continue
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__}: {exc} on the mutant {text!r}")
+        if check is not None:
+            check(value)
+    assert refused > 0
+
+
+@pytest.mark.parametrize("name", list(_TEXT_INPUTS))
+def test_mutated_text_input_exit_code(workspace, artifacts, tmp_path, name):
+    """The command line on the first mutant its library reader refuses exits
+    2 for a ConfigError, 3 for any other, and prints no traceback."""
+    _, read, _, args = _TEXT_INPUTS[name]
+    path = tmp_path / "input"
+    for text in _mutants(_seed_text(workspace, name), seed=name, count=400):
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            read(str(path))
+        except ImufreshError as exc:
+            code = 2 if isinstance(exc, ConfigError) else 3
+            break
+    shutil.copy(workspace / "rec.csv", tmp_path / "rec.csv")
+    shutil.copy(workspace / "labels.csv", tmp_path / "labels.csv")
+    shutil.copytree(artifacts, tmp_path / "art")
+    if name in ("manifest", "model"):
+        _artifacts_copy(artifacts, tmp_path / "input_dir", f"{name}.txt", path.read_bytes())
+    (tmp_path / "settings.cfg").write_text(
+        "recording = rec.csv\nlabels = labels.csv\noutput_dir = out\nwindow_seconds = 4.0\n"
+        "settings_file = input\n")
+    rc, err = _cli_process(tmp_path, *args)
+    assert rc == code, err
+    assert "Traceback" not in err

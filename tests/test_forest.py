@@ -1003,6 +1003,14 @@ def test_hand_written_model_loads():
         (5, "k__minimum abc"),
         (6, "trees"),
         (7, "tree x"),
+        # Training writes each class once, in ascending order, and only
+        # labels the labels reader accepts.
+        (2, "b"),
+        (2, "c"),
+        (3, ""),
+        (3, "b,c"),
+        (3, 'b"'),
+        (3, "b\x85"),
     ],
 )
 def test_corrupt_node_records_rejected(line, record):

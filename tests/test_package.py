@@ -1,6 +1,7 @@
 """The package's public surface and its modules' imports."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,11 @@ REMOVED = [
     "imufresh.pipeline.PipelineConfig.min_leaf",
     "imufresh.pipeline.PipelineConfig.max_depth",
     "imufresh.pipeline.PipelineConfig.mtry",
+    "imufresh.pipeline.PipelineResult.model",
     "imufresh.pipeline.check_intervals",
+    "imufresh.pipeline.manifest_value",
+    "imufresh.pipeline.write_manifest",
+    "imufresh.selection.SelectionReport.threshold_rank",
     "imufresh.selection.is_binary",
     "imufresh.timeseries.Recording.sample_time",
     "imufresh.timeseries.Recording.duration_s",
@@ -50,6 +55,8 @@ class TestAll:
         for attr in owners:
             owner = getattr(owner, attr)
         assert not hasattr(owner, name)
+        if dataclasses.is_dataclass(owner):  # a field without a default is no attribute
+            assert name not in {f.name for f in dataclasses.fields(owner)}
         assert not hasattr(imufresh, name)
         assert name not in imufresh.__all__
 

@@ -20,7 +20,7 @@ from imufresh.errors import (
     UnknownKind,
     WindowTooShort,
 )
-from imufresh.calculators import settings_from_feature_names
+from imufresh.calculators import default_settings, settings_from_feature_names
 from imufresh.extraction import extract
 from imufresh.synth import synth_walk_run
 from imufresh.timeseries import (
@@ -734,6 +734,19 @@ class TestSegmentation:
         with pytest.raises(WindowTooShort):
             segment_fixed(_recording(100, rate=100.0), seconds, None)
 
+    @pytest.mark.parametrize("seconds", [9.0, 1e17, 1e300])
+    @pytest.mark.parametrize("labels", [None, [(0.0, 8.0, "walk")]], ids=["predict", "run"])
+    def test_window_longer_than_the_recording_tiles_nothing(self, seconds, labels):
+        # However long, the window is cut to one sample past the recording,
+        # so its times and the extraction's buffers stay recording-sized.
+        rec = _recording(8 * 500)
+        ws = segment_fixed(rec, seconds, labels)
+        assert (ws.n_windows, ws.length) == (0, rec.length + 1)
+        assert [t.tolist() for t in ws.times()] == [[], []]
+        assert ws.labels is None
+        settings = default_settings(rec.channels)
+        assert extract(ws, rec, settings).values.shape == (0, len(settings.features))
+
     def test_overlapping_labels(self):
         rec = _recording(8 * 500)
         with pytest.raises(OverlappingLabels):
@@ -882,6 +895,13 @@ class TestLabelsCsv:
     def test_bad_interval(self):
         with pytest.raises(InvalidValue):
             load_labels_csv(io.StringIO("start_s,end_s,label\n4.0,4.0,walk\n"))
+
+    @pytest.mark.parametrize("body", ["0.0,8.0,\n", '0.0,8.0,""\n'])
+    def test_empty_label(self, body):
+        # The timeline writes an empty cell for a window without a label, so
+        # an empty label cannot name a class.
+        with pytest.raises(InvalidValue, match="empty label"):
+            load_labels_csv(io.StringIO("start_s,end_s,label\n0.0,4.0,walk\n" + body))
 
     @pytest.mark.parametrize(
         "body", ['0,1,"a\n', '0,1,"a\rb"\n', '0,1,"walk\r\n"\n', "0,1,a\x0cb\n", "0,1,a\x85b\n"]
